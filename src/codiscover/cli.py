@@ -35,6 +35,7 @@ from .scenario import (
 )
 from .training import (
     TrainConfig,
+    caption_proxies,
     finite_diff_check,
     init_model,
     load_checkpoint,
@@ -123,7 +124,6 @@ class RunConfig:
     eval_mode: str
     eval_strategies: tuple[str, ...]
     seed: int
-    threads: int
     eval_seed: int
 
 
@@ -145,11 +145,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     return pairs
 
 
-def resolve_run_config(
-    pairs: dict[str, str],
-    seed_override: int | None = None,
-    threads_override: int | None = None,
-) -> RunConfig:
+def resolve_run_config(pairs: dict[str, str], seed_override: int | None = None) -> RunConfig:
     """Validate key/value pairs and derive per-stream seeds from the master seed."""
     scenario_kwargs: dict = {}
     train_kwargs: dict = {}
@@ -157,14 +153,11 @@ def resolve_run_config(
     eval_mode = "index"
     eval_strategies = STRATEGIES
     seed = 0
-    threads = 1
     for key, raw in pairs.items():
         if key in ("scenario.seed", "train.seed", "eval.seed"):
             raise ConfigError(f"{key} is derived from the master seed; set `seed` instead")
         if key == "seed":
             seed = _parse_int(raw)
-        elif key == "threads":
-            threads = _parse_int(raw)
         elif key == "corpus.min_freq":
             corpus_min_freq = _parse_int(raw)
         elif key == "eval.mode":
@@ -193,10 +186,6 @@ def resolve_run_config(
             raise ConfigError(f"unknown config key {key!r}")
     if seed_override is not None:
         seed = seed_override
-    if threads_override is not None:
-        threads = threads_override
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
     if corpus_min_freq < 1:
         raise ConfigError("corpus.min_freq must be >= 1")
 
@@ -216,7 +205,6 @@ def resolve_run_config(
         eval_mode=eval_mode,
         eval_strategies=eval_strategies,
         seed=seed,
-        threads=threads,
         eval_seed=int(eval_ss.generate_state(1)[0]),
     )
 
@@ -238,7 +226,6 @@ def format_run_config(config: RunConfig) -> str:
         f"eval.mode = {config.eval_mode}",
         f"eval.strategies = {','.join(config.eval_strategies)}",
         f"seed = {config.seed}",
-        f"threads = {config.threads}",
     ]
     for section, obj in (("scenario", config.scenario), ("train", config.train)):
         for f in fields(obj):
@@ -253,13 +240,9 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _resolve_from_args(args) -> RunConfig:
-    pairs = parse_config_file(args.config) if args.config else {}
-    return resolve_run_config(pairs, seed_override=args.seed, threads_override=args.threads)
-
-
 def _prepare_run(args) -> tuple:
-    config = _resolve_from_args(args)
+    pairs = parse_config_file(args.config) if args.config else {}
+    config = resolve_run_config(pairs, seed_override=args.seed)
     scenario = generate_scenario(config.scenario)
     index = build_concept_index(scenario.records, scenario.lexicon, config.corpus_min_freq)
     return config, scenario, index
@@ -356,10 +339,7 @@ def cmd_grad_check(args) -> int:
     config, scenario, index = _prepare_run(args)
     rng = np.random.default_rng(config.train.seed)
     state = init_model(scenario, index, config.train, rng)
-    caption_vectors = {
-        record.image_id: scenario.text_table.caption_embedding(record.concepts)
-        for record in scenario.records
-    }
+    caption_vectors = caption_proxies(scenario)
     concepts = index.concept_ids()
     cid = concepts[int(rng.integers(len(concepts)))]
     group = sample_mini_group(index, cid, config.train.group_size, rng)
@@ -389,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="flat key=value config file")
         sp.add_argument("--seed", type=int, help="master seed (overrides the config file)")
         sp.add_argument("--out", required=needs_out, help="output directory")
-        sp.add_argument("--threads", type=int,
-                        help="worker budget; modules are pure so 1 is always valid")
 
     p = sub.add_parser("build-index", help="build a concept-group index from a corpus")
     p.add_argument("--corpus", required=True, help="TSV corpus: image_id<TAB>caption")

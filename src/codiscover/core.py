@@ -7,6 +7,7 @@ toward the lowest index everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +35,9 @@ def _as_feature_matrix(value) -> np.ndarray:
     return arr
 
 
-def _unit_rows(matrix: np.ndarray, what: str) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+def unit_rows(matrix: np.ndarray, what: str) -> np.ndarray:
+    """Feature rows (along the last axis) scaled to unit L2 norm."""
+    norms = np.linalg.norm(matrix, axis=-1, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError(f"{what}: zero feature row")
     return matrix / norms
@@ -141,8 +143,6 @@ class Prototype:
 
     f_p: np.ndarray
     p: np.ndarray
-    image_id: str | None = None
-    concept_id: int | None = None
 
 
 def text_guide_weights(w_c: np.ndarray) -> np.ndarray:
@@ -166,6 +166,32 @@ def text_guided_similarity(f_i: np.ndarray, f_j: np.ndarray, w_bar: np.ndarray) 
     return float(np.dot(w_bar, (f_i / ni) * (f_j / nj)))
 
 
+def concept_guide(w_c: np.ndarray, text_guidance: bool = True) -> np.ndarray:
+    """Guidance profile of w_c, or uniform weights (plain cosine) when unguided."""
+    w_c = np.asarray(w_c, dtype=np.float64)
+    return text_guide_weights(w_c) if text_guidance else np.ones(w_c.size)
+
+
+def similarity_rows(query_hat: np.ndarray, support_hat: np.ndarray, guide: np.ndarray):
+    """Text-guided similarity of Q queries (Q, n, d) against their m supports
+    (Q, m, n, d), both unit-normalized. Returns (qw, rows): the guided queries
+    query_hat * guide and rows (Q, n, m*n) with rows[q, i, k*n + j] =
+    s(query_q region i, support_qk region j), as in SimilarityMatrix.values."""
+    q, m, n, d = support_hat.shape
+    if m == 0:
+        raise ValueError("at least one support image is required")
+    qw = query_hat * guide
+    return qw, qw @ support_hat.reshape(q, m * n, d).swapaxes(1, 2)
+
+
+def similarity_backward(drows: np.ndarray, qw: np.ndarray, support_hat: np.ndarray,
+                        guide: np.ndarray):
+    """Gradients of similarity_rows with respect to query_hat (Q, n, d) and
+    support_hat (Q, m, n, d), one term per position, not yet summed per image."""
+    flat = support_hat.reshape(drows.shape[0], -1, support_hat.shape[3])
+    return (drows @ flat) * guide, (drows.swapaxes(1, 2) @ qw).reshape(support_hat.shape)
+
+
 def build_similarity_matrix(query, supports, w_bar: np.ndarray) -> SimilarityMatrix:
     """Pairwise text-guided similarities between query and support proposals.
 
@@ -181,61 +207,70 @@ def build_similarity_matrix(query, supports, w_bar: np.ndarray) -> SimilarityMat
     mats = [_as_feature_matrix(s) for s in supports]
     if not mats:
         raise ValueError("at least one support image is required")
-    n = q.shape[0]
     for s in mats:
         if s.shape != q.shape:
             raise ValueError(f"support shape {s.shape} does not match query {q.shape}")
-    qw = _unit_rows(q, "query") * np.asarray(w_bar, dtype=np.float64)
-    blocks = [qw @ _unit_rows(s, "support").T for s in mats]
-    return SimilarityMatrix(np.concatenate(blocks, axis=1), n=n, m=len(mats))
+    _, rows = similarity_rows(unit_rows(q, "query")[None],
+                              unit_rows(np.stack(mats), "support")[None],
+                              np.asarray(w_bar, dtype=np.float64))
+    return SimilarityMatrix(rows[0], n=q.shape[0], m=len(mats))
 
 
-def head_forward(values: np.ndarray, head: DiscoveryHead):
-    """Run the MLP + softmax over similarity rows.
+class HeadPass(NamedTuple):
+    """head_forward's results for Q queries of n proposals, kept for head_backward."""
 
-    Returns (net, z1, hidden, logits, p, perms) where net is the matrix
-    actually fed to the MLP (block-sorted when head.sorted_rows) and perms
-    holds the per-block sort indices (None when unsorted).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    n = values.shape[0]
-    if values.ndim != 2 or values.shape[1] != head.in_dim:
+    net: np.ndarray  # (Q*n, m*n) rows fed to the MLP, blocks sorted when the head sorts
+    z1: np.ndarray  # (Q*n, hidden) pre-activations
+    hidden: np.ndarray  # (Q*n, hidden)
+    logits: np.ndarray  # (Q, n)
+    p: np.ndarray  # (Q, n) softmax over each query's proposals
+    perm: np.ndarray | None  # (Q, n, m, n) sort order within each block; None unsorted
+
+
+def head_forward(rows: np.ndarray, head: DiscoveryHead) -> HeadPass:
+    """Run the MLP + softmax over (Q, n, m*n) similarity rows, each support
+    block of each row sorted descending first when head.sorted_rows."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 3:
+        raise ValueError(f"similarity rows of shape {rows.shape} are not (Q, n, m*n)")
+    q, n, width = rows.shape
+    if width != head.in_dim:
         raise ValueError(
-            f"similarity rows of width {values.shape[1]} do not match head input "
-            f"width {head.in_dim}"
+            f"similarity rows of width {width} do not match head input width {head.in_dim}"
         )
-    perms = None
+    perm = None
     if head.sorted_rows:
-        if head.in_dim % n != 0:
+        if width % n != 0:
             raise ValueError("row width is not a multiple of the proposal count")
-        perms = []
-        cols = []
-        for k in range(head.in_dim // n):
-            block = values[:, k * n : (k + 1) * n]
-            idx = np.argsort(-block, axis=1)
-            cols.append(np.take_along_axis(block, idx, axis=1))
-            perms.append(idx)
-        net = np.concatenate(cols, axis=1)
-    else:
-        net = values
+        blocks = rows.reshape(q, n, width // n, n)
+        perm = np.argsort(-blocks, axis=3)
+        rows = np.take_along_axis(blocks, perm, axis=3)
+    net = rows.reshape(q * n, width)
     z1 = net @ head.w1.T + head.b1
     hidden = np.maximum(z1, 0.0)
-    logits = hidden @ head.w2 + head.b2[0]
+    logits = (hidden @ head.w2 + head.b2[0]).reshape(q, n)
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite prototype logits")
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    p = exp / exp.sum()
-    return net, z1, hidden, logits, p, perms
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p = exp / exp.sum(axis=1, keepdims=True)
+    return HeadPass(net, z1, hidden, logits, p, perm)
 
 
-def discover_prototype(
-    s_matrix: SimilarityMatrix,
-    head: DiscoveryHead,
-    query_features,
-    image_id: str | None = None,
-    concept_id: int | None = None,
-) -> Prototype:
+def head_backward(fwd: HeadPass, dp: np.ndarray, head: DiscoveryHead):
+    """Reverse of head_forward (softmax, MLP, block sort) for the gradient dp
+    (Q, n) of the weights p: returns (drows, dw1, db1, dw2, db2)."""
+    dlogits = (fwd.p * (dp - (fwd.p * dp).sum(axis=1, keepdims=True))).reshape(-1)
+    dz1 = np.outer(dlogits, head.w2) * (fwd.z1 > 0.0)
+    dnet = dz1 @ head.w1
+    if fwd.perm is not None:
+        dsorted, dnet = dnet.reshape(fwd.perm.shape), np.empty(fwd.perm.shape)
+        np.put_along_axis(dnet, fwd.perm, dsorted, axis=3)
+    return (dnet.reshape(*fwd.p.shape, -1), dz1.T @ fwd.net, dz1.sum(axis=0),
+            fwd.hidden.T @ dlogits, dlogits.sum().reshape(1))
+
+
+def discover_prototype(s_matrix: SimilarityMatrix, head: DiscoveryHead,
+                       query_features) -> Prototype:
     """Prototype via p = softmax(MLP(S rows)), f_p = sum_i p_i f_i.
 
     The weighted sum uses the raw (unnormalized) query region features.
@@ -243,8 +278,8 @@ def discover_prototype(
     features = _as_feature_matrix(query_features)
     if features.shape[0] != s_matrix.n:
         raise ValueError("query features do not match similarity matrix rows")
-    _, _, _, _, p, _ = head_forward(s_matrix.values, head)
-    return Prototype(f_p=p @ features, p=p, image_id=image_id, concept_id=concept_id)
+    p = head_forward(s_matrix.values[None], head).p[0]
+    return Prototype(f_p=p @ features, p=p)
 
 
 def region_word_loss(f_p: np.ndarray, classifier: OpenVocabClassifier, concept_id: int) -> float:
@@ -269,18 +304,23 @@ def image_text_loss(
     t = np.atleast_2d(np.asarray(caption_features, dtype=np.float64))
     if v.shape != t.shape:
         raise ValueError("image and caption batches must have matching shapes")
-    logits = temperature * (_unit_rows(v, "image batch") @ _unit_rows(t, "caption batch").T)
+    logits = temperature * (unit_rows(v, "image batch") @ unit_rows(t, "caption batch").T)
     diag = np.diag(logits)
     b = v.shape[0]
     return float((softplus(-diag).sum() + softplus(logits).sum() - softplus(diag).sum()) / b)
 
 
+def heuristic_picks(rows: np.ndarray) -> np.ndarray:
+    """Training-free baseline over (Q, n, m*n) similarity rows: per query
+    region take the max similarity within each support image, average those
+    maxima over supports, and return each query's argmax region."""
+    q, n, _ = rows.shape
+    return np.argmax(rows.reshape(q, n, -1, n).max(axis=3).mean(axis=2), axis=1)
+
+
 def heuristic_discovery(s_matrix: SimilarityMatrix) -> int:
-    """Training-free baseline: per query region take the max similarity within
-    each support image, average those maxima over supports, return the argmax."""
-    per_support = s_matrix.values.reshape(s_matrix.n, s_matrix.m, s_matrix.n)
-    scores = per_support.max(axis=2).mean(axis=1)
-    return int(np.argmax(scores))
+    """heuristic_picks for the one query of a similarity matrix."""
+    return int(heuristic_picks(s_matrix.values[None])[0])
 
 
 def baseline_region_word(query_features, w_c: np.ndarray) -> int:
@@ -290,7 +330,7 @@ def baseline_region_word(query_features, w_c: np.ndarray) -> int:
     norm = np.linalg.norm(w_c)
     if norm == 0.0:
         raise ValueError("text embedding is the zero vector")
-    scores = _unit_rows(features, "query") @ (w_c / norm)
+    scores = unit_rows(features, "query") @ (w_c / norm)
     return int(np.argmax(scores))
 
 

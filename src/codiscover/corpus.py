@@ -93,17 +93,15 @@ class ConceptGroupIndex:
 
 @dataclass
 class MiniGroup:
-    """One query-plus-supports sample drawn from a concept group."""
+    """Images drawn from one concept group; each serves once as the query
+    against the others as supports."""
 
     concept_id: int
     image_ids: list[str]
-    query_cursor: int = 0
 
     def __post_init__(self) -> None:
         if len(self.image_ids) < 2:
             raise ValueError("mini-group needs at least 2 images")
-        if not 0 <= self.query_cursor < len(self.image_ids):
-            raise ValueError("query_cursor out of range")
 
 
 def parse_corpus(stream, format_tag: str = "tsv") -> list[CaptionRecord]:
@@ -197,7 +195,7 @@ def sample_mini_group(
     pool = index.groups[concept_id]
     replace = len(pool) < group_size
     picks = rng.choice(len(pool), size=group_size, replace=replace)
-    return MiniGroup(concept_id, [pool[int(i)] for i in picks], query_cursor=0)
+    return MiniGroup(concept_id, [pool[int(i)] for i in picks])
 
 
 def save_index(index: ConceptGroupIndex, path: str) -> None:

@@ -12,10 +12,11 @@ from ._binio import atomic_writer
 from .core import (
     baseline_max_size,
     baseline_region_word,
-    build_similarity_matrix,
-    discover_prototype,
-    heuristic_discovery,
-    text_guide_weights,
+    concept_guide,
+    head_forward,
+    heuristic_picks,
+    similarity_rows,
+    unit_rows,
 )
 from .corpus import ConceptGroupIndex
 from .scenario import Scenario, ScenarioTruth
@@ -117,63 +118,71 @@ def compare_strategies(
 ) -> EvalReport:
     """Produce one pseudo-label per (concept, member image, strategy) and score
     cover rates. Every member image serves as query once, with supports
-    resampled from its group under a fixed evaluation seed."""
+    resampled from its group under a fixed evaluation seed; the queries of a
+    concept go through the similarity and head forward in one batch."""
     strategies = tuple(strategies)
     if not strategies:
         raise ValueError("strategies must be nonempty")
     for name in strategies:
         if name not in STRATEGIES:
             raise ValueError(f"unknown strategy {name!r}")
+    concepts = index.concept_ids()
+    if not concepts:
+        raise ValueError("the index holds no concepts to evaluate")
+    member_ids = dict.fromkeys(i for cid in concepts for i in index.groups[cid])
+    missing = [i for i in member_ids if i not in state.features]
+    if missing:
+        raise ValueError(
+            f"the model has no features for {len(missing)} of the index's {len(member_ids)} "
+            f"member images (e.g. {missing[0]!r}); was it trained on another world?"
+        )
     rng = np.random.default_rng(seed)
     feature_map = scenario.feature_map()
-    needs_matrix = bool({"region_region", "heuristic"} & set(strategies))
-    labels: dict[str, list[PseudoLabel]] = {name: [] for name in strategies}
-    for cid in index.concept_ids():
+    hits = {name: dict.fromkeys(concepts, 0) for name in strategies}
+    for cid in concepts:
         row = state.classifier.row_of.get(cid)
         if row is None:
             raise ValueError(f"concept {cid} not in classifier")
         w_c = state.classifier.weights[row]
-        guide = text_guide_weights(w_c) if text_guidance else np.ones(w_c.size)
         members = index.groups[cid]
-        for query_id in members:
-            features = state.features[query_id]
-            support_ids = _sample_supports(members, query_id, group_size - 1, rng)
-            s_matrix = None
-            if needs_matrix:
-                s_matrix = build_similarity_matrix(
-                    features, [state.features[i] for i in support_ids], guide
-                )
+        if not members:
+            raise ValueError(f"concept {cid} has no member images")
+        slot = {image_id: k for k, image_id in enumerate(members)}
+        supports = np.array([[slot[i] for i in _sample_supports(members, q, group_size - 1, rng)]
+                             for q in members], dtype=int)
+        features = np.stack([state.features[i] for i in members])
+        picks = {}
+        if {"region_region", "heuristic"} & set(strategies):
+            hat = unit_rows(features, f"concept {cid}")
+            _, rows = similarity_rows(hat, hat[supports], concept_guide(w_c, text_guidance))
+            if "region_region" in strategies:
+                p = head_forward(rows, state.head).p
+                picks["region_region"] = (p.argmax(axis=1), p.max(axis=1))
+            if "heuristic" in strategies:
+                picks["heuristic"] = (heuristic_picks(rows), np.ones(len(members)))
+        for q, query_id in enumerate(members):
             boxes = feature_map[query_id].boxes
             for name in strategies:
-                if name == "region_region":
-                    proto = discover_prototype(s_matrix, state.head, features, query_id, cid)
-                    idx = int(np.argmax(proto.p))
-                    weight = float(proto.p[idx])
-                elif name == "heuristic":
-                    idx = heuristic_discovery(s_matrix)
-                    weight = 1.0
+                if name in picks:
+                    idx, weight = int(picks[name][0][q]), float(picks[name][1][q])
                 elif name == "region_word":
-                    idx = baseline_region_word(features, w_c)
-                    weight = 1.0
+                    idx, weight = baseline_region_word(features[q], w_c), 1.0
                 else:
                     areas = feature_map[query_id].areas
                     if areas is None:
                         raise ValueError(f"image {query_id!r} has no areas for max_size")
-                    idx = baseline_max_size(areas)
-                    weight = 1.0
-                box = boxes[idx].copy() if boxes is not None else None
-                labels[name].append(PseudoLabel(query_id, cid, idx, weight, box))
+                    idx, weight = baseline_max_size(areas), 1.0
+                box = boxes[idx] if boxes is not None else None
+                label = PseudoLabel(query_id, cid, idx, weight, box)
+                hits[name][cid] += _label_covered(label, scenario.truth, mode)
 
-    per_concept: dict[str, dict[int, tuple[float, int]]] = {}
-    rates: dict[str, float] = {}
-    for name in strategies:
-        rates[name] = cover_rate(labels[name], scenario.truth, mode)
-        by_concept: dict[int, tuple[float, int]] = {}
-        for cid in index.concept_ids():
-            subset = [lab for lab in labels[name] if lab.concept_id == cid]
-            by_concept[cid] = (cover_rate(subset, scenario.truth, mode), len(subset))
-        per_concept[name] = by_concept
-    samples = len(next(iter(labels.values())))
+    samples = sum(len(index.groups[cid]) for cid in concepts)
+    rates = {name: sum(hits[name].values()) / samples for name in strategies}
+    per_concept = {
+        name: {cid: (hits[name][cid] / len(index.groups[cid]), len(index.groups[cid]))
+               for cid in concepts}
+        for name in strategies
+    }
     echo = {
         "strategies": list(strategies),
         "group_size": group_size,

@@ -4,8 +4,9 @@ The caption-branch loss is differentiated analytically through the chain
 classifier logits -> prototype -> softmax -> MLP -> similarity entries ->
 unit normalization -> raw region features, covering both paths by which a
 region feature reaches the prototype (the direct weighted-sum term and the
-term through the similarity matrix). `finite_diff_check` verifies the chain
-against central differences.
+term through the similarity matrix). The similarity and head stages, forward
+and backward, are the batched ops of `core`, which evaluation shares;
+`finite_diff_check` verifies the chain against central differences.
 """
 
 from __future__ import annotations
@@ -27,10 +28,13 @@ from ._binio import (
 from .core import (
     DiscoveryHead,
     OpenVocabClassifier,
+    concept_guide,
+    head_backward,
     head_forward,
     sigmoid,
+    similarity_backward,
+    similarity_rows,
     softplus,
-    text_guide_weights,
 )
 from .corpus import ConceptGroupIndex, MiniGroup, sample_mini_group
 from .errors import FormatError
@@ -155,6 +159,18 @@ def init_model(scenario, index: ConceptGroupIndex, config: TrainConfig,
                       train_head=config.train_head, train_features=config.train_features)
 
 
+def caption_proxies(scenario) -> dict[str, np.ndarray]:
+    """Image id -> frozen caption embedding proxy of the image's concepts."""
+    return {record.image_id: scenario.text_table.caption_embedding(record.concepts)
+            for record in scenario.records}
+
+
+def _support_positions(k: int) -> np.ndarray:
+    """(k, k-1): the other positions of a k-image mini-group, for each query."""
+    cols = np.arange(k - 1)
+    return cols + (cols >= np.arange(k)[:, None])
+
+
 def caption_batch_loss(
     state: ModelState,
     mini_groups: list[MiniGroup],
@@ -163,8 +179,9 @@ def caption_batch_loss(
 ) -> tuple[BatchLoss, GradientBundle]:
     """Weighted caption-branch loss and its analytic gradients.
 
-    Every image's features are materialized (and normalized) once per batch;
-    each mini-group iterates the query cursor over all positions, with the
+    Every image's features are materialized (and normalized) once per batch.
+    Each mini-group serves every position as the query once, all positions
+    in one batched call of the core forward and backward, with the
     region-word term averaged over positions and groups. The image-text term
     runs over the batch's distinct images paired with their caption proxies.
 
@@ -181,101 +198,64 @@ def caption_batch_loss(
         raise ValueError("batch contains no mini-groups")
     head = state.head
     weights = state.classifier.weights
-
-    batch_ids: list[str] = []
-    seen: set[str] = set()
     for group in mini_groups:
         if group.concept_id not in state.classifier.row_of:
             raise ValueError(f"concept {group.concept_id} not in classifier")
-        for image_id in group.image_ids:
-            if image_id not in seen:
-                seen.add(image_id)
-                batch_ids.append(image_id)
 
-    raw: dict[str, np.ndarray] = {}
-    norms: dict[str, np.ndarray] = {}
-    hat: dict[str, np.ndarray] = {}
-    for image_id in batch_ids:
-        f = state.features[image_id]
-        nrm = np.linalg.norm(f, axis=1, keepdims=True)
-        if np.any(nrm == 0.0):
-            raise ValueError(f"image {image_id!r}: zero feature row")
-        raw[image_id] = f
-        norms[image_id] = nrm
-        hat[image_id] = f / nrm
+    batch_ids = list(dict.fromkeys(i for group in mini_groups for i in group.image_ids))
+    slot = {image_id: u for u, image_id in enumerate(batch_ids)}
+    raw = np.stack([state.features[image_id] for image_id in batch_ids])
+    norms = np.linalg.norm(raw, axis=2, keepdims=True)
+    zero = np.flatnonzero(np.any(norms == 0.0, axis=(1, 2)))
+    if zero.size:
+        raise ValueError(f"image {batch_ids[zero[0]]!r}: zero feature row")
+    hat = raw / norms
 
     grads = GradientBundle(
         np.zeros_like(head.w1), np.zeros_like(head.b1),
-        np.zeros_like(head.w2), np.zeros_like(head.b2),
-        {image_id: np.zeros_like(raw[image_id]) for image_id in batch_ids},
+        np.zeros_like(head.w2), np.zeros_like(head.b2), {},
     )
-    ghat = {image_id: np.zeros_like(raw[image_id]) for image_id in batch_ids}
+    # Gradients per batch image, of the raw and of the unit-normalized features.
+    graw = np.zeros_like(raw)
+    ghat = np.zeros_like(raw)
 
-    guides: dict[int, np.ndarray] = {}
     num_groups = len(mini_groups)
     rw_mean = 0.0
     for group in mini_groups:
-        cid = group.concept_id
-        row = state.classifier.row_of[cid]
-        if cid not in guides:
-            if config.text_guidance:
-                guides[cid] = text_guide_weights(weights[row])
-            else:
-                guides[cid] = np.ones(weights.shape[1])
-        guide = guides[cid]
-        ids = group.image_ids
-        scale = config.lambda_region_word / (num_groups * len(ids))
-        group_total = 0.0
-        for q in range(len(ids)):
-            qid = ids[q]
-            support_ids = [ids[j] for j in range(len(ids)) if j != q]
-            qw = hat[qid] * guide
-            blocks = [qw @ hat[sid].T for sid in support_ids]
-            values = np.concatenate(blocks, axis=1)
-            net, z1, hidden, _, p, perms = head_forward(values, head)
-            f_q = raw[qid]
-            f_p = p @ f_q
-            s = weights @ f_p
-            group_total += float(softplus(-s[row]) + softplus(s).sum() - softplus(s[row]))
+        row = state.classifier.row_of[group.concept_id]
+        guide = concept_guide(weights[row], config.text_guidance)
+        k = len(group.image_ids)
+        pos = np.array([slot[image_id] for image_id in group.image_ids])
+        supports = pos[_support_positions(k)]
+        support_hat = hat[supports]
+        qw, rows = similarity_rows(hat[pos], support_hat, guide)
+        fwd = head_forward(rows, head)
+        f_q = raw[pos]
+        s = (fwd.p[:, None, :] @ f_q)[:, 0] @ weights.T
+        rw_mean += float(np.sum(softplus(-s[:, row]) + softplus(s).sum(axis=1)
+                                - softplus(s[:, row]))) / k
 
-            if scale == 0.0:
-                continue
-            ds = sigmoid(s)
-            ds[row] -= 1.0
-            ds *= scale
-            dfp = weights.T @ ds
-            dp = f_q @ dfp
-            grads.features[qid] += np.outer(p, dfp)
-            dlogits = p * (dp - p @ dp)
-            grads.w2 += hidden.T @ dlogits
-            grads.b2 += dlogits.sum()
-            dhidden = np.outer(dlogits, head.w2)
-            dz1 = dhidden * (z1 > 0.0)
-            grads.w1 += dz1.T @ net
-            grads.b1 += dz1.sum(axis=0)
-            dnet = dz1 @ head.w1
-            if perms is not None:
-                dvalues = np.empty_like(dnet)
-                n = values.shape[0]
-                for k, idx in enumerate(perms):
-                    np.put_along_axis(
-                        dvalues[:, k * n : (k + 1) * n], idx,
-                        dnet[:, k * n : (k + 1) * n], axis=1,
-                    )
-            else:
-                dvalues = dnet
-            n = values.shape[0]
-            dqw = np.zeros_like(qw)
-            for k, sid in enumerate(support_ids):
-                dblock = dvalues[:, k * n : (k + 1) * n]
-                dqw += dblock @ hat[sid]
-                ghat[sid] += dblock.T @ qw
-            ghat[qid] += dqw * guide
-        rw_mean += group_total / len(ids)
+        scale = config.lambda_region_word / (num_groups * k)
+        if scale == 0.0:
+            continue
+        ds = sigmoid(s)
+        ds[:, row] -= 1.0
+        ds *= scale
+        dfp = ds @ weights
+        dp = (f_q @ dfp[:, :, None])[:, :, 0]
+        drows, *head_grads = head_backward(fwd, dp, head)
+        for acc, grad in zip((grads.w1, grads.b1, grads.w2, grads.b2), head_grads):
+            acc += grad
+        dquery, dsupport = similarity_backward(drows, qw, support_hat, guide)
+        # One term per position; np.add.at sums the terms of an image that a
+        # small pool put into the group more than once.
+        np.add.at(graw, pos, fwd.p[:, :, None] * dfp[:, None, :])
+        np.add.at(ghat, pos, dquery)
+        np.add.at(ghat, supports, dsupport)
     rw_mean /= num_groups
 
     # Image-text branch over the batch's distinct images.
-    v = np.stack([raw[image_id].mean(axis=0) for image_id in batch_ids])
+    v = raw.mean(axis=1)
     t = np.stack([caption_vectors[image_id] for image_id in batch_ids])
     vnorm = np.linalg.norm(v, axis=1, keepdims=True)
     tnorm = np.linalg.norm(t, axis=1, keepdims=True)
@@ -295,15 +275,12 @@ def caption_batch_loss(
         dvhat = config.temperature * (dlogits @ that)
         proj = (dvhat * vhat).sum(axis=1, keepdims=True)
         dv = (dvhat - proj * vhat) / vnorm
-        for a, image_id in enumerate(batch_ids):
-            grads.features[image_id] += dv[a] / raw[image_id].shape[0]
+        graw += dv[:, None, :] / raw.shape[1]
 
     # Unit-normalization backward, applied once per image (linear in upstream).
-    for image_id in batch_ids:
-        g = ghat[image_id]
-        h = hat[image_id]
-        proj = (g * h).sum(axis=1, keepdims=True)
-        grads.features[image_id] += (g - proj * h) / norms[image_id]
+    proj = (ghat * hat).sum(axis=2, keepdims=True)
+    graw += (ghat - proj * hat) / norms
+    grads.features = dict(zip(batch_ids, graw))
 
     total = config.lambda_region_word * rw_mean + config.lambda_image_text * it_loss
     return BatchLoss(total, rw_mean, it_loss), grads
@@ -361,10 +338,7 @@ def run_training(
     """
     rng = np.random.default_rng(config.seed)
     state = init_model(scenario, index, config, rng)
-    caption_vectors = {
-        record.image_id: scenario.text_table.caption_embedding(record.concepts)
-        for record in scenario.records
-    }
+    caption_vectors = caption_proxies(scenario)
     concepts = index.concept_ids()
     if eval_seed is None:
         eval_seed = int(np.random.SeedSequence(entropy=config.seed,

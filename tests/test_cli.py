@@ -72,7 +72,6 @@ def test_parse_config_file_rejects_malformed_lines(tmp_path):
 def test_resolve_run_config_defaults_and_seed_derivation():
     config = resolve_run_config({})
     assert config.seed == 0
-    assert config.threads == 1
     assert config.corpus_min_freq == 1
     assert config.eval_mode == "index"
     # Derived stream seeds are distinct from each other and from the master.
@@ -103,8 +102,8 @@ def test_resolve_run_config_validates_keys_and_values():
         resolve_run_config({"train.sorted_rows": "sideways"})
     with pytest.raises(ConfigError, match="momentum"):
         resolve_run_config({"train.momentum": "1.5"})  # dataclass rule surfaces
-    with pytest.raises(ConfigError, match="threads"):
-        resolve_run_config({"threads": "0"})
+    with pytest.raises(ConfigError, match="unknown config key"):
+        resolve_run_config({"threads": "2"})
     with pytest.raises(ConfigError, match="min_freq"):
         resolve_run_config({"corpus.min_freq": "0"})
     with pytest.raises(ConfigError, match="eval.mode"):
@@ -123,7 +122,6 @@ def test_resolve_run_config_parses_typed_values():
         "train.text_guidance": "off",
         "train.learning_rate": "0.25",
         "eval.strategies": "max_size , region_word",
-        "threads": "2",
     })
     assert config.scenario.orthogonalize is None
     assert config.scenario.misaligned_text_degrees == 22.5
@@ -131,14 +129,11 @@ def test_resolve_run_config_parses_typed_values():
     assert config.train.text_guidance is False
     assert config.train.learning_rate == 0.25
     assert config.eval_strategies == ("max_size", "region_word")
-    assert config.threads == 2
 
 
 def test_resolve_run_config_overrides_win():
-    config = resolve_run_config({"seed": "3", "threads": "2"},
-                                seed_override=9, threads_override=4)
+    config = resolve_run_config({"seed": "3"}, seed_override=9)
     assert config.seed == 9
-    assert config.threads == 4
 
 
 def test_format_run_config_round_trips(tmp_path):
@@ -324,6 +319,23 @@ def test_cli_corrupt_checkpoint_exits_1(tmp_path, tiny_config, capsys):
                  "--checkpoint", str(corrupt)])
     assert code == EXIT_RUNTIME
     assert "magic" in capsys.readouterr().err
+
+
+def test_cli_eval_checkpoint_of_another_world_exits_1(tmp_path, tiny_config, capsys):
+    # One image more per concept gives image ids the checkpoint never saw.
+    train_out = tmp_path / "train"
+    assert main(["train", "--config", tiny_config, "--out", str(train_out)]) == EXIT_OK
+    other = tmp_path / "other.cfg"
+    other.write_text(TINY_CONFIG.replace("scenario.images_per_concept = 4",
+                                         "scenario.images_per_concept = 5"))
+    capsys.readouterr()
+    code = main(["eval", "--config", str(other), "--out", str(tmp_path / "e"),
+                 "--checkpoint", str(train_out / "checkpoint.codc")])
+    assert code == EXIT_RUNTIME
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "no features for" in err[0] and "member images" in err[0]
+    assert not (tmp_path / "e" / "report.json").exists()
 
 
 def test_cli_invalid_scenario_config_exits_2(tmp_path, capsys):

@@ -20,7 +20,14 @@ from codiscover import (
     text_guide_weights,
     text_guided_similarity,
 )
-from codiscover.core import head_forward, sigmoid, softplus
+from codiscover.core import (
+    head_backward,
+    head_forward,
+    sigmoid,
+    similarity_backward,
+    similarity_rows,
+    softplus,
+)
 
 
 # ------------------------------------------------------------ scalar helpers
@@ -143,10 +150,9 @@ def test_discover_prototype_hand_case():
     head = DiscoveryHead(w1=[[math.log(3.0), 0.0]], b1=[0.0], w2=[1.0], b2=[0.0])
     s = SimilarityMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]), n=2, m=1)
     features = np.array([[2.0, 0.0], [0.0, 4.0]])
-    proto = discover_prototype(s, head, features, image_id="img", concept_id=7)
+    proto = discover_prototype(s, head, features)
     assert proto.p == pytest.approx([0.75, 0.25], abs=1e-15)
     assert proto.f_p == pytest.approx([1.5, 1.0], abs=1e-15)
-    assert (proto.image_id, proto.concept_id) == ("img", 7)
 
 
 def test_discover_prototype_uses_raw_features():
@@ -182,16 +188,16 @@ def test_head_forward_sorted_rows_orders_each_block():
         [1.0, 1.0, 1.0, 9.0, 7.0, 8.0],
         [2.0, 5.0, 4.0, 0.1, 0.3, 0.2],
     ])
-    net, _, _, _, _, perms = head_forward(values, head)
+    net, _, _, _, _, perm = head_forward(values[None], head)
     assert np.array_equal(net[0], [3.0, 2.0, 1.0, 0.6, 0.5, 0.4])
     assert np.array_equal(net[1], [1.0, 1.0, 1.0, 9.0, 8.0, 7.0])
     assert np.array_equal(net[2], [5.0, 4.0, 2.0, 0.3, 0.2, 0.1])
-    assert len(perms) == 2
+    assert perm.shape == (1, 3, 2, 3)
     # Sorting is a per-row permutation: feeding pre-sorted rows through an
     # unsorted head of identical weights gives identical outputs.
     plain = DiscoveryHead(head.w1, head.b1, head.w2, head.b2, sorted_rows=False)
-    _, _, _, logits_sorted, p_sorted, _ = head_forward(values, head)
-    _, _, _, logits_plain, p_plain, _ = head_forward(net, plain)
+    _, _, _, logits_sorted, p_sorted, _ = head_forward(values[None], head)
+    _, _, _, logits_plain, p_plain, _ = head_forward(net[None], plain)
     assert np.array_equal(logits_sorted, logits_plain)
     assert np.array_equal(p_sorted, p_plain)
 
@@ -199,16 +205,50 @@ def test_head_forward_sorted_rows_orders_each_block():
 def test_head_forward_shape_and_finiteness_errors():
     head = DiscoveryHead.initialize(m=1, n=2, hidden=2, rng=np.random.default_rng(5))
     with pytest.raises(ValueError, match="head input"):
-        head_forward(np.zeros((2, 3)), head)
+        head_forward(np.zeros((1, 2, 3)), head)
+    with pytest.raises(ValueError, match=r"not \(Q, n, m\*n\)"):
+        head_forward(np.zeros((2, 2)), head)
     sorted_head = DiscoveryHead.initialize(m=1, n=2, hidden=2,
                                            rng=np.random.default_rng(5),
                                            sorted_rows=True)
     with pytest.raises(ValueError, match="multiple"):
-        head_forward(np.zeros((3, 2)), sorted_head)
+        head_forward(np.zeros((1, 3, 2)), sorted_head)
     big = DiscoveryHead(w1=np.full((1, 2), 1e200), b1=[0.0], w2=[1e200], b2=[0.0])
     with np.errstate(over="ignore"), pytest.raises(ValueError,
                                                    match="non-finite prototype logits"):
-        head_forward(np.full((2, 2), 1e200), big)
+        head_forward(np.full((1, 2, 2), 1e200), big)
+
+
+@pytest.mark.parametrize("sorted_rows", [False, True])
+def test_similarity_and_head_backward_match_central_differences(sorted_rows):
+    # Scalar probe L = sum(c * p) over Q=3 queries, m=2 supports, n=4, d=5.
+    rng = np.random.default_rng(12)
+    head = DiscoveryHead.initialize(m=2, n=4, hidden=6, rng=rng, sorted_rows=sorted_rows)
+    query = rng.standard_normal((3, 4, 5))
+    support = rng.standard_normal((3, 2, 4, 5))
+    guide = text_guide_weights(rng.standard_normal(5))
+    c = rng.standard_normal((3, 4))
+
+    def probe():
+        return float(np.sum(c * head_forward(similarity_rows(query, support, guide)[1],
+                                             head).p))
+
+    qw, rows = similarity_rows(query, support, guide)
+    fwd = head_forward(rows, head)
+    drows, dw1, db1, dw2, db2 = head_backward(fwd, c, head)
+    dquery, dsupport = similarity_backward(drows, qw, support, guide)
+    for param, grad in ((query, dquery), (support, dsupport), (head.w1, dw1),
+                        (head.b1, db1), (head.w2, dw2)):
+        for flat in rng.choice(param.size, size=6, replace=False):
+            original = param.flat[flat]
+            param.flat[flat] = original + 1e-6
+            plus = probe()
+            param.flat[flat] = original - 1e-6
+            minus = probe()
+            param.flat[flat] = original
+            assert grad.flat[flat] == pytest.approx((plus - minus) / 2e-6, abs=1e-7)
+    # The softmax is shift-invariant, so the output bias gets no gradient.
+    assert db2 == pytest.approx([0.0], abs=1e-12)
 
 
 def test_discovery_head_validation_and_init_statistics():

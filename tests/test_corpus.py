@@ -150,11 +150,9 @@ def test_concept_group_index_validates_frequencies_and_terms():
 
 
 def test_mini_group_validation():
-    MiniGroup(0, ["a", "b"], query_cursor=1)
+    MiniGroup(0, ["a", "b"])
     with pytest.raises(ValueError, match="at least 2"):
         MiniGroup(0, ["a"])
-    with pytest.raises(ValueError, match="query_cursor"):
-        MiniGroup(0, ["a", "b"], query_cursor=2)
 
 
 def test_sample_mini_group_draws_members_uniformly():

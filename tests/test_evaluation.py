@@ -164,6 +164,8 @@ def test_compare_strategies_validates_strategies():
                            group_size=3)
     with pytest.raises(ValueError, match="nonempty"):
         compare_strategies(state, scenario, index, (), group_size=3)
+    with pytest.raises(ValueError, match="at least one support"):
+        compare_strategies(state, scenario, index, ("heuristic",), group_size=1)
 
 
 def test_compare_strategies_box_mode():
@@ -203,6 +205,91 @@ def test_compare_strategies_label_matches_manual_pipeline():
                                 group_size=3, seed=6)
     assert report.samples == 1
     assert report.cover_rates["region_region"] == float(manual_hit)
+
+
+def _replay_per_query(state, scenario, index, strategies, group_size, seed, mode,
+                      text_guidance):
+    """compare_strategies replayed one query at a time through the public
+    single-query functions, scored label by label with cover_rate."""
+    from codiscover import (
+        EvalReport,
+        baseline_max_size,
+        baseline_region_word,
+        build_similarity_matrix,
+        discover_prototype,
+        heuristic_discovery,
+    )
+    from codiscover.core import concept_guide
+
+    rng = np.random.default_rng(seed)
+    feature_map = scenario.feature_map()
+    labels = {name: [] for name in strategies}
+    for cid in index.concept_ids():
+        w_c = state.classifier.weights[state.classifier.row_of[cid]]
+        guide = concept_guide(w_c, text_guidance)
+        members = index.groups[cid]
+        for query_id in members:
+            support_ids = _sample_supports(members, query_id, group_size - 1, rng)
+            features = state.features[query_id]
+            s = build_similarity_matrix(features, [state.features[i] for i in support_ids],
+                                        guide)
+            fs = feature_map[query_id]
+            for name in strategies:
+                weight = 1.0
+                if name == "region_region":
+                    proto = discover_prototype(s, state.head, features)
+                    idx = int(np.argmax(proto.p))
+                    weight = float(proto.p[idx])
+                elif name == "heuristic":
+                    idx = heuristic_discovery(s)
+                elif name == "region_word":
+                    idx = baseline_region_word(features, w_c)
+                else:
+                    idx = baseline_max_size(fs.areas)
+                labels[name].append(PseudoLabel(query_id, cid, idx, weight, fs.boxes[idx]))
+    per_concept = {
+        name: {cid: (cover_rate([lab for lab in labels[name] if lab.concept_id == cid],
+                                scenario.truth, mode), len(index.groups[cid]))
+               for cid in index.concept_ids()}
+        for name in strategies
+    }
+    rates = {name: cover_rate(labels[name], scenario.truth, mode) for name in strategies}
+    echo = {"strategies": list(strategies), "group_size": group_size, "seed": seed,
+            "mode": mode, "text_guidance": text_guidance}
+    return EvalReport(rates, per_concept, len(labels[strategies[0]]), echo)
+
+
+@pytest.mark.parametrize("sorted_rows", [False, True])
+@pytest.mark.parametrize("text_guidance", [True, False])
+def test_compare_strategies_equals_per_query_replay(sorted_rows, text_guidance):
+    from codiscover import ConceptGroupIndex
+
+    scenario, full = small_world(with_boxes=True, num_concepts=5, multi_concept_rate=0.4,
+                                 noise_sigma=0.3)
+    cids = full.concept_ids()
+    # A singleton group, a group smaller than K=4, and full groups.
+    groups = {cid: list(full.groups[cid]) for cid in cids}
+    groups[cids[0]] = groups[cids[0]][:1]
+    groups[cids[1]] = groups[cids[1]][:2]
+    index = ConceptGroupIndex(groups, {c: len(g) for c, g in groups.items()},
+                              {c: full.terms[c] for c in cids})
+    config = TrainConfig(group_size=4, hidden=16, steps=0, sorted_rows=sorted_rows)
+    state = init_model(scenario, index, config)
+    for seed, mode in ((3, "box"), (4, "index")):
+        report = compare_strategies(state, scenario, index, STRATEGIES, group_size=4,
+                                    seed=seed, mode=mode, text_guidance=text_guidance)
+        assert report == _replay_per_query(state, scenario, index, STRATEGIES, 4, seed,
+                                           mode, text_guidance)
+
+
+def test_compare_strategies_rejects_features_of_another_world():
+    scenario, index = small_world()
+    config = TrainConfig(group_size=3, hidden=16, steps=0, eval_interval=0)
+    state = init_model(scenario, index, config)
+    gone = index.groups[index.concept_ids()[0]][0]
+    del state.features[gone]
+    with pytest.raises(ValueError, match=f"no features for 1 of .*{gone}"):
+        compare_strategies(state, scenario, index, ("max_size",), group_size=3)
 
 
 # ----------------------------------------------------------------- ablation

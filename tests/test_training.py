@@ -27,7 +27,7 @@ from codiscover import (
     text_guide_weights,
     write_metrics_csv,
 )
-from codiscover.training import GradientBundle, SgdVelocity
+from codiscover.training import GradientBundle, SgdVelocity, caption_proxies
 
 
 def small_setup(sorted_rows=False, **train_overrides):
@@ -51,11 +51,7 @@ def make_batch(scenario, index, config, num_groups=2, seed=5):
                           config.group_size, rng)
         for _ in range(num_groups)
     ]
-    caption_vectors = {
-        record.image_id: scenario.text_table.caption_embedding(record.concepts)
-        for record in scenario.records
-    }
-    return groups, caption_vectors
+    return groups, caption_proxies(scenario)
 
 
 # ------------------------------------------------------------- configuration
@@ -428,3 +424,146 @@ def test_velocity_zeros_for_matches_head_shapes():
     velocity = SgdVelocity.zeros_for(state)
     assert velocity.w1.shape == state.head.w1.shape
     assert velocity.features == {}
+
+
+# ------------------------------------------- equivalence with the loop oracle
+
+
+def _loop_head_forward(values, head):
+    """Per-query MLP + softmax over (n, m*n) rows, each block sorted by its own
+    argsort: the loop form the batched core.head_forward replaced."""
+    n = values.shape[0]
+    perms = None
+    net = values
+    if head.sorted_rows:
+        perms, cols = [], []
+        for k in range(head.in_dim // n):
+            block = values[:, k * n : (k + 1) * n]
+            idx = np.argsort(-block, axis=1)
+            cols.append(np.take_along_axis(block, idx, axis=1))
+            perms.append(idx)
+        net = np.concatenate(cols, axis=1)
+    z1 = net @ head.w1.T + head.b1
+    hidden = np.maximum(z1, 0.0)
+    logits = hidden @ head.w2 + head.b2[0]
+    exp = np.exp(logits - logits.max())
+    return net, z1, hidden, exp / exp.sum(), perms
+
+
+def _loop_caption_batch_loss(state, mini_groups, caption_vectors, config):
+    """The caption-branch loss and gradients written as Python loops over
+    groups x query positions x support blocks: the oracle for the batched
+    caption_batch_loss."""
+    from codiscover.core import sigmoid, softplus
+
+    head = state.head
+    weights = state.classifier.weights
+    batch_ids = list(dict.fromkeys(i for g in mini_groups for i in g.image_ids))
+    raw = {i: state.features[i] for i in batch_ids}
+    norms = {i: np.linalg.norm(raw[i], axis=1, keepdims=True) for i in batch_ids}
+    hat = {i: raw[i] / norms[i] for i in batch_ids}
+    grads = {"w1": np.zeros_like(head.w1), "b1": np.zeros_like(head.b1),
+             "w2": np.zeros_like(head.w2), "b2": np.zeros_like(head.b2)}
+    gfeat = {i: np.zeros_like(raw[i]) for i in batch_ids}
+    ghat = {i: np.zeros_like(raw[i]) for i in batch_ids}
+    num_groups = len(mini_groups)
+    rw_mean = 0.0
+    for group in mini_groups:
+        row = state.classifier.row_of[group.concept_id]
+        guide = (text_guide_weights(weights[row]) if config.text_guidance
+                 else np.ones(weights.shape[1]))
+        ids = group.image_ids
+        scale = config.lambda_region_word / (num_groups * len(ids))
+        group_total = 0.0
+        for q in range(len(ids)):
+            qid = ids[q]
+            support_ids = [ids[j] for j in range(len(ids)) if j != q]
+            qw = hat[qid] * guide
+            values = np.concatenate([qw @ hat[sid].T for sid in support_ids], axis=1)
+            net, z1, hidden, p, perms = _loop_head_forward(values, head)
+            f_p = p @ raw[qid]
+            s = weights @ f_p
+            group_total += float(softplus(-s[row]) + softplus(s).sum() - softplus(s[row]))
+            ds = sigmoid(s)
+            ds[row] -= 1.0
+            ds *= scale
+            dfp = weights.T @ ds
+            dp = raw[qid] @ dfp
+            gfeat[qid] += np.outer(p, dfp)
+            dlogits = p * (dp - p @ dp)
+            grads["w2"] += hidden.T @ dlogits
+            grads["b2"] += dlogits.sum()
+            dz1 = np.outer(dlogits, head.w2) * (z1 > 0.0)
+            grads["w1"] += dz1.T @ net
+            grads["b1"] += dz1.sum(axis=0)
+            dnet = dz1 @ head.w1
+            n = values.shape[0]
+            dvalues = dnet
+            if perms is not None:
+                dvalues = np.empty_like(dnet)
+                for k, idx in enumerate(perms):
+                    np.put_along_axis(dvalues[:, k * n : (k + 1) * n], idx,
+                                      dnet[:, k * n : (k + 1) * n], axis=1)
+            dqw = np.zeros_like(qw)
+            for k, sid in enumerate(support_ids):
+                dblock = dvalues[:, k * n : (k + 1) * n]
+                dqw += dblock @ hat[sid]
+                ghat[sid] += dblock.T @ qw
+            ghat[qid] += dqw * guide
+        rw_mean += group_total / len(ids)
+    rw_mean /= num_groups
+
+    v = np.stack([raw[i].mean(axis=0) for i in batch_ids])
+    t = np.stack([caption_vectors[i] for i in batch_ids])
+    vnorm = np.linalg.norm(v, axis=1, keepdims=True)
+    vhat, that = v / vnorm, t / np.linalg.norm(t, axis=1, keepdims=True)
+    logits = config.temperature * (vhat @ that.T)
+    diag = np.diag(logits)
+    batch = len(batch_ids)
+    it_loss = float((softplus(-diag).sum() + softplus(logits).sum() - softplus(diag).sum())
+                    / batch)
+    dlogits = sigmoid(logits)
+    dlogits[np.diag_indices(batch)] -= 1.0
+    dlogits *= config.lambda_image_text / batch
+    dvhat = config.temperature * (dlogits @ that)
+    dv = (dvhat - (dvhat * vhat).sum(axis=1, keepdims=True) * vhat) / vnorm
+    for a, i in enumerate(batch_ids):
+        gfeat[i] += dv[a] / raw[i].shape[0]
+    for i in batch_ids:
+        proj = (ghat[i] * hat[i]).sum(axis=1, keepdims=True)
+        gfeat[i] += (ghat[i] - proj * hat[i]) / norms[i]
+    return rw_mean, it_loss, grads, gfeat
+
+
+def _rel_diff(got, want) -> float:
+    return float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("group_size", [2, 3, 8])
+@pytest.mark.parametrize("sorted_rows", [False, True])
+@pytest.mark.parametrize("text_guidance", [True, False])
+def test_caption_batch_loss_matches_loop_oracle(group_size, sorted_rows, text_guidance):
+    scenario, index, config = small_setup(sorted_rows=sorted_rows, text_guidance=text_guidance,
+                                          group_size=group_size, lambda_region_word=1.0)
+    state = init_model(scenario, index, config)
+    # Members are 5 per concept, so K=8 draws with replacement; the extra
+    # group repeats an image by hand at every K.
+    groups, caption_vectors = make_batch(scenario, index, config, num_groups=3)
+    cid = index.concept_ids()[1]
+    members = index.groups[cid]
+    groups.append(MiniGroup(cid, [members[0]] + [members[j % len(members)]
+                                                 for j in range(group_size - 1)]))
+    assert any(len(set(g.image_ids)) < len(g.image_ids) for g in groups)
+
+    loss, grads = caption_batch_loss(state, groups, caption_vectors, config)
+    rw, it, head_grads, feature_grads = _loop_caption_batch_loss(
+        state, groups, caption_vectors, config)
+    assert loss.region_word == pytest.approx(rw, rel=1e-10)
+    assert loss.image_text == pytest.approx(it, rel=1e-10)
+    for name in ("w1", "b1", "w2"):
+        assert _rel_diff(getattr(grads, name), head_grads[name]) <= 1e-10, name
+    # The softmax is shift-invariant: b2's gradient is rounding noise around 0.
+    assert np.max(np.abs(grads.b2 - head_grads["b2"])) <= 1e-12
+    assert list(grads.features) == list(feature_grads)
+    for image_id, want in feature_grads.items():
+        assert _rel_diff(grads.features[image_id], want) <= 1e-10, image_id
