@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import struct
 from typing import BinaryIO, Iterator
@@ -13,6 +14,14 @@ from .errors import FormatError
 
 
 def _take(fh: BinaryIO, count: int) -> bytes:
+    # read() allocates the requested size up front. A request larger than a
+    # read buffer is first checked against the bytes left in the file, so a
+    # corrupt header dimension fails here instead of exhausting memory.
+    # Smaller requests skip the check, whose system calls cost more than the read.
+    if count > io.DEFAULT_BUFFER_SIZE:
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if count > left:
+            raise FormatError(f"unexpected end of file (wanted {count} bytes, {left} left)")
     data = fh.read(count)
     if len(data) != count:
         raise FormatError(f"unexpected end of file (wanted {count} bytes, got {len(data)})")
@@ -48,10 +57,20 @@ def read_f64_array(fh: BinaryIO, count: int) -> np.ndarray:
     return np.frombuffer(_take(fh, 8 * count), dtype="<f8").astype(np.float64)
 
 
-def expect_magic(fh: BinaryIO, magic: bytes) -> None:
-    got = _take(fh, len(magic))
-    if got != magic:
-        raise FormatError(f"bad magic: expected {magic!r}, found {got!r}")
+@contextlib.contextmanager
+def read_container(path: str, magic: bytes, version: int) -> Iterator[BinaryIO]:
+    """Open a binary container after checking its magic and version. When the
+    body has read the last record, no byte may follow it."""
+    with open(path, "rb") as fh:
+        got = _take(fh, len(magic))
+        if got != magic:
+            raise FormatError(f"bad magic: expected {magic!r}, found {got!r}")
+        found = read_u32(fh)
+        if found != version:
+            raise FormatError(f"unsupported {magic.decode()} version {found}")
+        yield fh
+        if fh.read(1):
+            raise FormatError("trailing bytes after the last record")
 
 
 @contextlib.contextmanager

@@ -1,9 +1,12 @@
 """Command-line front end wiring corpus, scenario, training, and evaluation.
 
 Config files are flat `key = value` text with dotted sections (for example
-`train.group_size = 8`); flags override file values. One master seed is split
-deterministically into corpus/scenario/train/eval streams, so a run directory
-containing the resolved config reproduces its outputs bit-identically.
+`train.group_size = 8`); flags override file values. Every field of
+`ScenarioConfig` and `TrainConfig` except `seed` is a `scenario.*` or
+`train.*` key, parsed by the type of its field. One master seed is split
+deterministically into four streams: the first is reserved, and the scenario,
+train and eval seeds come from the other three. So a run directory containing
+the resolved config reproduces its outputs bit-identically.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -81,39 +85,20 @@ def _parse_float(raw: str) -> float:
         raise ConfigError(f"expected a number, got {raw!r}") from None
 
 
-_SCENARIO_PARSERS = {
-    "num_concepts": _parse_int,
-    "d": _parse_int,
-    "n": _parse_int,
-    "images_per_concept": _parse_int,
-    "distractor_count": _parse_int,
-    "noise_sigma": _parse_float,
-    "multi_concept_rate": _parse_float,
-    "instances_min": _parse_int,
-    "instances_max": _parse_int,
-    "orthogonalize": _parse_tristate,
-    "misaligned_text_degrees": _parse_float,
-    "max_size_bias": _parse_float,
-    "with_boxes": _parse_bool,
-    "second_concept": str,
-}
+_PARSER_BY_TYPE = {int: _parse_int, float: _parse_float, bool: _parse_bool,
+                   bool | None: _parse_tristate, str: str}
 
-_TRAIN_PARSERS = {
-    "group_size": _parse_int,
-    "mini_groups_per_batch": _parse_int,
-    "steps": _parse_int,
-    "learning_rate": _parse_float,
-    "momentum": _parse_float,
-    "lambda_region_word": _parse_float,
-    "lambda_image_text": _parse_float,
-    "hidden": _parse_int,
-    "temperature": _parse_float,
-    "eval_interval": _parse_int,
-    "text_guidance": _parse_bool,
-    "sorted_rows": _parse_bool,
-    "train_head": _parse_bool,
-    "train_features": _parse_bool,
-}
+
+def _field_parsers(cls) -> dict:
+    """Field name -> parser of its type, for every field of a config dataclass
+    except the seed, which the master seed derives. A type without a parser
+    fails here, at import."""
+    types = get_type_hints(cls)
+    return {f.name: _PARSER_BY_TYPE[types[f.name]] for f in fields(cls) if f.name != "seed"}
+
+
+# Section -> the parsers of its `section.field` keys.
+_FIELD_PARSERS = {"scenario": _field_parsers(ScenarioConfig), "train": _field_parsers(TrainConfig)}
 
 
 @dataclass
@@ -147,8 +132,7 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 def resolve_run_config(pairs: dict[str, str], seed_override: int | None = None) -> RunConfig:
     """Validate key/value pairs and derive per-stream seeds from the master seed."""
-    scenario_kwargs: dict = {}
-    train_kwargs: dict = {}
+    kwargs: dict[str, dict] = {section: {} for section in _FIELD_PARSERS}
     corpus_min_freq = 1
     eval_mode = "index"
     eval_strategies = STRATEGIES
@@ -172,30 +156,24 @@ def resolve_run_config(pairs: dict[str, str], seed_override: int | None = None) 
             if not names:
                 raise ConfigError("eval.strategies must name at least one strategy")
             eval_strategies = names
-        elif key.startswith("scenario."):
-            name = key[len("scenario."):]
-            if name not in _SCENARIO_PARSERS:
-                raise ConfigError(f"unknown config key {key!r}")
-            scenario_kwargs[name] = _SCENARIO_PARSERS[name](raw)
-        elif key.startswith("train."):
-            name = key[len("train."):]
-            if name not in _TRAIN_PARSERS:
-                raise ConfigError(f"unknown config key {key!r}")
-            train_kwargs[name] = _TRAIN_PARSERS[name](raw)
         else:
-            raise ConfigError(f"unknown config key {key!r}")
+            section, _, name = key.partition(".")
+            parser = _FIELD_PARSERS.get(section, {}).get(name)
+            if parser is None:
+                raise ConfigError(f"unknown config key {key!r}")
+            kwargs[section][name] = parser(raw)
     if seed_override is not None:
         seed = seed_override
     if corpus_min_freq < 1:
         raise ConfigError("corpus.min_freq must be >= 1")
 
-    master = np.random.SeedSequence(seed)
-    _corpus_ss, scenario_ss, train_ss, eval_ss = master.spawn(4)
-    scenario_kwargs["seed"] = int(scenario_ss.generate_state(1)[0])
-    train_kwargs["seed"] = int(train_ss.generate_state(1)[0])
+    # Four streams are spawned and the first is reserved, so the derived seeds
+    # stay those of every earlier run.
+    scenario_seed, train_seed, eval_seed = (
+        int(stream.generate_state(1)[0]) for stream in np.random.SeedSequence(seed).spawn(4)[1:])
     try:
-        scenario_config = ScenarioConfig(**scenario_kwargs)
-        train_config = TrainConfig(**train_kwargs)
+        scenario_config = ScenarioConfig(**kwargs["scenario"], seed=scenario_seed)
+        train_config = TrainConfig(**kwargs["train"], seed=train_seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return RunConfig(
@@ -205,7 +183,7 @@ def resolve_run_config(pairs: dict[str, str], seed_override: int | None = None) 
         eval_mode=eval_mode,
         eval_strategies=eval_strategies,
         seed=seed,
-        eval_seed=int(eval_ss.generate_state(1)[0]),
+        eval_seed=eval_seed,
     )
 
 
@@ -227,11 +205,9 @@ def format_run_config(config: RunConfig) -> str:
         f"eval.strategies = {','.join(config.eval_strategies)}",
         f"seed = {config.seed}",
     ]
-    for section, obj in (("scenario", config.scenario), ("train", config.train)):
-        for f in fields(obj):
-            if f.name == "seed":
-                continue
-            lines.append(f"{section}.{f.name} = {_format_value(getattr(obj, f.name))}")
+    for section, parsers in _FIELD_PARSERS.items():
+        obj = getattr(config, section)
+        lines += [f"{section}.{name} = {_format_value(getattr(obj, name))}" for name in parsers]
     return "\n".join(sorted(lines)) + "\n"
 
 

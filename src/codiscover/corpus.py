@@ -104,19 +104,16 @@ class MiniGroup:
             raise ValueError("mini-group needs at least 2 images")
 
 
-def parse_corpus(stream, format_tag: str = "tsv") -> list[CaptionRecord]:
+def parse_corpus(stream) -> list[CaptionRecord]:
     """Parse a caption corpus into records with empty concept lists.
 
     Args:
         stream: bytes, str, or a file object holding UTF-8 TSV lines of the
             form `image_id<TAB>caption`.
-        format_tag: only "tsv" is supported.
 
     Returns:
         One CaptionRecord per non-empty line, in corpus order.
     """
-    if format_tag != "tsv":
-        raise ValueError(f"unknown corpus format {format_tag!r}")
     if hasattr(stream, "read"):
         stream = stream.read()
     if isinstance(stream, bytes):
@@ -222,7 +219,11 @@ def load_index(path: str) -> ConceptGroupIndex:
             fields = line.split("\t")
             if len(fields) != 4:
                 raise FormatError(f"line {lineno}: expected 4 tab-separated fields")
+            if not (fields[0].isdecimal() and fields[2].isdecimal()):
+                raise FormatError(f"line {lineno}: concept id and frequency must be integers")
             cid = int(fields[0])
+            if cid in groups:
+                raise FormatError(f"line {lineno}: duplicate concept id {cid}")
             ids = fields[3].split(",") if fields[3] else []
             if int(fields[2]) != len(ids):
                 raise FormatError(f"line {lineno}: frequency does not match id count")

@@ -72,14 +72,15 @@ def iou(box_a, box_b) -> float:
     return float(inter / (area_a + area_b - inter))
 
 
-def _label_covered(label: PseudoLabel, truth: ScenarioTruth, mode: str) -> bool:
+def _label_covered(image_id: str, concept_id: int, region_index: int, box,
+                   truth: ScenarioTruth, mode: str) -> bool:
     if mode == "index":
-        return truth.is_true(label.image_id, label.region_index, label.concept_id)
+        return truth.is_true(image_id, region_index, concept_id)
     if mode == "box":
-        if label.box is None:
-            raise ValueError(f"label for image {label.image_id!r} carries no box")
-        gt = truth.gt_boxes.get((label.image_id, label.concept_id), [])
-        return bool(gt) and max(iou(label.box, g) for g in gt) > 0.5
+        if box is None:
+            raise ValueError(f"label for image {image_id!r} carries no box")
+        gt = truth.gt_boxes.get((image_id, concept_id), [])
+        return bool(gt) and max(iou(box, g) for g in gt) > 0.5
     raise ValueError(f"unknown cover mode {mode!r}")
 
 
@@ -92,7 +93,8 @@ def cover_rate(labels: list[PseudoLabel], truth: ScenarioTruth, mode: str = "ind
     """
     if not labels:
         raise ValueError("cover_rate needs at least one label")
-    hits = sum(1 for label in labels if _label_covered(label, truth, mode))
+    hits = sum(1 for label in labels if _label_covered(
+        label.image_id, label.concept_id, label.region_index, label.box, truth, mode))
     return hits / len(labels)
 
 
@@ -116,7 +118,7 @@ def compare_strategies(
     mode: str = "index",
     text_guidance: bool = True,
 ) -> EvalReport:
-    """Produce one pseudo-label per (concept, member image, strategy) and score
+    """Pick one pseudo-label region per (concept, member image, strategy) and score
     cover rates. Every member image serves as query once, with supports
     resampled from its group under a fixed evaluation seed; the queries of a
     concept go through the similarity and head forward in one batch."""
@@ -156,25 +158,23 @@ def compare_strategies(
             hat = unit_rows(features, f"concept {cid}")
             _, rows = similarity_rows(hat, hat[supports], concept_guide(w_c, text_guidance))
             if "region_region" in strategies:
-                p = head_forward(rows, state.head).p
-                picks["region_region"] = (p.argmax(axis=1), p.max(axis=1))
+                picks["region_region"] = head_forward(rows, state.head).p.argmax(axis=1)
             if "heuristic" in strategies:
-                picks["heuristic"] = (heuristic_picks(rows), np.ones(len(members)))
+                picks["heuristic"] = heuristic_picks(rows)
         for q, query_id in enumerate(members):
             boxes = feature_map[query_id].boxes
             for name in strategies:
                 if name in picks:
-                    idx, weight = int(picks[name][0][q]), float(picks[name][1][q])
+                    idx = int(picks[name][q])
                 elif name == "region_word":
-                    idx, weight = baseline_region_word(features[q], w_c), 1.0
+                    idx = baseline_region_word(features[q], w_c)
                 else:
                     areas = feature_map[query_id].areas
                     if areas is None:
                         raise ValueError(f"image {query_id!r} has no areas for max_size")
-                    idx, weight = baseline_max_size(areas), 1.0
+                    idx = baseline_max_size(areas)
                 box = boxes[idx] if boxes is not None else None
-                label = PseudoLabel(query_id, cid, idx, weight, box)
-                hits[name][cid] += _label_covered(label, scenario.truth, mode)
+                hits[name][cid] += _label_covered(query_id, cid, idx, box, scenario.truth, mode)
 
     samples = sum(len(index.groups[cid]) for cid in concepts)
     rates = {name: sum(hits[name].values()) / samples for name in strategies}

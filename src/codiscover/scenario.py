@@ -10,6 +10,7 @@ prototype (optionally rotated to stress-test text guidance).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from ._binio import (
     atomic_writer,
-    expect_magic,
+    read_container,
     read_f64_array,
     read_str,
     read_u32,
@@ -362,18 +363,23 @@ def image_feature(feature_set: RegionFeatureSet) -> np.ndarray:
     return feature_set.features.mean(axis=0)
 
 
-def save_features(feature_sets: list[RegionFeatureSet], path: str) -> None:
-    """Write the binary CODF container (little-endian float64)."""
+def _feature_layout(feature_sets: list[RegionFeatureSet]) -> tuple[int, int, bool, bool]:
+    """(n, d, has_boxes, has_areas), which every saved feature set must share."""
     if not feature_sets:
         raise ValueError("no feature sets to save")
-    n, d = feature_sets[0].n, feature_sets[0].d
-    has_boxes = feature_sets[0].boxes is not None
-    has_areas = feature_sets[0].areas is not None
+    first = feature_sets[0]
+    layout = (first.n, first.d, first.boxes is not None, first.areas is not None)
     for fs in feature_sets:
-        if (fs.n, fs.d) != (n, d):
+        if (fs.n, fs.d) != layout[:2]:
             raise ValueError(f"image {fs.image_id!r}: inconsistent shape")
-        if (fs.boxes is not None) != has_boxes or (fs.areas is not None) != has_areas:
+        if (fs.boxes is not None, fs.areas is not None) != layout[2:]:
             raise ValueError(f"image {fs.image_id!r}: inconsistent optional fields")
+    return layout
+
+
+def save_features(feature_sets: list[RegionFeatureSet], path: str) -> None:
+    """Write the binary CODF container (little-endian float64)."""
+    n, d, has_boxes, has_areas = _feature_layout(feature_sets)
     flags = (_FLAG_BOXES if has_boxes else 0) | (_FLAG_AREAS if has_areas else 0)
     with atomic_writer(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
@@ -390,11 +396,7 @@ def save_features(feature_sets: list[RegionFeatureSet], path: str) -> None:
 
 def load_features(path: str) -> list[RegionFeatureSet]:
     """Read a CODF container, validating shapes and finiteness per image."""
-    with open(path, "rb") as fh:
-        expect_magic(fh, FEATURE_MAGIC)
-        version = read_u32(fh)
-        if version != _FORMAT_VERSION:
-            raise FormatError(f"unsupported CODF version {version}")
+    with read_container(path, FEATURE_MAGIC, _FORMAT_VERSION) as fh:
         count, n, d, flags = (read_u32(fh) for _ in range(4))
         if n < 1 or d < 1:
             raise FormatError(f"invalid header dimensions n={n}, d={d}")
@@ -410,16 +412,10 @@ def load_features(path: str) -> list[RegionFeatureSet]:
 
 def save_features_tsv(feature_sets: list[RegionFeatureSet], path: str) -> None:
     """Equivalent debug TSV format; floats use repr so round-trips are exact."""
-    if not feature_sets:
-        raise ValueError("no feature sets to save")
-    has_boxes = feature_sets[0].boxes is not None
-    has_areas = feature_sets[0].areas is not None
-    n, d = feature_sets[0].n, feature_sets[0].d
+    n, d, has_boxes, has_areas = _feature_layout(feature_sets)
     with atomic_writer(path, "w") as fh:
         fh.write(f"# CODF-TSV\tn={n}\td={d}\tboxes={int(has_boxes)}\tareas={int(has_areas)}\n")
         for fs in feature_sets:
-            if (fs.n, fs.d) != (n, d):
-                raise ValueError(f"image {fs.image_id!r}: inconsistent shape")
             for r in range(n):
                 fields = [fs.image_id, str(r),
                           " ".join(repr(float(v)) for v in fs.features[r])]
@@ -435,12 +431,19 @@ def load_features_tsv(path: str) -> list[RegionFeatureSet]:
         header = fh.readline().rstrip("\n").split("\t")
         if not header or header[0] != "# CODF-TSV":
             raise FormatError("missing CODF-TSV header")
-        opts = dict(part.split("=", 1) for part in header[1:])
-        n, d = int(opts["n"]), int(opts["d"])
-        has_boxes, has_areas = opts["boxes"] == "1", opts["areas"] == "1"
+        opts = dict(part.partition("=")[::2] for part in header[1:])
+        try:
+            n, d = int(opts["n"]), int(opts["d"])
+            has_boxes, has_areas = opts["boxes"] == "1", opts["areas"] == "1"
+        except KeyError as exc:
+            raise FormatError(f"line 1: the header has no {exc.args[0]}= field") from None
+        except ValueError:
+            raise FormatError("line 1: the header's n= and d= must be integers") from None
+        if n < 1 or d < 1:
+            raise FormatError(f"line 1: invalid header dimensions n={n}, d={d}")
         expected_fields = 3 + int(has_boxes) + int(has_areas)
+        size = os.fstat(fh.fileno()).st_size
         rows: dict[str, dict] = {}
-        order: list[str] = []
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -448,27 +451,41 @@ def load_features_tsv(path: str) -> list[RegionFeatureSet]:
             fields = line.split("\t")
             if len(fields) != expected_fields:
                 raise FormatError(f"line {lineno}: expected {expected_fields} fields")
-            image_id, r = fields[0], int(fields[1])
+            image_id = fields[0]
+            r = int(fields[1]) if fields[1].isdecimal() else n
+            if r >= n:
+                raise FormatError(f"line {lineno}: row index {fields[1]!r} is not in [0, {n})")
             if image_id not in rows:
+                # Every image must give n rows of d values, each at least one
+                # byte of the file, so what is allocated never outgrows the file.
+                if (len(rows) + 1) * n * d > size:
+                    raise FormatError(f"line {lineno}: n={n}, d={d} do not fit the file")
                 rows[image_id] = {
                     "features": np.zeros((n, d)),
                     "boxes": np.zeros((n, 4)) if has_boxes else None,
                     "areas": np.zeros(n) if has_areas else None,
+                    "seen": np.zeros(n, dtype=bool),
                 }
-                order.append(image_id)
             entry = rows[image_id]
-            entry["features"][r] = [float(v) for v in fields[2].split()]
+            if entry["seen"][r]:
+                raise FormatError(f"line {lineno}: duplicate row {r} of image {image_id!r}")
+            entry["seen"][r] = True
+            values = [float(v) for v in fields[2].split()]
+            if len(values) != d:
+                raise FormatError(f"line {lineno}: expected {d} feature values")
+            entry["features"][r] = values
             cursor = 3
             if has_boxes:
                 entry["boxes"][r] = [float(v) for v in fields[cursor].split()]
                 cursor += 1
             if has_areas:
                 entry["areas"][r] = float(fields[cursor])
-    return [
-        RegionFeatureSet(image_id, rows[image_id]["features"], rows[image_id]["boxes"],
-                         rows[image_id]["areas"])
-        for image_id in order
-    ]
+    out = []
+    for image_id, entry in rows.items():
+        if not entry["seen"].all():
+            raise FormatError(f"image {image_id!r} has {entry['seen'].sum()} of its {n} rows")
+        out.append(RegionFeatureSet(image_id, entry["features"], entry["boxes"], entry["areas"]))
+    return out
 
 
 def save_text_embeddings(table: TextEmbeddingTable, path: str) -> None:
@@ -491,11 +508,7 @@ def save_text_embeddings(table: TextEmbeddingTable, path: str) -> None:
 
 
 def load_text_embeddings(path: str) -> TextEmbeddingTable:
-    with open(path, "rb") as fh:
-        expect_magic(fh, TEXT_MAGIC)
-        version = read_u32(fh)
-        if version != _FORMAT_VERSION:
-            raise FormatError(f"unsupported CODT version {version}")
+    with read_container(path, TEXT_MAGIC, _FORMAT_VERSION) as fh:
         count, d = read_u32(fh), read_u32(fh)
         rule_tag = read_str(fh)
         embeddings = {}

@@ -11,13 +11,13 @@ and backward, are the batched ops of `core`, which evaluation shares;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._binio import (
     atomic_writer,
-    expect_magic,
+    read_container,
     read_f64_array,
     read_str,
     read_u32,
@@ -37,7 +37,6 @@ from .core import (
     softplus,
 )
 from .corpus import ConceptGroupIndex, MiniGroup, sample_mini_group
-from .errors import FormatError
 
 CHECKPOINT_MAGIC = b"CODC"
 _CHECKPOINT_VERSION = 1
@@ -103,6 +102,9 @@ class BatchLoss:
 
 @dataclass
 class GradientBundle:
+    """Per-parameter arrays shaped like the head and the feature store: the
+    gradients of a batch, or the SGD velocity threaded through the steps."""
+
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
@@ -110,23 +112,12 @@ class GradientBundle:
     features: dict[str, np.ndarray]
 
 
-@dataclass
-class SgdVelocity:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    features: dict[str, np.ndarray] = field(default_factory=dict)
+_HEAD_PARAMS = ("w1", "b1", "w2", "b2")
 
-    @classmethod
-    def zeros_for(cls, state: ModelState) -> "SgdVelocity":
-        head = state.head
-        return cls(
-            np.zeros_like(head.w1),
-            np.zeros_like(head.b1),
-            np.zeros_like(head.w2),
-            np.zeros_like(head.b2),
-        )
+
+def _zero_bundle(head: DiscoveryHead) -> GradientBundle:
+    """Zeros for every head parameter and no feature rows yet."""
+    return GradientBundle(*(np.zeros_like(getattr(head, name)) for name in _HEAD_PARAMS), {})
 
 
 @dataclass
@@ -171,6 +162,23 @@ def _support_positions(k: int) -> np.ndarray:
     return cols + (cols >= np.arange(k)[:, None])
 
 
+def _bce_rows(logits: np.ndarray, positive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row BCE of (Q, C) logits whose row q has its one positive label in
+    column positive[q], and the gradient sigmoid(logits) - onehot."""
+    rows = np.arange(logits.shape[0])
+    pos = logits[rows, positive]
+    losses = softplus(-pos) + softplus(logits).sum(axis=1) - softplus(pos)
+    grad = sigmoid(logits)
+    grad[rows, positive] -= 1.0
+    return losses, grad
+
+
+def _unit_backward(grad_hat: np.ndarray, hat: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Backward of x -> x / ||x|| along the last axis, given hat = x / norms."""
+    proj = (grad_hat * hat).sum(axis=-1, keepdims=True)
+    return (grad_hat - proj * hat) / norms
+
+
 def caption_batch_loss(
     state: ModelState,
     mini_groups: list[MiniGroup],
@@ -211,10 +219,7 @@ def caption_batch_loss(
         raise ValueError(f"image {batch_ids[zero[0]]!r}: zero feature row")
     hat = raw / norms
 
-    grads = GradientBundle(
-        np.zeros_like(head.w1), np.zeros_like(head.b1),
-        np.zeros_like(head.w2), np.zeros_like(head.b2), {},
-    )
+    grads = _zero_bundle(head)
     # Gradients per batch image, of the raw and of the unit-normalized features.
     graw = np.zeros_like(raw)
     ghat = np.zeros_like(raw)
@@ -232,15 +237,9 @@ def caption_batch_loss(
         fwd = head_forward(rows, head)
         f_q = raw[pos]
         s = (fwd.p[:, None, :] @ f_q)[:, 0] @ weights.T
-        rw_mean += float(np.sum(softplus(-s[:, row]) + softplus(s).sum(axis=1)
-                                - softplus(s[:, row]))) / k
-
-        scale = config.lambda_region_word / (num_groups * k)
-        if scale == 0.0:
-            continue
-        ds = sigmoid(s)
-        ds[:, row] -= 1.0
-        ds *= scale
+        losses, ds = _bce_rows(s, np.full(k, row))
+        rw_mean += float(np.sum(losses)) / k
+        ds *= config.lambda_region_word / (num_groups * k)
         dfp = ds @ weights
         dp = (f_q @ dfp[:, :, None])[:, :, 0]
         drows, *head_grads = head_backward(fwd, dp, head)
@@ -264,22 +263,15 @@ def caption_batch_loss(
     vhat = v / vnorm
     that = t / tnorm
     logits = config.temperature * (vhat @ that.T)
-    diag = np.diag(logits)
     batch = len(batch_ids)
-    it_loss = float((softplus(-diag).sum() + softplus(logits).sum() - softplus(diag).sum())
-                    / batch)
-    if config.lambda_image_text != 0.0:
-        dlogits = sigmoid(logits)
-        dlogits[np.diag_indices(batch)] -= 1.0
-        dlogits *= config.lambda_image_text / batch
-        dvhat = config.temperature * (dlogits @ that)
-        proj = (dvhat * vhat).sum(axis=1, keepdims=True)
-        dv = (dvhat - proj * vhat) / vnorm
-        graw += dv[:, None, :] / raw.shape[1]
+    losses, dlogits = _bce_rows(logits, np.arange(batch))
+    it_loss = float(losses.sum() / batch)
+    dlogits *= config.lambda_image_text / batch
+    dvhat = config.temperature * (dlogits @ that)
+    graw += _unit_backward(dvhat, vhat, vnorm)[:, None, :] / raw.shape[1]
 
-    # Unit-normalization backward, applied once per image (linear in upstream).
-    proj = (ghat * hat).sum(axis=2, keepdims=True)
-    graw += (ghat - proj * hat) / norms
+    # Region-feature normalization backward, once per image (linear in upstream).
+    graw += _unit_backward(ghat, hat, norms)
     grads.features = dict(zip(batch_ids, graw))
 
     total = config.lambda_region_word * rw_mean + config.lambda_image_text * it_loss
@@ -291,8 +283,8 @@ def sgd_step(
     grads: GradientBundle,
     lr: float,
     momentum: float,
-    velocity: SgdVelocity | None = None,
-) -> SgdVelocity:
+    velocity: GradientBundle | None = None,
+) -> GradientBundle:
     """In-place SGD with momentum: v = momentum*v + g; param -= lr*v.
 
     Frozen groups (classifier always; head/features per state flags) are
@@ -301,26 +293,23 @@ def sgd_step(
     subsequent steps.
     """
     if velocity is None:
-        velocity = SgdVelocity.zeros_for(state)
+        velocity = _zero_bundle(state.head)
+    updates = []
     if state.train_head:
-        for name in ("w1", "b1", "w2", "b2"):
-            vel = getattr(velocity, name)
-            vel *= momentum
-            vel += getattr(grads, name)
-            param = getattr(state.head, name)
-            param -= lr * vel
-            if not np.all(np.isfinite(param)):
-                raise ValueError(f"non-finite head parameter {name} after update")
+        updates += [(f"head parameter {name}", getattr(state.head, name),
+                     getattr(velocity, name), getattr(grads, name)) for name in _HEAD_PARAMS]
     if state.train_features:
         for image_id, grad in grads.features.items():
-            vel = velocity.features.get(image_id)
-            if vel is None:
-                vel = velocity.features[image_id] = np.zeros_like(grad)
-            vel *= momentum
-            vel += grad
-            state.features[image_id] -= lr * vel
-            if not np.all(np.isfinite(state.features[image_id])):
-                raise ValueError(f"non-finite features for image {image_id!r} after update")
+            if image_id not in velocity.features:
+                velocity.features[image_id] = np.zeros_like(grad)
+            updates.append((f"features for image {image_id!r}", state.features[image_id],
+                            velocity.features[image_id], grad))
+    for what, param, vel, grad in updates:
+        vel *= momentum
+        vel += grad
+        param -= lr * vel
+        if not np.all(np.isfinite(param)):
+            raise ValueError(f"non-finite {what} after update")
     return velocity
 
 
@@ -344,7 +333,7 @@ def run_training(
         eval_seed = int(np.random.SeedSequence(entropy=config.seed,
                                                spawn_key=(1,)).generate_state(1)[0])
     metrics: list[MetricRow] = []
-    velocity: SgdVelocity | None = None
+    velocity: GradientBundle | None = None
     for step in range(1, config.steps + 1):
         picks = rng.integers(0, len(concepts), size=config.mini_groups_per_batch)
         groups = [
@@ -398,7 +387,7 @@ def finite_diff_check(
     if rng is None:
         rng = np.random.default_rng(0)
     _, grads = caption_batch_loss(state, mini_groups, caption_vectors, config)
-    if selector in ("w1", "b1", "w2", "b2"):
+    if selector in _HEAD_PARAMS:
         pairs = [(getattr(state.head, selector), getattr(grads, selector))]
     elif selector == "features":
         pairs = [(state.features[i], grads.features[i]) for i in sorted(grads.features)]
@@ -479,11 +468,7 @@ def save_checkpoint(state: ModelState, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelState:
-    with open(path, "rb") as fh:
-        expect_magic(fh, CHECKPOINT_MAGIC)
-        version = read_u32(fh)
-        if version != _CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported CODC version {version}")
+    with read_container(path, CHECKPOINT_MAGIC, _CHECKPOINT_VERSION) as fh:
         hidden, in_dim, d, k, n, flags = (read_u32(fh) for _ in range(6))
         w1 = read_f64_array(fh, hidden * in_dim).reshape(hidden, in_dim)
         b1 = read_f64_array(fh, hidden)

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface and config plumbing."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -19,6 +20,7 @@ from codiscover.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
+    _field_parsers,
     format_run_config,
     main,
     parse_config_file,
@@ -104,6 +106,9 @@ def test_resolve_run_config_validates_keys_and_values():
         resolve_run_config({"train.momentum": "1.5"})  # dataclass rule surfaces
     with pytest.raises(ConfigError, match="unknown config key"):
         resolve_run_config({"threads": "2"})
+    for key in ("train", "eval.group_size", "corpus.steps"):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            resolve_run_config({key: "2"})
     with pytest.raises(ConfigError, match="min_freq"):
         resolve_run_config({"corpus.min_freq": "0"})
     with pytest.raises(ConfigError, match="eval.mode"):
@@ -112,6 +117,16 @@ def test_resolve_run_config_validates_keys_and_values():
         resolve_run_config({"eval.strategies": "region_region,psychic"})
     with pytest.raises(ConfigError, match="at least one"):
         resolve_run_config({"eval.strategies": " , "})
+
+
+def test_field_parsers_reject_a_type_without_parser():
+    @dataclasses.dataclass
+    class Knobs:
+        sizes: list
+        seed: int = 0
+
+    with pytest.raises(KeyError):
+        _field_parsers(Knobs)
 
 
 def test_resolve_run_config_parses_typed_values():
@@ -139,12 +154,43 @@ def test_resolve_run_config_overrides_win():
 def test_format_run_config_round_trips(tmp_path):
     original = resolve_run_config({
         "seed": "42",
-        "scenario.num_concepts": "6",
-        "scenario.orthogonalize": "false",
-        "train.sorted_rows": "true",
-        "train.learning_rate": "0.007",
+        "corpus.min_freq": "2",
         "eval.mode": "box",
+        "eval.strategies": "heuristic,region_region",
+        "scenario.num_concepts": "6",
+        "scenario.d": "12",
+        "scenario.n": "9",
+        "scenario.images_per_concept": "7",
+        "scenario.distractor_count": "3",
+        "scenario.noise_sigma": "0.15",
+        "scenario.multi_concept_rate": "0.25",
+        "scenario.instances_min": "2",
+        "scenario.instances_max": "4",
+        "scenario.orthogonalize": "false",
+        "scenario.misaligned_text_degrees": "12.5",
+        "scenario.max_size_bias": "0.3",
+        "scenario.with_boxes": "true",
+        "scenario.second_concept": "partner",
+        "train.group_size": "4",
+        "train.mini_groups_per_batch": "3",
+        "train.steps": "17",
+        "train.learning_rate": "0.007",
+        "train.momentum": "0.5",
+        "train.lambda_region_word": "0.2",
+        "train.lambda_image_text": "0.3",
+        "train.hidden": "24",
+        "train.temperature": "7.5",
+        "train.eval_interval": "5",
+        "train.text_guidance": "false",
+        "train.sorted_rows": "true",
+        "train.train_head": "false",
+        "train.train_features": "false",
     })
+    # Every section field but the derived seed is off its default, so each
+    # one's formatting and parsing is exercised.
+    for obj in (original.scenario, original.train):
+        for f in dataclasses.fields(obj):
+            assert f.name == "seed" or getattr(obj, f.name) != f.default, f.name
     text = format_run_config(original)
     assert "scenario.seed" not in text  # derived values stay derived
     assert "train.seed" not in text
@@ -313,12 +359,20 @@ def test_cli_missing_checkpoint_exits_2(tmp_path, tiny_config, capsys):
 
 
 def test_cli_corrupt_checkpoint_exits_1(tmp_path, tiny_config, capsys):
-    corrupt = tmp_path / "corrupt.codc"
-    corrupt.write_bytes(b"JUNKJUNKJUNK")
-    code = main(["eval", "--config", tiny_config, "--out", str(tmp_path / "e"),
-                 "--checkpoint", str(corrupt)])
-    assert code == EXIT_RUNTIME
-    assert "magic" in capsys.readouterr().err
+    train_out = tmp_path / "train"
+    assert main(["train", "--config", tiny_config, "--out", str(train_out)]) == EXIT_OK
+    blob = (train_out / "checkpoint.codc").read_bytes()
+    huge_hidden = blob[:8] + (0x7FFFFFFF).to_bytes(4, "little") + blob[12:]
+    for data, message in ((b"JUNKJUNKJUNK", "magic"), (huge_hidden, "unexpected end"),
+                          (blob + b"\0", "trailing bytes")):
+        corrupt = tmp_path / "corrupt.codc"
+        corrupt.write_bytes(data)
+        capsys.readouterr()
+        code = main(["eval", "--config", tiny_config, "--out", str(tmp_path / "e"),
+                     "--checkpoint", str(corrupt)])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0], err
 
 
 def test_cli_eval_checkpoint_of_another_world_exits_1(tmp_path, tiny_config, capsys):

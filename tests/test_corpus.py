@@ -86,11 +86,6 @@ def test_parse_corpus_rejects_duplicate_image_ids():
         parse_corpus("img1\ta dog\nimg1\ta cat\n")
 
 
-def test_parse_corpus_rejects_unknown_format():
-    with pytest.raises(ValueError, match="unknown corpus format"):
-        parse_corpus("img1\ta dog\n", format_tag="json")
-
-
 def test_extract_concepts_prefers_longest_match():
     lex = Lexicon(["truck", "fire truck", "dog"])
     # "fire truck" must win over its own suffix "truck" at the same position.
@@ -230,4 +225,10 @@ def test_load_index_rejects_malformed_lines(tmp_path):
         load_index(str(path))
     path.write_text("0\tdog\t3\timg1,img2\n")
     with pytest.raises(FormatError, match="frequency does not match"):
+        load_index(str(path))
+    path.write_text("0\tdog\t1\timg1\nx\tcat\t1\timg2\n")
+    with pytest.raises(FormatError, match="line 2.*must be integers"):
+        load_index(str(path))
+    path.write_text("0\tdog\t1\timg1\n0\tcat\t1\timg2\n")
+    with pytest.raises(FormatError, match="line 2.*duplicate concept id 0"):
         load_index(str(path))

@@ -342,6 +342,10 @@ def test_save_features_validates_inputs(tmp_path):
     with pytest.raises(ValueError, match="inconsistent optional"):
         save_features(mixed, str(tmp_path / "x.codf"))
     assert not (tmp_path / "x.codf").exists()
+    # The debug TSV writer applies the same layout rule.
+    with pytest.raises(ValueError, match="inconsistent optional"):
+        save_features_tsv(mixed, str(tmp_path / "x.tsv"))
+    assert not (tmp_path / "x.tsv").exists()
 
 
 def test_load_features_rejects_corruption(tmp_path):
@@ -365,6 +369,15 @@ def test_load_features_rejects_corruption(tmp_path):
     truncated.write_bytes(blob[:-9])
     with pytest.raises(FormatError, match="unexpected end"):
         load_features(str(truncated))
+
+    # An oversized n is caught before a buffer of that size is allocated.
+    huge_n = bytearray(blob)
+    huge_n[12:16] = (0x7FFFFFFF).to_bytes(4, "little")
+    for data, message in ((bytes(huge_n), "unexpected end"), (blob + b"\0", "trailing bytes")):
+        bad = tmp_path / "bad.codf"
+        bad.write_bytes(data)
+        with pytest.raises(FormatError, match=message):
+            load_features(str(bad))
 
     # NaN payload passes framing but fails the per-image validation.
     nan_blob = bytearray(blob)
@@ -391,6 +404,27 @@ def test_load_features_tsv_rejects_corruption(tmp_path):
         load_features_tsv(str(path))
     path.write_text("# CODF-TSV\tn=1\td=2\tboxes=0\tareas=0\nimg0\t0\n")
     with pytest.raises(FormatError, match="line 2"):
+        load_features_tsv(str(path))
+    path.write_text("# CODF-TSV\tn=1\tboxes=0\tareas=0\nimg0\t0\t1.0 2.0\n")
+    with pytest.raises(FormatError, match="line 1.*no d= field"):
+        load_features_tsv(str(path))
+    path.write_text("# CODF-TSV\tn=1\td=2\tboxes=0\tareas=0\nimg0\t0\t1.0 2.0\n"
+                    "img0\t1\t1.0 2.0\n")
+    with pytest.raises(FormatError, match="line 3.*row index '1'"):
+        load_features_tsv(str(path))
+    path.write_text("# CODF-TSV\tn=2\td=2\tboxes=0\tareas=0\nimg0\t0\t1.0 2.0\n"
+                    "img0\t0\t3.0 4.0\n")
+    with pytest.raises(FormatError, match="line 3.*duplicate row 0 of image 'img0'"):
+        load_features_tsv(str(path))
+    path.write_text("# CODF-TSV\tn=2\td=2\tboxes=0\tareas=0\nimg0\t0\t1.0 2.0 3.0\n")
+    with pytest.raises(FormatError, match="line 2.*expected 2 feature values"):
+        load_features_tsv(str(path))
+    path.write_text("# CODF-TSV\tn=2\td=2\tboxes=0\tareas=0\nimg0\t1\t1.0 2.0\n")
+    with pytest.raises(FormatError, match="image 'img0' has 1 of its 2 rows"):
+        load_features_tsv(str(path))
+    # An n larger than the file can hold is refused before rows are allocated.
+    path.write_text("# CODF-TSV\tn=2147483647\td=2\tboxes=0\tareas=0\nimg0\t0\t1.0 2.0\n")
+    with pytest.raises(FormatError, match="line 2: n=2147483647, d=2 do not fit"):
         load_features_tsv(str(path))
 
 
@@ -421,3 +455,9 @@ def test_text_embedding_codec_errors(tmp_path):
     bad.write_bytes(b"CODX" + blob[4:])
     with pytest.raises(FormatError, match="magic"):
         load_text_embeddings(str(bad))
+    huge_d = bytearray(blob)
+    huge_d[12:16] = (0x7FFFFFFF).to_bytes(4, "little")
+    for data, message in ((bytes(huge_d), "unexpected end"), (blob + b"\0", "trailing bytes")):
+        bad.write_bytes(data)
+        with pytest.raises(FormatError, match=message):
+            load_text_embeddings(str(bad))

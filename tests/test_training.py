@@ -27,7 +27,7 @@ from codiscover import (
     text_guide_weights,
     write_metrics_csv,
 )
-from codiscover.training import GradientBundle, SgdVelocity, caption_proxies
+from codiscover.training import GradientBundle, caption_proxies
 
 
 def small_setup(sorted_rows=False, **train_overrides):
@@ -249,6 +249,10 @@ def test_sgd_step_momentum_arithmetic():
     # [DERIVED] v1 = g1 = 1, p1 = p0 - lr*1.
     assert np.allclose(state.head.w2, w2_0 - lr, atol=1e-15)
     assert np.allclose(state.features[image_id], f_0 - lr, atol=1e-15)
+    # The velocity has the head's shapes and a row only for the image that
+    # has received a gradient.
+    assert velocity.w1.shape == state.head.w1.shape
+    assert list(velocity.features) == [image_id]
     velocity = sgd_step(state, bundle(2.0), lr, momentum, velocity)
     # [DERIVED] v2 = 0.5*1 + 2 = 2.5, p2 = p1 - lr*2.5.
     assert np.allclose(state.head.w2, w2_0 - lr - lr * 2.5, atol=1e-15)
@@ -285,6 +289,11 @@ def test_sgd_step_rejects_non_finite_updates():
         np.zeros_like(state.head.w2), np.zeros_like(state.head.b2), {},
     )
     with pytest.raises(ValueError, match="non-finite head parameter w1"):
+        sgd_step(state, bad, 0.1, 0.9)
+    image_id = next(iter(state.features))
+    state.train_head = False  # w1 is already non-finite
+    bad.features = {image_id: np.full_like(state.features[image_id], np.nan)}
+    with pytest.raises(ValueError, match=f"non-finite features for image {image_id!r}"):
         sgd_step(state, bad, 0.1, 0.9)
 
 
@@ -408,6 +417,19 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(FormatError, match="unexpected end"):
         load_checkpoint(str(truncated))
 
+    # Header u32s after the magic: version, hidden, in_dim, d, k, n, flags.
+    for field, offset in (("hidden", 8), ("in_dim", 12), ("n", 24)):
+        huge = bytearray(blob)
+        huge[offset:offset + 4] = (0x7FFFFFFF).to_bytes(4, "little")
+        bad = tmp_path / f"huge_{field}.codc"
+        bad.write_bytes(bytes(huge))
+        with pytest.raises(FormatError, match="unexpected end"):
+            load_checkpoint(str(bad))
+    trailing = tmp_path / "trailing.codc"
+    trailing.write_bytes(blob + b"\0")
+    with pytest.raises(FormatError, match="trailing bytes"):
+        load_checkpoint(str(trailing))
+
 
 def test_save_checkpoint_rejects_inconsistent_features(tmp_path):
     scenario, index, config = small_setup()
@@ -416,14 +438,6 @@ def test_save_checkpoint_rejects_inconsistent_features(tmp_path):
     state.features[image_id] = np.ones((2, 2))
     with pytest.raises(ValueError, match="inconsistent feature shape"):
         save_checkpoint(state, str(tmp_path / "checkpoint.codc"))
-
-
-def test_velocity_zeros_for_matches_head_shapes():
-    scenario, index, config = small_setup()
-    state = init_model(scenario, index, config)
-    velocity = SgdVelocity.zeros_for(state)
-    assert velocity.w1.shape == state.head.w1.shape
-    assert velocity.features == {}
 
 
 # ------------------------------------------- equivalence with the loop oracle
