@@ -9,17 +9,16 @@ evaluates discovery quality against oracle-labeled synthetic scenarios.
 from .core import (
     DiscoveryHead,
     OpenVocabClassifier,
-    Prototype,
-    SimilarityMatrix,
     baseline_max_size,
     baseline_region_word,
-    build_similarity_matrix,
-    discover_prototype,
-    heuristic_discovery,
+    head_forward,
+    heuristic_picks,
     image_text_loss,
     region_word_loss,
+    similarity_rows,
     text_guide_weights,
     text_guided_similarity,
+    unit_rows,
 )
 from .corpus import (
     CaptionRecord,

@@ -45,8 +45,10 @@ def write_str(fh: BinaryIO, text: str) -> None:
 
 
 def read_str(fh: BinaryIO) -> str:
-    length = read_u32(fh)
-    return _take(fh, length).decode("utf-8")
+    try:
+        return _take(fh, read_u32(fh)).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"string field is not valid UTF-8: {exc.reason}") from None
 
 
 def write_f64_array(fh: BinaryIO, values: np.ndarray) -> None:

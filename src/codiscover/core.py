@@ -1,7 +1,9 @@
 """Text-guided similarity, prototype discovery, alignment losses, baselines.
 
-All operations are pure float64 functions of their inputs. Argmax ties break
-toward the lowest index everywhere.
+All operations are pure float64 functions of their inputs; the discovery ops
+take a leading query axis, and text_guided_similarity, region_word_loss and
+image_text_loss are scalar reference definitions. Argmax ties break toward the
+lowest index everywhere.
 """
 
 from __future__ import annotations
@@ -28,38 +30,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_feature_matrix(value) -> np.ndarray:
-    arr = np.asarray(getattr(value, "features", value), dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("region features must form a 2-D matrix")
-    return arr
-
-
 def unit_rows(matrix: np.ndarray, what: str) -> np.ndarray:
     """Feature rows (along the last axis) scaled to unit L2 norm."""
     norms = np.linalg.norm(matrix, axis=-1, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError(f"{what}: zero feature row")
     return matrix / norms
-
-
-@dataclass
-class SimilarityMatrix:
-    """n x (m*n) text-guided similarities, support blocks in supplied order."""
-
-    values: np.ndarray
-    n: int
-    m: int
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.n, self.m * self.n):
-            raise ValueError(
-                f"similarity matrix shape {self.values.shape} does not match "
-                f"n={self.n}, m={self.m}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("similarity matrix contains non-finite entries")
 
 
 @dataclass
@@ -137,14 +113,6 @@ class OpenVocabClassifier:
         return cls(rows, list(concept_ids))
 
 
-@dataclass
-class Prototype:
-    """Softmax-pooled region combination: f_p = sum_i p_i f_i."""
-
-    f_p: np.ndarray
-    p: np.ndarray
-
-
 def text_guide_weights(w_c: np.ndarray) -> np.ndarray:
     """Guidance profile sqrt(d) * |w_c| / ||w_c||; its L2 norm is sqrt(d)."""
     w_c = np.asarray(w_c, dtype=np.float64)
@@ -176,10 +144,12 @@ def similarity_rows(query_hat: np.ndarray, support_hat: np.ndarray, guide: np.nd
     """Text-guided similarity of Q queries (Q, n, d) against their m supports
     (Q, m, n, d), both unit-normalized. Returns (qw, rows): the guided queries
     query_hat * guide and rows (Q, n, m*n) with rows[q, i, k*n + j] =
-    s(query_q region i, support_qk region j), as in SimilarityMatrix.values."""
+    s(query_q region i, support_qk region j)."""
     q, m, n, d = support_hat.shape
     if m == 0:
         raise ValueError("at least one support image is required")
+    if query_hat.shape != (q, n, d):
+        raise ValueError(f"supports {support_hat.shape} do not match queries {query_hat.shape}")
     qw = query_hat * guide
     return qw, qw @ support_hat.reshape(q, m * n, d).swapaxes(1, 2)
 
@@ -190,30 +160,6 @@ def similarity_backward(drows: np.ndarray, qw: np.ndarray, support_hat: np.ndarr
     support_hat (Q, m, n, d), one term per position, not yet summed per image."""
     flat = support_hat.reshape(drows.shape[0], -1, support_hat.shape[3])
     return (drows @ flat) * guide, (drows.swapaxes(1, 2) @ qw).reshape(support_hat.shape)
-
-
-def build_similarity_matrix(query, supports, w_bar: np.ndarray) -> SimilarityMatrix:
-    """Pairwise text-guided similarities between query and support proposals.
-
-    Args:
-        query: RegionFeatureSet or (n, d) array of query region features.
-        supports: list of m RegionFeatureSets or (n, d) arrays.
-        w_bar: guidance profile from text_guide_weights.
-
-    Returns:
-        SimilarityMatrix with values[i, k*n + j] = s(query_i, support_k_j).
-    """
-    q = _as_feature_matrix(query)
-    mats = [_as_feature_matrix(s) for s in supports]
-    if not mats:
-        raise ValueError("at least one support image is required")
-    for s in mats:
-        if s.shape != q.shape:
-            raise ValueError(f"support shape {s.shape} does not match query {q.shape}")
-    _, rows = similarity_rows(unit_rows(q, "query")[None],
-                              unit_rows(np.stack(mats), "support")[None],
-                              np.asarray(w_bar, dtype=np.float64))
-    return SimilarityMatrix(rows[0], n=q.shape[0], m=len(mats))
 
 
 class HeadPass(NamedTuple):
@@ -269,19 +215,6 @@ def head_backward(fwd: HeadPass, dp: np.ndarray, head: DiscoveryHead):
             fwd.hidden.T @ dlogits, dlogits.sum().reshape(1))
 
 
-def discover_prototype(s_matrix: SimilarityMatrix, head: DiscoveryHead,
-                       query_features) -> Prototype:
-    """Prototype via p = softmax(MLP(S rows)), f_p = sum_i p_i f_i.
-
-    The weighted sum uses the raw (unnormalized) query region features.
-    """
-    features = _as_feature_matrix(query_features)
-    if features.shape[0] != s_matrix.n:
-        raise ValueError("query features do not match similarity matrix rows")
-    p = head_forward(s_matrix.values[None], head).p[0]
-    return Prototype(f_p=p @ features, p=p)
-
-
 def region_word_loss(f_p: np.ndarray, classifier: OpenVocabClassifier, concept_id: int) -> float:
     """BCE over vocabulary logits s = W f_p: -log sig(s_c) - sum_{k!=c} log(1 - sig(s_k)),
     evaluated through softplus for stability."""
@@ -318,25 +251,19 @@ def heuristic_picks(rows: np.ndarray) -> np.ndarray:
     return np.argmax(rows.reshape(q, n, -1, n).max(axis=3).mean(axis=2), axis=1)
 
 
-def heuristic_discovery(s_matrix: SimilarityMatrix) -> int:
-    """heuristic_picks for the one query of a similarity matrix."""
-    return int(heuristic_picks(s_matrix.values[None])[0])
-
-
-def baseline_region_word(query_features, w_c: np.ndarray) -> int:
-    """Argmax of cosine(f_i, w_c) over query regions."""
-    features = _as_feature_matrix(query_features)
+def baseline_region_word(query_hat: np.ndarray, w_c: np.ndarray) -> np.ndarray:
+    """Region-word baseline over Q queries' unit-normalized region features
+    (Q, n, d): each query's argmax of cosine(f_i, w_c)."""
     w_c = np.asarray(w_c, dtype=np.float64)
     norm = np.linalg.norm(w_c)
     if norm == 0.0:
         raise ValueError("text embedding is the zero vector")
-    scores = unit_rows(features, "query") @ (w_c / norm)
-    return int(np.argmax(scores))
+    return np.argmax(query_hat @ (w_c / norm), axis=1)
 
 
-def baseline_max_size(areas: np.ndarray) -> int:
-    """Argmax of region areas."""
+def baseline_max_size(areas: np.ndarray) -> np.ndarray:
+    """Max-size baseline: each query's largest region, from areas (Q, n)."""
     areas = np.asarray(areas, dtype=np.float64)
-    if areas.ndim != 1 or areas.size == 0:
-        raise ValueError("areas must be a non-empty vector")
-    return int(np.argmax(areas))
+    if areas.ndim != 2 or areas.shape[1] == 0:
+        raise ValueError("areas must be a non-empty (Q, n) array")
+    return np.argmax(areas, axis=1)

@@ -183,8 +183,9 @@ def build_concept_index(
 def sample_mini_group(
     index: ConceptGroupIndex, concept_id: int, group_size: int, rng: np.random.Generator
 ) -> MiniGroup:
-    """Draw `group_size` member images uniformly; small groups fall back to
-    sampling with replacement so rare concepts still contribute."""
+    """Draw `group_size` member images uniformly. A group smaller than
+    `group_size` is drawn with replacement so rare concepts still contribute,
+    and a query can then be its own support (a singleton group repeats its image)."""
     if concept_id not in index.groups:
         raise ValueError(f"concept {concept_id} not in index")
     if group_size < 2:
@@ -225,6 +226,8 @@ def load_index(path: str) -> ConceptGroupIndex:
             if cid in groups:
                 raise FormatError(f"line {lineno}: duplicate concept id {cid}")
             ids = fields[3].split(",") if fields[3] else []
+            if "" in ids or len(set(ids)) != len(ids):
+                raise FormatError(f"line {lineno}: empty or duplicate member id")
             if int(fields[2]) != len(ids):
                 raise FormatError(f"line {lineno}: frequency does not match id count")
             groups[cid] = ids

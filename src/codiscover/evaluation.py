@@ -55,33 +55,44 @@ class AblationRow:
     cover_rates: dict[str, float]
 
 
-def iou(box_a, box_b) -> float:
-    """Intersection over union of two (x1, y1, x2, y2) boxes."""
+def iou(box_a, box_b) -> np.ndarray:
+    """Intersection over union of (x1, y1, x2, y2) boxes along the last axis,
+    broadcast over the leading axes."""
     a = np.asarray(box_a, dtype=np.float64)
     b = np.asarray(box_b, dtype=np.float64)
     for box in (a, b):
-        if box.shape != (4,) or box[2] <= box[0] or box[3] <= box[1]:
+        if box.shape[-1:] != (4,) or np.any(box[..., 2:] <= box[..., :2]):
             raise ValueError(f"degenerate box {box!r}")
-    ix = min(a[2], b[2]) - max(a[0], b[0])
-    iy = min(a[3], b[3]) - max(a[1], b[1])
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    area_a = (a[2] - a[0]) * (a[3] - a[1])
-    area_b = (b[2] - b[0]) * (b[3] - b[1])
-    return float(inter / (area_a + area_b - inter))
+    overlap = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])
+    inter = np.prod(np.maximum(overlap, 0.0), axis=-1)
+    area_a = np.prod(a[..., 2:] - a[..., :2], axis=-1)
+    area_b = np.prod(b[..., 2:] - b[..., :2], axis=-1)
+    return inter / (area_a + area_b - inter)
 
 
-def _label_covered(image_id: str, concept_id: int, region_index: int, box,
-                   truth: ScenarioTruth, mode: str) -> bool:
+def _covered(keys, regions, boxes, truth: ScenarioTruth, mode: str) -> np.ndarray:
+    """Which labels, given as (image_id, concept_id) keys with their picked
+    region indices (index mode) or (L, 4) boxes (box mode), match oracle
+    truth. A box needs IoU > 0.5 with some ground-truth box of its key; all
+    pairs are scored in one IoU."""
     if mode == "index":
-        return truth.is_true(image_id, region_index, concept_id)
-    if mode == "box":
-        if box is None:
-            raise ValueError(f"label for image {image_id!r} carries no box")
-        gt = truth.gt_boxes.get((image_id, concept_id), [])
-        return bool(gt) and max(iou(box, g) for g in gt) > 0.5
-    raise ValueError(f"unknown cover mode {mode!r}")
+        return np.array([truth.is_true(i, int(r), c) for (i, c), r in zip(keys, regions)],
+                        dtype=bool)
+    if mode != "box":
+        raise ValueError(f"unknown cover mode {mode!r}")
+    gt = [(k, g) for k, key in enumerate(keys) for g in truth.gt_boxes.get(key, [])]
+    owner = np.array([k for k, _ in gt], dtype=int)
+    covered = np.zeros(len(keys), dtype=bool)
+    covered[owner[iou(boxes[owner], np.array([g for _, g in gt]).reshape(-1, 4)) > 0.5]] = True
+    return covered
+
+
+def _stack_present(values: list, image_ids: list[str], what: str) -> np.ndarray:
+    """Stack per-image optional arrays (boxes, areas), all of which must be set."""
+    for image_id, value in zip(image_ids, values):
+        if value is None:
+            raise ValueError(f"image {image_id!r} carries no {what}")
+    return np.stack(values)
 
 
 def cover_rate(labels: list[PseudoLabel], truth: ScenarioTruth, mode: str = "index") -> float:
@@ -93,13 +104,19 @@ def cover_rate(labels: list[PseudoLabel], truth: ScenarioTruth, mode: str = "ind
     """
     if not labels:
         raise ValueError("cover_rate needs at least one label")
-    hits = sum(1 for label in labels if _label_covered(
-        label.image_id, label.concept_id, label.region_index, label.box, truth, mode))
-    return hits / len(labels)
+    image_ids = [label.image_id for label in labels]
+    boxes = (_stack_present([label.box for label in labels], image_ids, "box")
+             if mode == "box" else None)
+    covered = _covered([(label.image_id, label.concept_id) for label in labels],
+                       [label.region_index for label in labels], boxes, truth, mode)
+    return int(covered.sum()) / len(labels)
 
 
 def _sample_supports(pool: list[str], query_id: str, m: int,
                      rng: np.random.Generator) -> list[str]:
+    """m supports for the query from the other images of its group, drawn with
+    replacement when there are fewer than m. The only support of a singleton
+    group's query is the query itself, and it draws nothing from rng."""
     others = [i for i in pool if i != query_id]
     if not others:
         return [query_id] * m
@@ -140,7 +157,7 @@ def compare_strategies(
         )
     rng = np.random.default_rng(seed)
     feature_map = scenario.feature_map()
-    hits = {name: dict.fromkeys(concepts, 0) for name in strategies}
+    hits: dict[str, dict[int, int]] = {name: {} for name in strategies}
     for cid in concepts:
         row = state.classifier.row_of.get(cid)
         if row is None:
@@ -152,29 +169,25 @@ def compare_strategies(
         slot = {image_id: k for k, image_id in enumerate(members)}
         supports = np.array([[slot[i] for i in _sample_supports(members, q, group_size - 1, rng)]
                              for q in members], dtype=int)
-        features = np.stack([state.features[i] for i in members])
+        hat = unit_rows(np.stack([state.features[i] for i in members]), f"concept {cid}")
         picks = {}
         if {"region_region", "heuristic"} & set(strategies):
-            hat = unit_rows(features, f"concept {cid}")
             _, rows = similarity_rows(hat, hat[supports], concept_guide(w_c, text_guidance))
             if "region_region" in strategies:
                 picks["region_region"] = head_forward(rows, state.head).p.argmax(axis=1)
             if "heuristic" in strategies:
                 picks["heuristic"] = heuristic_picks(rows)
-        for q, query_id in enumerate(members):
-            boxes = feature_map[query_id].boxes
-            for name in strategies:
-                if name in picks:
-                    idx = int(picks[name][q])
-                elif name == "region_word":
-                    idx = baseline_region_word(features[q], w_c)
-                else:
-                    areas = feature_map[query_id].areas
-                    if areas is None:
-                        raise ValueError(f"image {query_id!r} has no areas for max_size")
-                    idx = baseline_max_size(areas)
-                box = boxes[idx] if boxes is not None else None
-                hits[name][cid] += _label_covered(query_id, cid, idx, box, scenario.truth, mode)
+        if "region_word" in strategies:
+            picks["region_word"] = baseline_region_word(hat, w_c)
+        if "max_size" in strategies:
+            picks["max_size"] = baseline_max_size(
+                _stack_present([feature_map[i].areas for i in members], members, "areas"))
+        boxes = (_stack_present([feature_map[i].boxes for i in members], members, "boxes")
+                 if mode == "box" else None)
+        keys = [(image_id, cid) for image_id in members]
+        for name, pick in picks.items():
+            picked = None if boxes is None else boxes[np.arange(len(members)), pick]
+            hits[name][cid] = int(_covered(keys, pick, picked, scenario.truth, mode).sum())
 
     samples = sum(len(index.groups[cid]) for cid in concepts)
     rates = {name: sum(hits[name].values()) / samples for name in strategies}

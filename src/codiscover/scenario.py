@@ -470,16 +470,19 @@ def load_features_tsv(path: str) -> list[RegionFeatureSet]:
             if entry["seen"][r]:
                 raise FormatError(f"line {lineno}: duplicate row {r} of image {image_id!r}")
             entry["seen"][r] = True
-            values = [float(v) for v in fields[2].split()]
+            try:
+                values = [float(v) for v in fields[2].split()]
+                box = [float(v) for v in fields[3].split()] if has_boxes else [0.0] * 4
+                area = float(fields[-1]) if has_areas else 0.0
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from None
             if len(values) != d:
                 raise FormatError(f"line {lineno}: expected {d} feature values")
-            entry["features"][r] = values
-            cursor = 3
-            if has_boxes:
-                entry["boxes"][r] = [float(v) for v in fields[cursor].split()]
-                cursor += 1
-            if has_areas:
-                entry["areas"][r] = float(fields[cursor])
+            if len(box) != 4:
+                raise FormatError(f"line {lineno}: expected 4 box values")
+            for key, value in (("features", values), ("boxes", box), ("areas", area)):
+                if entry[key] is not None:
+                    entry[key][r] = value
     out = []
     for image_id, entry in rows.items():
         if not entry["seen"].all():
@@ -514,5 +517,7 @@ def load_text_embeddings(path: str) -> TextEmbeddingTable:
         embeddings = {}
         for _ in range(count):
             cid = read_u32(fh)
+            if cid in embeddings:
+                raise FormatError(f"duplicate concept id {cid}")
             embeddings[cid] = read_f64_array(fh, d)
         return TextEmbeddingTable(embeddings, rule_tag)

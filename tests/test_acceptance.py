@@ -18,19 +18,20 @@ from codiscover import (
     TrainConfig,
     ablate,
     build_concept_index,
-    build_similarity_matrix,
     compare_strategies,
-    discover_prototype,
     finite_diff_check,
     generate_scenario,
-    heuristic_discovery,
+    head_forward,
+    heuristic_picks,
     init_model,
     parse_corpus,
     region_word_loss,
     run_training,
     sample_mini_group,
+    similarity_rows,
     text_guide_weights,
     text_guided_similarity,
+    unit_rows,
     write_ablation_csv,
 )
 from codiscover.cli import main
@@ -133,6 +134,12 @@ def test_criterion_02_vocabulary_loss_matches_naive_bce():
           f"{watch.elapsed:.2f}s")
 
 
+def _single_query_rows(query, supports, guide):
+    """Similarity rows (1, n, m*n) of one query (n, d) against m supports."""
+    return similarity_rows(unit_rows(query, "query")[None],
+                           unit_rows(np.stack(supports), "support")[None], guide)[1]
+
+
 def test_criterion_03_prototype_is_a_proper_convex_combination():
     """1000 random heads/inputs: weights sum to one, stay positive, and the
     prototype lies in the coordinate-wise hull of the query's regions."""
@@ -150,12 +157,13 @@ def test_criterion_03_prototype_is_a_proper_convex_combination():
             query = rng.standard_normal((n, d)) * rng.uniform(0.5, 3.0)
             supports = [rng.standard_normal((n, d)) for _ in range(m)]
             guide = text_guide_weights(rng.standard_normal(d))
-            s_matrix = build_similarity_matrix(query, supports, guide)
-            proto = discover_prototype(s_matrix, head, query)
-            worst_sum = max(worst_sum, abs(float(proto.p.sum()) - 1.0))
-            assert np.all(proto.p > 0.0)
-            assert np.all(proto.f_p >= query.min(axis=0) - 1e-12)
-            assert np.all(proto.f_p <= query.max(axis=0) + 1e-12)
+            rows = _single_query_rows(query, supports, guide)
+            p = head_forward(rows, head).p[0]
+            f_p = p @ query
+            worst_sum = max(worst_sum, abs(float(p.sum()) - 1.0))
+            assert np.all(p > 0.0)
+            assert np.all(f_p >= query.min(axis=0) - 1e-12)
+            assert np.all(f_p <= query.max(axis=0) + 1e-12)
         assert worst_sum <= 1e-9
     print(f"criterion 3: worst |sum(p)-1| = {worst_sum:.3e}, {watch.elapsed:.2f}s")
 
@@ -213,7 +221,7 @@ def test_criterion_04_analytic_gradients_match_finite_differences():
 
 
 def test_criterion_05_heuristic_matches_brute_force_enumeration():
-    """heuristic_discovery agrees with an explicit max-within-support,
+    """heuristic_picks agrees with an explicit max-within-support,
     mean-over-supports, argmax loop on 500 random instances and is invariant
     to support order."""
     rng = np.random.default_rng(23)
@@ -225,24 +233,22 @@ def test_criterion_05_heuristic_matches_brute_force_enumeration():
             query = rng.standard_normal((n, d))
             supports = [rng.standard_normal((n, d)) for _ in range(m)]
             guide = text_guide_weights(rng.standard_normal(d))
-            s_matrix = build_similarity_matrix(query, supports, guide)
+            rows = _single_query_rows(query, supports, guide)
 
             best_index, best_score = 0, -math.inf
             for i in range(n):
                 per_support = []
                 for j in range(m):
-                    block = [s_matrix.values[i, j * n + k] for k in range(n)]
+                    block = [rows[0, i, j * n + k] for k in range(n)]
                     per_support.append(max(block))
                 score = sum(per_support) / m
                 if score > best_score:
                     best_index, best_score = i, score
-            assert heuristic_discovery(s_matrix) == best_index
+            assert heuristic_picks(rows)[0] == best_index
 
             order = rng.permutation(m)
-            shuffled = build_similarity_matrix(
-                query, [supports[int(j)] for j in order], guide
-            )
-            assert heuristic_discovery(shuffled) == best_index
+            shuffled = _single_query_rows(query, [supports[int(j)] for j in order], guide)
+            assert heuristic_picks(shuffled)[0] == best_index
     print(f"criterion 5: 500 instances matched, {watch.elapsed:.2f}s")
 
 

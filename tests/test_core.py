@@ -8,26 +8,27 @@ import pytest
 from codiscover import (
     DiscoveryHead,
     OpenVocabClassifier,
-    SimilarityMatrix,
     TextEmbeddingTable,
     baseline_max_size,
     baseline_region_word,
-    build_similarity_matrix,
-    discover_prototype,
-    heuristic_discovery,
+    head_forward,
+    heuristic_picks,
     image_text_loss,
     region_word_loss,
+    similarity_rows,
     text_guide_weights,
     text_guided_similarity,
+    unit_rows,
 )
-from codiscover.core import (
-    head_backward,
-    head_forward,
-    sigmoid,
-    similarity_backward,
-    similarity_rows,
-    softplus,
-)
+from codiscover.core import head_backward, sigmoid, similarity_backward, softplus
+
+
+def single_query_rows(query, supports, w_bar):
+    """Similarity rows (1, n, m*n) of one query against its supports."""
+    _, rows = similarity_rows(unit_rows(np.asarray(query, dtype=float), "query")[None],
+                              unit_rows(np.asarray(supports, dtype=float), "support")[None],
+                              np.asarray(w_bar, dtype=float))
+    return rows
 
 
 # ------------------------------------------------------------ scalar helpers
@@ -99,69 +100,72 @@ def test_text_guided_similarity_bound_and_errors():
         text_guided_similarity(np.ones(3), np.ones(3), np.ones(4))
 
 
-def test_build_similarity_matrix_layout_and_scalar_agreement():
+def test_similarity_rows_layout_and_scalar_agreement():
     query = np.array([[2.0, 0.0], [0.0, 0.5]])
     support_a = np.array([[1.0, 0.0], [0.0, 1.0]])
     support_b = np.array([[0.0, 3.0], [4.0, 0.0]])
-    w_bar = np.array([1.0, 1.0])
-    s = build_similarity_matrix(query, [support_a, support_b], w_bar)
-    assert (s.n, s.m) == (2, 2)
+    rows = single_query_rows(query, [support_a, support_b], np.array([1.0, 1.0]))
     # [DERIVED] cosine layout: block k occupies columns [k*n, (k+1)*n).
-    assert np.array_equal(s.values, [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]])
-    # Entry-wise agreement with the scalar definition.
+    assert np.array_equal(rows, [[[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]]])
+    # Entry-wise agreement with the scalar definition, for Q=2 queries with
+    # their own supports in one call.
     rng = np.random.default_rng(2)
-    query = rng.standard_normal((3, 4)) + 0.1
-    supports = [rng.standard_normal((3, 4)) + 0.1 for _ in range(2)]
+    query = rng.standard_normal((2, 3, 4)) + 0.1
+    supports = rng.standard_normal((2, 2, 3, 4)) + 0.1
     w_bar = text_guide_weights(rng.standard_normal(4))
-    s = build_similarity_matrix(query, supports, w_bar)
-    for i in range(3):
-        for k in range(2):
-            for j in range(3):
-                expect = text_guided_similarity(query[i], supports[k][j], w_bar)
-                assert s.values[i, k * 3 + j] == pytest.approx(expect, abs=1e-12)
+    qw, rows = similarity_rows(unit_rows(query, "query"), unit_rows(supports, "support"), w_bar)
+    assert rows.shape == (2, 3, 6)
+    assert np.allclose(qw, unit_rows(query, "query") * w_bar, rtol=0.0, atol=1e-15)
+    for q in range(2):
+        for i in range(3):
+            for k in range(2):
+                for j in range(3):
+                    expect = text_guided_similarity(query[q, i], supports[q, k, j], w_bar)
+                    assert rows[q, i, k * 3 + j] == pytest.approx(expect, abs=1e-12)
 
 
-def test_build_similarity_matrix_errors():
+def test_similarity_rows_errors():
     w_bar = np.ones(2)
     with pytest.raises(ValueError, match="at least one support"):
-        build_similarity_matrix(np.ones((2, 2)), [], w_bar)
-    with pytest.raises(ValueError, match="does not match query"):
-        build_similarity_matrix(np.ones((2, 2)), [np.ones((3, 2))], w_bar)
+        similarity_rows(np.ones((1, 2, 2)), np.ones((1, 0, 2, 2)), w_bar)
+    with pytest.raises(ValueError, match="do not match queries"):
+        similarity_rows(np.ones((1, 2, 2)), np.ones((1, 1, 3, 2)), w_bar)
+    with pytest.raises(ValueError, match="do not match queries"):
+        similarity_rows(np.ones((2, 2, 2)), np.ones((1, 1, 2, 2)), w_bar)
     with pytest.raises(ValueError, match="zero feature row"):
-        build_similarity_matrix(np.array([[1.0, 1.0], [0.0, 0.0]]),
-                                [np.ones((2, 2))], w_bar)
+        single_query_rows(np.array([[1.0, 1.0], [0.0, 0.0]]), [np.ones((2, 2))], w_bar)
 
 
 def test_similarity_matrix_validation():
-    SimilarityMatrix(np.zeros((2, 4)), n=2, m=2)
-    with pytest.raises(ValueError, match="shape"):
-        SimilarityMatrix(np.zeros((2, 4)), n=2, m=3)
+    # head_forward takes (Q, n, m*n) rows and rejects a non-finite entry.
+    head = DiscoveryHead.initialize(m=2, n=2, hidden=3, rng=np.random.default_rng(7))
+    assert head_forward(np.zeros((3, 2, 4)), head).p.shape == (3, 2)
     with pytest.raises(ValueError, match="non-finite"):
-        SimilarityMatrix(np.array([[np.nan, 0.0]]), n=1, m=2)
+        head_forward(np.array([[[np.nan, 0.0, 0.0, 0.0], [0.0] * 4]]), head)
 
 
 # ---------------------------------------------------------------- discovery
 
 
-def test_discover_prototype_hand_case():
+def test_head_forward_hand_case():
     # One support (m=1), two proposals. With w1 = [[ln 3, 0]], zero biases,
     # and w2 = [1], rows S = [[1, 0], [0, 0]] give logits (ln 3, 0), hence
     # p = (3, 1)/4 exactly.  [DERIVED]
     head = DiscoveryHead(w1=[[math.log(3.0), 0.0]], b1=[0.0], w2=[1.0], b2=[0.0])
-    s = SimilarityMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]), n=2, m=1)
     features = np.array([[2.0, 0.0], [0.0, 4.0]])
-    proto = discover_prototype(s, head, features)
-    assert proto.p == pytest.approx([0.75, 0.25], abs=1e-15)
-    assert proto.f_p == pytest.approx([1.5, 1.0], abs=1e-15)
+    p = head_forward(np.array([[[1.0, 0.0], [0.0, 0.0]]]), head).p[0]
+    assert p == pytest.approx([0.75, 0.25], abs=1e-15)
+    assert p @ features == pytest.approx([1.5, 1.0], abs=1e-15)
 
 
-def test_discover_prototype_uses_raw_features():
+def test_head_forward_weights_pool_raw_features():
     head = DiscoveryHead(w1=[[0.0, 0.0]], b1=[0.0], w2=[1.0], b2=[0.0])
-    s = SimilarityMatrix(np.zeros((2, 2)), n=2, m=1)
     features = np.array([[10.0, 0.0], [0.0, 30.0]])
-    proto = discover_prototype(s, head, features)
-    # Uniform p over raw (not normalized) rows.
-    assert proto.f_p == pytest.approx([5.0, 15.0], abs=1e-15)
+    # Two queries in one call; a zero head gives each uniform weights, which
+    # pool the raw (not normalized) rows.
+    p = head_forward(np.zeros((2, 2, 2)), head).p
+    assert p == pytest.approx(np.full((2, 2), 0.5), abs=1e-15)
+    assert p[1] @ features == pytest.approx([5.0, 15.0], abs=1e-15)
 
 
 def test_prototype_simplex_and_hull_properties():
@@ -172,12 +176,13 @@ def test_prototype_simplex_and_hull_properties():
         head = DiscoveryHead.initialize(m, n, hidden=int(rng.integers(1, 9)), rng=rng)
         values = rng.standard_normal((n, m * n)) * rng.uniform(0.5, 3.0)
         features = rng.standard_normal((n, 4)) + 0.05
-        proto = discover_prototype(SimilarityMatrix(values, n, m), head, features)
-        assert proto.p.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(proto.p > 0.0)
+        p = head_forward(values[None], head).p[0]
+        f_p = p @ features
+        assert p.sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.all(p > 0.0)
         lo = features.min(axis=0) - 1e-9
         hi = features.max(axis=0) + 1e-9
-        assert np.all(proto.f_p >= lo) and np.all(proto.f_p <= hi)
+        assert np.all(f_p >= lo) and np.all(f_p <= hi)
 
 
 def test_head_forward_sorted_rows_orders_each_block():
@@ -263,13 +268,6 @@ def test_discovery_head_validation_and_init_statistics():
     # He scaling: sample std within 10% of sqrt(2/fan_in) at this size.
     assert head.w1.std() == pytest.approx(np.sqrt(2.0 / 32), rel=0.1)
     assert head.w2.std() == pytest.approx(np.sqrt(2.0 / 256), rel=0.1)
-
-
-def test_discover_prototype_feature_count_mismatch():
-    head = DiscoveryHead.initialize(m=1, n=2, hidden=2, rng=np.random.default_rng(7))
-    s = SimilarityMatrix(np.zeros((2, 2)), n=2, m=1)
-    with pytest.raises(ValueError, match="do not match"):
-        discover_prototype(s, head, np.ones((3, 2)))
 
 
 # ------------------------------------------------------------------- losses
@@ -368,27 +366,29 @@ def test_image_text_loss_matches_naive_reference():
 # ---------------------------------------------------------------- baselines
 
 
-def test_heuristic_discovery_hand_case_and_ties():
+def test_heuristic_picks_hand_case_and_ties():
     # [DERIVED] row maxima per support: row0 -> (4, 0), row1 -> (1, 2);
-    # means (2.0, 1.5) so region 0 wins.
-    values = np.array([[4.0, -1.0, 0.0, -2.0], [1.0, 0.0, 2.0, 1.0]])
-    assert heuristic_discovery(SimilarityMatrix(values, n=2, m=2)) == 0
-    tie = SimilarityMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]), n=2, m=1)
-    assert heuristic_discovery(tie) == 0  # lowest index wins ties
+    # means (2.0, 1.5) so region 0 wins. The second query has region 1 win.
+    values = np.array([[[4.0, -1.0, 0.0, -2.0], [1.0, 0.0, 2.0, 1.0]],
+                       [[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]])
+    assert np.array_equal(heuristic_picks(values), [0, 1])
+    tie = np.array([[[1.0, 0.0], [1.0, 0.0]]])
+    assert np.array_equal(heuristic_picks(tie), [0])  # lowest index wins ties
 
 
 def test_baseline_region_word_picks_most_aligned_region():
-    features = np.array([[1.0, 1.0], [0.0, 2.0], [3.0, 0.1]])
+    features = np.array([[[1.0, 1.0], [0.0, 2.0], [3.0, 0.1]],
+                         [[1.0, 1.0], [0.0, -2.0], [3.0, 0.1]]])
     w_c = np.array([0.0, 7.0])
-    assert baseline_region_word(features, w_c) == 1
+    assert np.array_equal(baseline_region_word(unit_rows(features, "query"), w_c), [1, 0])
     with pytest.raises(ValueError, match="zero vector"):
-        baseline_region_word(features, np.zeros(2))
+        baseline_region_word(unit_rows(features, "query"), np.zeros(2))
 
 
 def test_baseline_max_size():
-    assert baseline_max_size(np.array([1.0, 5.0, 2.0])) == 1
-    assert baseline_max_size(np.array([2.0, 2.0])) == 0
+    areas = np.array([[1.0, 5.0, 2.0], [2.0, 2.0, 1.0]])
+    assert np.array_equal(baseline_max_size(areas), [1, 0])  # lowest index wins ties
     with pytest.raises(ValueError, match="non-empty"):
-        baseline_max_size(np.array([]))
+        baseline_max_size(np.array([1.0, 5.0]))
     with pytest.raises(ValueError, match="non-empty"):
-        baseline_max_size(np.ones((2, 2)))
+        baseline_max_size(np.ones((2, 0)))

@@ -182,6 +182,18 @@ def test_sample_mini_group_small_pool_falls_back_to_replacement():
     assert set(group.image_ids) <= {"a", "b"}
 
 
+def test_sample_mini_group_rare_concept_query_can_be_its_own_support():
+    # Rare-concept rule of training: a group smaller than K is drawn with
+    # replacement, so the query (position 0) can recur among its supports,
+    # and a singleton group fills every position with its one image.
+    index = ConceptGroupIndex(groups={0: ["solo"], 1: ["a", "b"]}, frequencies={0: 1, 1: 2},
+                              terms={0: "yak", 1: "dog"})
+    rng = np.random.default_rng(1)
+    assert sample_mini_group(index, 0, 4, rng).image_ids == ["solo"] * 4
+    groups = [sample_mini_group(index, 1, 3, rng).image_ids for _ in range(50)]
+    assert any(ids[0] in ids[1:] for ids in groups)
+
+
 def test_sample_mini_group_errors():
     index = ConceptGroupIndex(
         groups={0: ["a", "b"]}, frequencies={0: 2}, terms={0: "dog"}
@@ -232,3 +244,7 @@ def test_load_index_rejects_malformed_lines(tmp_path):
     path.write_text("0\tdog\t1\timg1\n0\tcat\t1\timg2\n")
     with pytest.raises(FormatError, match="line 2.*duplicate concept id 0"):
         load_index(str(path))
+    for members in ("a,a,", "a,a,b", ",a,b"):
+        path.write_text(f"0\tdog\t1\timg1\n1\tx\t3\t{members}\n")
+        with pytest.raises(FormatError, match="line 2: empty or duplicate member id"):
+            load_index(str(path))

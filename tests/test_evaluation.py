@@ -55,6 +55,17 @@ def test_iou_hand_cases():
         iou(a, [1.0, 1.0, 1.0, 3.0])
     with pytest.raises(ValueError, match="degenerate"):
         iou([0.0, 0.0, 1.0], a)
+    # Leading axes broadcast: (3, 1, 4) against (2, 4) gives (3, 2), each
+    # entry equal to the single-pair value.
+    left = np.array([[a], [[1.0, 1.0, 3.0, 3.0]], [[5.0, 5.0, 6.0, 6.0]]])
+    right = np.array([a, [0.0, 0.0, 4.0, 4.0]])
+    table = iou(left, right)
+    assert table.shape == (3, 2)
+    for i in range(3):
+        for j in range(2):
+            assert table[i, j] == iou(left[i, 0], right[j])
+    with pytest.raises(ValueError, match="degenerate"):
+        iou(right, [a, [3.0, 0.0, 1.0, 2.0]])
 
 
 # --------------------------------------------------------------- cover rate
@@ -85,7 +96,8 @@ def test_cover_rate_index_mode():
 
 
 def test_cover_rate_box_mode():
-    gt = {("a", 1): [np.array([0.0, 0.0, 2.0, 2.0])]}
+    gt = {("a", 1): [np.array([0.0, 0.0, 2.0, 2.0])],
+          ("b", 1): [np.array([20.0, 20.0, 22.0, 22.0]), np.array([0.0, 0.0, 2.0, 2.0])]}
     truth = ScenarioTruth({"a": {(0, 1)}}, gt_boxes=gt)
     exact = PseudoLabel("a", 1, 0, 1.0, box=np.array([0.0, 0.0, 2.0, 2.0]))
     near = PseudoLabel("a", 1, 0, 1.0, box=np.array([0.1, 0.0, 2.0, 2.0]))
@@ -94,6 +106,9 @@ def test_cover_rate_box_mode():
     assert cover_rate([exact, near], truth, mode="box") == 1.0
     assert cover_rate([far], truth, mode="box") == 0.0
     assert cover_rate([unlabeled], truth, mode="box") == 0.0  # no gt boxes
+    # The best of an image's ground-truth boxes counts, whichever it is.
+    second = PseudoLabel("b", 1, 0, 1.0, box=np.array([0.0, 0.0, 2.0, 2.0]))
+    assert cover_rate([second, far, exact, unlabeled], truth, mode="box") == 0.5
     with pytest.raises(ValueError, match="carries no box"):
         cover_rate([PseudoLabel("a", 1, 0, 1.0)], truth, mode="box")
 
@@ -113,6 +128,16 @@ def test_sample_supports_excludes_query_and_falls_back():
     assert picks == ["b"] * 4
     # Degenerate singleton group: the query supports itself.
     assert _sample_supports(["a"], "a", 3, rng) == ["a", "a", "a"]
+
+
+def test_singleton_group_query_is_its_only_support_in_evaluation():
+    # Rare-concept rule of evaluation: a singleton group's query is its own
+    # and only support, and drawing it consumes no randomness, so the
+    # supports of every later query are the same as without the singleton.
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    assert _sample_supports(["solo"], "solo", 7, rng) == ["solo"] * 7
+    assert rng.bit_generator.state == before
 
 
 # --------------------------------------------------------------- comparison
@@ -177,12 +202,15 @@ def test_compare_strategies_box_mode():
     # Perfectly aligned text: the chosen region is a true region, whose box
     # self-matches its ground truth (IoU 1 > 0.5).
     assert report.cover_rates["region_word"] == 1.0
+    boxless, _ = small_world()
+    with pytest.raises(ValueError, match="carries no boxes"):
+        compare_strategies(state, boxless, index, ("region_word",), group_size=3, mode="box")
 
 
 def test_compare_strategies_label_matches_manual_pipeline():
     # Shrink the index to one single-member group: the report then scores
     # exactly one label, which a by-hand replay of the pipeline must equal.
-    from codiscover import ConceptGroupIndex, build_similarity_matrix, discover_prototype
+    from codiscover import ConceptGroupIndex, head_forward, similarity_rows, unit_rows
     from codiscover.core import text_guide_weights
 
     scenario, index = small_world()
@@ -196,10 +224,10 @@ def test_compare_strategies_label_matches_manual_pipeline():
     # A singleton group supports itself, so no randomness is involved.
     w_c = state.classifier.weights[state.classifier.row_of[cid]]
     guide = text_guide_weights(w_c)
-    s = build_similarity_matrix(state.features[query_id],
-                                [state.features[query_id]] * 2, guide)
-    proto = discover_prototype(s, state.head, state.features[query_id])
-    manual_hit = scenario.truth.is_true(query_id, int(np.argmax(proto.p)), cid)
+    query = unit_rows(state.features[query_id], "query")
+    _, rows = similarity_rows(query[None], np.stack([query] * 2)[None], guide)
+    p = head_forward(rows, state.head).p[0]
+    manual_hit = scenario.truth.is_true(query_id, int(np.argmax(p)), cid)
 
     report = compare_strategies(state, scenario, solo, ("region_region",),
                                 group_size=3, seed=6)
@@ -209,15 +237,16 @@ def test_compare_strategies_label_matches_manual_pipeline():
 
 def _replay_per_query(state, scenario, index, strategies, group_size, seed, mode,
                       text_guidance):
-    """compare_strategies replayed one query at a time through the public
-    single-query functions, scored label by label with cover_rate."""
+    """compare_strategies replayed one query at a time (Q=1) through the
+    public batched ops, scored label by label with cover_rate."""
     from codiscover import (
         EvalReport,
         baseline_max_size,
         baseline_region_word,
-        build_similarity_matrix,
-        discover_prototype,
-        heuristic_discovery,
+        head_forward,
+        heuristic_picks,
+        similarity_rows,
+        unit_rows,
     )
     from codiscover.core import concept_guide
 
@@ -230,22 +259,22 @@ def _replay_per_query(state, scenario, index, strategies, group_size, seed, mode
         members = index.groups[cid]
         for query_id in members:
             support_ids = _sample_supports(members, query_id, group_size - 1, rng)
-            features = state.features[query_id]
-            s = build_similarity_matrix(features, [state.features[i] for i in support_ids],
-                                        guide)
+            query = unit_rows(state.features[query_id], "query")[None]
+            supports = unit_rows(np.stack([state.features[i] for i in support_ids]), "support")
+            _, rows = similarity_rows(query, supports[None], guide)
             fs = feature_map[query_id]
             for name in strategies:
                 weight = 1.0
                 if name == "region_region":
-                    proto = discover_prototype(s, state.head, features)
-                    idx = int(np.argmax(proto.p))
-                    weight = float(proto.p[idx])
+                    p = head_forward(rows, state.head).p[0]
+                    idx = int(np.argmax(p))
+                    weight = float(p[idx])
                 elif name == "heuristic":
-                    idx = heuristic_discovery(s)
+                    idx = int(heuristic_picks(rows)[0])
                 elif name == "region_word":
-                    idx = baseline_region_word(features, w_c)
+                    idx = int(baseline_region_word(query, w_c)[0])
                 else:
-                    idx = baseline_max_size(fs.areas)
+                    idx = int(baseline_max_size(fs.areas[None])[0])
                 labels[name].append(PseudoLabel(query_id, cid, idx, weight, fs.boxes[idx]))
     per_concept = {
         name: {cid: (cover_rate([lab for lab in labels[name] if lab.concept_id == cid],

@@ -379,6 +379,12 @@ def test_load_features_rejects_corruption(tmp_path):
         with pytest.raises(FormatError, match=message):
             load_features(str(bad))
 
+    # An image id that is not UTF-8 is a format error, not a decode error.
+    at = blob.index(sets[0].image_id.encode())
+    bad.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+    with pytest.raises(FormatError, match="not valid UTF-8"):
+        load_features(str(bad))
+
     # NaN payload passes framing but fails the per-image validation.
     nan_blob = bytearray(blob)
     nan_blob[-8:] = np.array([np.nan]).tobytes()
@@ -426,6 +432,16 @@ def test_load_features_tsv_rejects_corruption(tmp_path):
     path.write_text("# CODF-TSV\tn=2147483647\td=2\tboxes=0\tareas=0\nimg0\t0\t1.0 2.0\n")
     with pytest.raises(FormatError, match="line 2: n=2147483647, d=2 do not fit"):
         load_features_tsv(str(path))
+    # Values that are not numbers, and a box of other than 4 values.
+    header = "# CODF-TSV\tn=1\td=2\tboxes=1\tareas=1\n"
+    for row, message in (("1.0 abc\t0 0 1 1\t1.0", "line 2: could not convert.*'abc'"),
+                         ("1.0 2.0\t0 0 x 1\t1.0", "line 2: could not convert.*'x'"),
+                         ("1.0 2.0\t0 0 1 1\tbig", "line 2: could not convert.*'big'"),
+                         ("1.0 2.0\t0 0 1\t1.0", "line 2: expected 4 box values"),
+                         ("1.0 2.0\t1\t1.0", "line 2: expected 4 box values")):
+        path.write_text(f"{header}img0\t0\t{row}\n")
+        with pytest.raises(FormatError, match=message):
+            load_features_tsv(str(path))
 
 
 def test_text_embedding_codec_round_trip(tmp_path):
@@ -457,7 +473,17 @@ def test_text_embedding_codec_errors(tmp_path):
         load_text_embeddings(str(bad))
     huge_d = bytearray(blob)
     huge_d[12:16] = (0x7FFFFFFF).to_bytes(4, "little")
-    for data, message in ((bytes(huge_d), "unexpected end"), (blob + b"\0", "trailing bytes")):
+    tag = blob.index(b"unit-mean")
+    for data, message in ((bytes(huge_d), "unexpected end"), (blob + b"\0", "trailing bytes"),
+                          (blob[:tag] + b"\xff" + blob[tag + 1:], "not valid UTF-8")):
         bad.write_bytes(data)
         with pytest.raises(FormatError, match=message):
             load_text_embeddings(str(bad))
+    # Two records for one concept id: the header says 2, both are concept 0.
+    save_text_embeddings(TextEmbeddingTable({0: np.ones(3), 1: np.ones(3)}), str(path))
+    blob = path.read_bytes()
+    second = len(blob) - (4 + 8 * 3)
+    assert blob[second:second + 4] == (1).to_bytes(4, "little")
+    bad.write_bytes(blob[:second] + (0).to_bytes(4, "little") + blob[second + 4:])
+    with pytest.raises(FormatError, match="duplicate concept id 0"):
+        load_text_embeddings(str(bad))

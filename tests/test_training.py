@@ -11,11 +11,10 @@ from codiscover import (
     ScenarioConfig,
     TrainConfig,
     build_concept_index,
-    build_similarity_matrix,
     caption_batch_loss,
-    discover_prototype,
     finite_diff_check,
     generate_scenario,
+    head_forward,
     image_text_loss,
     init_model,
     load_checkpoint,
@@ -24,7 +23,9 @@ from codiscover import (
     sample_mini_group,
     save_checkpoint,
     sgd_step,
+    similarity_rows,
     text_guide_weights,
+    unit_rows,
     write_metrics_csv,
 )
 from codiscover.training import GradientBundle, caption_proxies
@@ -107,8 +108,8 @@ def test_init_model_rejects_empty_index():
 @pytest.mark.parametrize("text_guidance", [True, False])
 def test_caption_batch_loss_matches_compositional_reference(sorted_rows, text_guidance):
     # [DERIVED] oracle: rebuild the loss from the public building blocks
-    # (similarity matrix -> prototype -> region-word loss; image-text loss over
-    # the deduplicated batch) and compare.
+    # (Q=1 similarity rows -> head -> prototype -> region-word loss; image-text
+    # loss over the deduplicated batch) and compare.
     scenario, index, config = small_setup(sorted_rows=sorted_rows,
                                           text_guidance=text_guidance)
     state = init_model(scenario, index, config)
@@ -123,11 +124,12 @@ def test_caption_batch_loss_matches_compositional_reference(sorted_rows, text_gu
         per_position = []
         for q, qid in enumerate(group.image_ids):
             support_ids = [i for j, i in enumerate(group.image_ids) if j != q]
-            s_matrix = build_similarity_matrix(
-                state.features[qid], [state.features[i] for i in support_ids], guide
-            )
-            proto = discover_prototype(s_matrix, state.head, state.features[qid])
-            per_position.append(region_word_loss(proto.f_p, state.classifier,
+            query = state.features[qid]
+            supports = np.stack([state.features[i] for i in support_ids])
+            _, rows = similarity_rows(unit_rows(query, "query")[None],
+                                      unit_rows(supports, "support")[None], guide)
+            p = head_forward(rows, state.head).p[0]
+            per_position.append(region_word_loss(p @ query, state.classifier,
                                                  group.concept_id))
         rw_terms.append(sum(per_position) / len(per_position))
     rw_expected = sum(rw_terms) / len(rw_terms)
@@ -428,6 +430,10 @@ def test_checkpoint_rejects_corruption(tmp_path):
     trailing = tmp_path / "trailing.codc"
     trailing.write_bytes(blob + b"\0")
     with pytest.raises(FormatError, match="trailing bytes"):
+        load_checkpoint(str(trailing))
+    at = blob.index(next(iter(state.features)).encode())
+    trailing.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+    with pytest.raises(FormatError, match="not valid UTF-8"):
         load_checkpoint(str(trailing))
 
 
