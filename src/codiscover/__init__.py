@@ -52,7 +52,6 @@ from .scenario import (
     ScenarioTruth,
     TextEmbeddingTable,
     generate_scenario,
-    image_feature,
     load_features,
     load_features_tsv,
     load_text_embeddings,

@@ -1,16 +1,31 @@
-"""Little-endian binary primitives shared by the file codecs."""
+"""Little-endian binary primitives and the UTF-8 line check shared by the
+file codecs."""
 
 from __future__ import annotations
 
 import contextlib
 import io
 import os
+import re
 import struct
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
 from .errors import FormatError
+
+# What errors="surrogateescape" makes of a byte that is not UTF-8.
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def utf8_lines(lines: Iterable[str], where: str = "line ",
+               error: type[Exception] = FormatError) -> Iterator[tuple[int, str]]:
+    """Number lines decoded with errors="surrogateescape" from 1; a line that
+    held a byte that is not UTF-8 raises `error` naming it."""
+    for lineno, line in enumerate(lines, start=1):
+        if _UNDECODED.search(line):
+            raise error(f"{where}{lineno}: not valid UTF-8")
+        yield lineno, line
 
 
 def _take(fh: BinaryIO, count: int) -> bytes:

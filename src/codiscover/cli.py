@@ -19,7 +19,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from ._binio import atomic_writer
+from ._binio import atomic_writer, utf8_lines
 from .corpus import Lexicon, build_concept_index, parse_corpus, sample_mini_group, save_index
 from .errors import ConfigError, FormatError
 from .evaluation import (
@@ -115,8 +115,8 @@ class RunConfig:
 def parse_config_file(path: str) -> dict[str, str]:
     """Read flat `key = value` pairs; `#` comments and blank lines are skipped."""
     pairs: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in utf8_lines(fh, f"{path}:", ConfigError):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

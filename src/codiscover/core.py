@@ -114,12 +114,14 @@ class OpenVocabClassifier:
 
 
 def text_guide_weights(w_c: np.ndarray) -> np.ndarray:
-    """Guidance profile sqrt(d) * |w_c| / ||w_c||; its L2 norm is sqrt(d)."""
+    """Guidance profile sqrt(d) * |w_c| / ||w_c|| along the last axis, so a
+    (B, d) block of embeddings gives B profiles; each has L2 norm sqrt(d)."""
     w_c = np.asarray(w_c, dtype=np.float64)
-    norm = np.linalg.norm(w_c)
-    if norm == 0.0:
+    # One dot per row, as np.linalg.norm computes it for a single vector.
+    norm = np.sqrt((w_c[..., None, :] @ w_c[..., :, None])[..., 0])
+    if not norm.all():
         raise ValueError("text embedding is the zero vector")
-    return np.sqrt(w_c.size) * np.abs(w_c) / norm
+    return np.sqrt(w_c.shape[-1]) * np.abs(w_c) / norm
 
 
 def text_guided_similarity(f_i: np.ndarray, f_j: np.ndarray, w_bar: np.ndarray) -> float:
@@ -135,16 +137,17 @@ def text_guided_similarity(f_i: np.ndarray, f_j: np.ndarray, w_bar: np.ndarray) 
 
 
 def concept_guide(w_c: np.ndarray, text_guidance: bool = True) -> np.ndarray:
-    """Guidance profile of w_c, or uniform weights (plain cosine) when unguided."""
+    """Guidance profile of w_c along the last axis, or uniform weights (plain
+    cosine) of the same shape when unguided."""
     w_c = np.asarray(w_c, dtype=np.float64)
-    return text_guide_weights(w_c) if text_guidance else np.ones(w_c.size)
+    return text_guide_weights(w_c) if text_guidance else np.ones(w_c.shape)
 
 
 def similarity_rows(query_hat: np.ndarray, support_hat: np.ndarray, guide: np.ndarray):
     """Text-guided similarity of Q queries (Q, n, d) against their m supports
-    (Q, m, n, d), both unit-normalized. Returns (qw, rows): the guided queries
-    query_hat * guide and rows (Q, n, m*n) with rows[q, i, k*n + j] =
-    s(query_q region i, support_qk region j)."""
+    (Q, m, n, d), both unit-normalized, under a guide (d,) or one per query
+    (Q, 1, d). Returns (qw, rows): the guided queries query_hat * guide and
+    rows (Q, n, m*n) with rows[q, i, k*n + j] = s(query_q region i, support_qk region j)."""
     q, m, n, d = support_hat.shape
     if m == 0:
         raise ValueError("at least one support image is required")
@@ -157,7 +160,8 @@ def similarity_rows(query_hat: np.ndarray, support_hat: np.ndarray, guide: np.nd
 def similarity_backward(drows: np.ndarray, qw: np.ndarray, support_hat: np.ndarray,
                         guide: np.ndarray):
     """Gradients of similarity_rows with respect to query_hat (Q, n, d) and
-    support_hat (Q, m, n, d), one term per position, not yet summed per image."""
+    support_hat (Q, m, n, d), one term per position, not yet summed per image;
+    guide is the (d,) or (Q, 1, d) guide of the forward."""
     flat = support_hat.reshape(drows.shape[0], -1, support_hat.shape[3])
     return (drows @ flat) * guide, (drows.swapaxes(1, 2) @ qw).reshape(support_hat.shape)
 
@@ -166,8 +170,7 @@ class HeadPass(NamedTuple):
     """head_forward's results for Q queries of n proposals, kept for head_backward."""
 
     net: np.ndarray  # (Q*n, m*n) rows fed to the MLP, blocks sorted when the head sorts
-    z1: np.ndarray  # (Q*n, hidden) pre-activations
-    hidden: np.ndarray  # (Q*n, hidden)
+    hidden: np.ndarray  # (Q*n, hidden) ReLU outputs, > 0 exactly where a unit is active
     logits: np.ndarray  # (Q, n)
     p: np.ndarray  # (Q, n) softmax over each query's proposals
     perm: np.ndarray | None  # (Q, n, m, n) sort order within each block; None unsorted
@@ -192,21 +195,20 @@ def head_forward(rows: np.ndarray, head: DiscoveryHead) -> HeadPass:
         perm = np.argsort(-blocks, axis=3)
         rows = np.take_along_axis(blocks, perm, axis=3)
     net = rows.reshape(q * n, width)
-    z1 = net @ head.w1.T + head.b1
-    hidden = np.maximum(z1, 0.0)
+    hidden = np.maximum(net @ head.w1.T + head.b1, 0.0)
     logits = (hidden @ head.w2 + head.b2[0]).reshape(q, n)
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite prototype logits")
     exp = np.exp(logits - logits.max(axis=1, keepdims=True))
     p = exp / exp.sum(axis=1, keepdims=True)
-    return HeadPass(net, z1, hidden, logits, p, perm)
+    return HeadPass(net, hidden, logits, p, perm)
 
 
 def head_backward(fwd: HeadPass, dp: np.ndarray, head: DiscoveryHead):
     """Reverse of head_forward (softmax, MLP, block sort) for the gradient dp
     (Q, n) of the weights p: returns (drows, dw1, db1, dw2, db2)."""
     dlogits = (fwd.p * (dp - (fwd.p * dp).sum(axis=1, keepdims=True))).reshape(-1)
-    dz1 = np.outer(dlogits, head.w2) * (fwd.z1 > 0.0)
+    dz1 = np.outer(dlogits, head.w2) * (fwd.hidden > 0.0)
     dnet = dz1 @ head.w1
     if fwd.perm is not None:
         dsorted, dnet = dnet.reshape(fwd.perm.shape), np.empty(fwd.perm.shape)

@@ -14,7 +14,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from ._binio import atomic_writer
+from ._binio import atomic_writer, utf8_lines
 from .errors import FormatError
 
 _PUNCT_TABLE = str.maketrans({ch: " " for ch in string.punctuation})
@@ -64,8 +64,8 @@ class Lexicon:
     def load(cls, path: str) -> "Lexicon":
         """Read one term per line; blank lines and `#` comments are skipped."""
         terms = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for _, line in utf8_lines(fh):
                 line = line.strip()
                 if line and not line.startswith("#"):
                     terms.append(line)
@@ -117,10 +117,10 @@ def parse_corpus(stream) -> list[CaptionRecord]:
     if hasattr(stream, "read"):
         stream = stream.read()
     if isinstance(stream, bytes):
-        stream = stream.decode("utf-8")
+        stream = stream.decode("utf-8", "surrogateescape")
     records: list[CaptionRecord] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(stream.split("\n"), start=1):
+    for lineno, line in utf8_lines(stream.split("\n")):
         line = line.rstrip("\r")
         if not line.strip():
             continue
@@ -212,8 +212,8 @@ def load_index(path: str) -> ConceptGroupIndex:
     groups: dict[int, list[str]] = {}
     frequencies: dict[int, int] = {}
     terms: dict[int, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in utf8_lines(fh):
             line = line.rstrip("\n")
             if not line:
                 continue

@@ -30,14 +30,11 @@ class PseudoLabel:
     image_id: str
     concept_id: int
     region_index: int
-    weight: float
     box: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.region_index < 0:
             raise ValueError("region index must be >= 0")
-        if not 0.0 < self.weight <= 1.0:
-            raise ValueError("assignment weight must be in (0, 1]")
 
 
 @dataclass

@@ -22,6 +22,7 @@ from ._binio import (
     read_f64_array,
     read_str,
     read_u32,
+    utf8_lines,
     write_f64_array,
     write_str,
     write_u32,
@@ -358,11 +359,6 @@ def generate_scenario(config: ScenarioConfig, rng: np.random.Generator | None = 
                     lexicon, config)
 
 
-def image_feature(feature_set: RegionFeatureSet) -> np.ndarray:
-    """Whole-image proxy feature: arithmetic mean of the region features."""
-    return feature_set.features.mean(axis=0)
-
-
 def _feature_layout(feature_sets: list[RegionFeatureSet]) -> tuple[int, int, bool, bool]:
     """(n, d, has_boxes, has_areas), which every saved feature set must share."""
     if not feature_sets:
@@ -400,14 +396,16 @@ def load_features(path: str) -> list[RegionFeatureSet]:
         count, n, d, flags = (read_u32(fh) for _ in range(4))
         if n < 1 or d < 1:
             raise FormatError(f"invalid header dimensions n={n}, d={d}")
-        out = []
+        out: dict[str, RegionFeatureSet] = {}
         for _ in range(count):
             image_id = read_str(fh)
+            if image_id in out:
+                raise FormatError(f"duplicate image id {image_id!r}")
             features = read_f64_array(fh, n * d).reshape(n, d)
             boxes = read_f64_array(fh, n * 4).reshape(n, 4) if flags & _FLAG_BOXES else None
             areas = read_f64_array(fh, n) if flags & _FLAG_AREAS else None
-            out.append(RegionFeatureSet(image_id, features, boxes, areas))
-        return out
+            out[image_id] = RegionFeatureSet(image_id, features, boxes, areas)
+        return list(out.values())
 
 
 def save_features_tsv(feature_sets: list[RegionFeatureSet], path: str) -> None:
@@ -427,8 +425,9 @@ def save_features_tsv(feature_sets: list[RegionFeatureSet], path: str) -> None:
 
 
 def load_features_tsv(path: str) -> list[RegionFeatureSet]:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        lines = utf8_lines(fh)
+        header = next(lines, (1, ""))[1].rstrip("\n").split("\t")
         if not header or header[0] != "# CODF-TSV":
             raise FormatError("missing CODF-TSV header")
         opts = dict(part.partition("=")[::2] for part in header[1:])
@@ -444,7 +443,7 @@ def load_features_tsv(path: str) -> list[RegionFeatureSet]:
         expected_fields = 3 + int(has_boxes) + int(has_areas)
         size = os.fstat(fh.fileno()).st_size
         rows: dict[str, dict] = {}
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in lines:
             line = line.rstrip("\n")
             if not line:
                 continue

@@ -37,6 +37,7 @@ from .core import (
     softplus,
 )
 from .corpus import ConceptGroupIndex, MiniGroup, sample_mini_group
+from .errors import FormatError
 
 CHECKPOINT_MAGIC = b"CODC"
 _CHECKPOINT_VERSION = 1
@@ -115,11 +116,6 @@ class GradientBundle:
 _HEAD_PARAMS = ("w1", "b1", "w2", "b2")
 
 
-def _zero_bundle(head: DiscoveryHead) -> GradientBundle:
-    """Zeros for every head parameter and no feature rows yet."""
-    return GradientBundle(*(np.zeros_like(getattr(head, name)) for name in _HEAD_PARAMS), {})
-
-
 @dataclass
 class MetricRow:
     step: int
@@ -188,14 +184,14 @@ def caption_batch_loss(
     """Weighted caption-branch loss and its analytic gradients.
 
     Every image's features are materialized (and normalized) once per batch.
-    Each mini-group serves every position as the query once, all positions
-    in one batched call of the core forward and backward, with the
-    region-word term averaged over positions and groups. The image-text term
-    runs over the batch's distinct images paired with their caption proxies.
+    All B*K query positions of the batch run through one call of each core
+    forward and backward op, each under its group's concept guide (a guide
+    per query), and the region-word term is averaged over them. The
+    image-text term runs over the batch's distinct images and their captions.
 
     Args:
         state: current model parameters.
-        mini_groups: sampled mini-groups; concepts must be in the classifier.
+        mini_groups: sampled mini-groups of one size, of classifier concepts.
         caption_vectors: image id -> frozen caption embedding proxy.
         config: supplies loss weights, temperature, and the guidance flag.
 
@@ -204,11 +200,13 @@ def caption_batch_loss(
     """
     if not mini_groups:
         raise ValueError("batch contains no mini-groups")
-    head = state.head
     weights = state.classifier.weights
+    k = len(mini_groups[0].image_ids)
     for group in mini_groups:
         if group.concept_id not in state.classifier.row_of:
             raise ValueError(f"concept {group.concept_id} not in classifier")
+        if len(group.image_ids) != k:
+            raise ValueError(f"mini-groups of {k} and {len(group.image_ids)} images in one batch")
 
     batch_ids = list(dict.fromkeys(i for group in mini_groups for i in group.image_ids))
     slot = {image_id: u for u, image_id in enumerate(batch_ids)}
@@ -219,39 +217,33 @@ def caption_batch_loss(
         raise ValueError(f"image {batch_ids[zero[0]]!r}: zero feature row")
     hat = raw / norms
 
-    grads = _zero_bundle(head)
-    # Gradients per batch image, of the raw and of the unit-normalized features.
+    # Query q is position q % k of group q // k, under that group's guide.
+    concept_rows = np.repeat([state.classifier.row_of[g.concept_id] for g in mini_groups], k)
+    pos = np.array([slot[image_id] for group in mini_groups for image_id in group.image_ids])
+    q = pos.size
+    supports = pos.reshape(-1, k)[:, _support_positions(k)].reshape(q, k - 1)
+    guide = concept_guide(weights[concept_rows], config.text_guidance)[:, None, :]
+    support_hat = hat[supports]
+    qw, rows = similarity_rows(hat[pos], support_hat, guide)
+    fwd = head_forward(rows, state.head)
+    del rows
+    f_q = raw[pos]
+    s = (fwd.p[:, None, :] @ f_q)[:, 0] @ weights.T
+    losses, ds = _bce_rows(s, concept_rows)
+    rw_mean = float(np.sum(losses)) / q
+    ds *= config.lambda_region_word / q
+    dfp = ds @ weights
+    dp = (f_q @ dfp[:, :, None])[:, :, 0]
+    drows, *head_grads = head_backward(fwd, dp, state.head)
+    # Gradients per batch image, of the raw and of the unit-normalized features:
+    # np.add.at keeps every term of an image held at several positions.
     graw = np.zeros_like(raw)
+    np.add.at(graw, pos, fwd.p[:, :, None] * dfp[:, None, :])
+    del fwd
+    dquery, dsupport = similarity_backward(drows, qw, support_hat, guide)
     ghat = np.zeros_like(raw)
-
-    num_groups = len(mini_groups)
-    rw_mean = 0.0
-    for group in mini_groups:
-        row = state.classifier.row_of[group.concept_id]
-        guide = concept_guide(weights[row], config.text_guidance)
-        k = len(group.image_ids)
-        pos = np.array([slot[image_id] for image_id in group.image_ids])
-        supports = pos[_support_positions(k)]
-        support_hat = hat[supports]
-        qw, rows = similarity_rows(hat[pos], support_hat, guide)
-        fwd = head_forward(rows, head)
-        f_q = raw[pos]
-        s = (fwd.p[:, None, :] @ f_q)[:, 0] @ weights.T
-        losses, ds = _bce_rows(s, np.full(k, row))
-        rw_mean += float(np.sum(losses)) / k
-        ds *= config.lambda_region_word / (num_groups * k)
-        dfp = ds @ weights
-        dp = (f_q @ dfp[:, :, None])[:, :, 0]
-        drows, *head_grads = head_backward(fwd, dp, head)
-        for acc, grad in zip((grads.w1, grads.b1, grads.w2, grads.b2), head_grads):
-            acc += grad
-        dquery, dsupport = similarity_backward(drows, qw, support_hat, guide)
-        # One term per position; np.add.at sums the terms of an image that a
-        # small pool put into the group more than once.
-        np.add.at(graw, pos, fwd.p[:, :, None] * dfp[:, None, :])
-        np.add.at(ghat, pos, dquery)
-        np.add.at(ghat, supports, dsupport)
-    rw_mean /= num_groups
+    np.add.at(ghat, pos, dquery)
+    np.add.at(ghat, supports, dsupport)
 
     # Image-text branch over the batch's distinct images.
     v = raw.mean(axis=1)
@@ -272,9 +264,9 @@ def caption_batch_loss(
 
     # Region-feature normalization backward, once per image (linear in upstream).
     graw += _unit_backward(ghat, hat, norms)
-    grads.features = dict(zip(batch_ids, graw))
 
     total = config.lambda_region_word * rw_mean + config.lambda_image_text * it_loss
+    grads = GradientBundle(*head_grads, dict(zip(batch_ids, graw)))
     return BatchLoss(total, rw_mean, it_loss), grads
 
 
@@ -293,7 +285,8 @@ def sgd_step(
     subsequent steps.
     """
     if velocity is None:
-        velocity = _zero_bundle(state.head)
+        velocity = GradientBundle(*(np.zeros_like(getattr(state.head, name))
+                                    for name in _HEAD_PARAMS), {})
     updates = []
     if state.train_head:
         updates += [(f"head parameter {name}", getattr(state.head, name),
@@ -481,6 +474,8 @@ def load_checkpoint(path: str) -> ModelState:
         features: dict[str, np.ndarray] = {}
         for _ in range(read_u32(fh)):
             image_id = read_str(fh)
+            if image_id in features:
+                raise FormatError(f"duplicate image id {image_id!r}")
             features[image_id] = read_f64_array(fh, n * d).reshape(n, d)
         return ModelState(head, classifier, features,
                           train_head=bool(flags & 1), train_features=bool(flags & 2))

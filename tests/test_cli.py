@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,9 @@ def test_parse_config_file_rejects_malformed_lines(tmp_path):
         parse_config_file(str(path))
     path.write_text("seed = 1\nseed = 2\n")
     with pytest.raises(ConfigError, match="duplicate key"):
+        parse_config_file(str(path))
+    path.write_bytes(b"# seed\nseed = \xff7\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: not valid UTF-8$"):
         parse_config_file(str(path))
 
 

@@ -20,7 +20,13 @@ from codiscover import (
     text_guided_similarity,
     unit_rows,
 )
-from codiscover.core import head_backward, sigmoid, similarity_backward, softplus
+from codiscover.core import (
+    concept_guide,
+    head_backward,
+    sigmoid,
+    similarity_backward,
+    softplus,
+)
 
 
 def single_query_rows(query, supports, w_bar):
@@ -71,6 +77,38 @@ def test_text_guide_weights_norm_and_uniform_case():
     assert np.allclose(text_guide_weights(np.array([0.5, -0.5, 0.5])), 1.0, atol=1e-15)
     with pytest.raises(ValueError, match="zero vector"):
         text_guide_weights(np.zeros(4))
+
+
+def test_guides_work_along_the_last_axis():
+    # A (3, d) block of embeddings gives the guides of its rows, bit for bit.
+    rng = np.random.default_rng(6)
+    w = rng.standard_normal((3, 33))
+    for guided in (True, False):
+        block = concept_guide(w, guided)
+        assert block.shape == w.shape
+        for r in range(3):
+            assert np.array_equal(block[r], concept_guide(w[r], guided))
+    for r in range(3):
+        assert np.array_equal(text_guide_weights(w)[r], text_guide_weights(w[r]))
+    # The similarity and its backward under a (Q, 1, d) guide per query equal
+    # each query's own call under its (d,) guide.
+    query = unit_rows(rng.standard_normal((3, 4, 33)), "query")
+    support = unit_rows(rng.standard_normal((3, 2, 4, 33)), "support")
+    drows = rng.standard_normal((3, 4, 8))
+    guide = text_guide_weights(w)[:, None, :]
+    qw, rows = similarity_rows(query, support, guide)
+    dquery, dsupport = similarity_backward(drows, qw, support, guide)
+    for q in range(3):
+        one = slice(q, q + 1)
+        qw_q, rows_q = similarity_rows(query[one], support[one], guide[q, 0])
+        assert np.allclose(rows[q], rows_q[0], rtol=0.0, atol=1e-15)
+        dq, ds = similarity_backward(drows[one], qw_q, support[one], guide[q, 0])
+        assert np.allclose(dquery[q], dq[0], rtol=0.0, atol=1e-14)
+        assert np.allclose(dsupport[q], ds[0], rtol=0.0, atol=1e-14)
+    w[1] = 0.0
+    for guide_of in (text_guide_weights, concept_guide):
+        with pytest.raises(ValueError, match="zero vector"):
+            guide_of(w)
 
 
 def test_text_guided_similarity_hand_case():
@@ -193,7 +231,8 @@ def test_head_forward_sorted_rows_orders_each_block():
         [1.0, 1.0, 1.0, 9.0, 7.0, 8.0],
         [2.0, 5.0, 4.0, 0.1, 0.3, 0.2],
     ])
-    net, _, _, _, _, perm = head_forward(values[None], head)
+    sorted_pass = head_forward(values[None], head)
+    net, perm = sorted_pass.net, sorted_pass.perm
     assert np.array_equal(net[0], [3.0, 2.0, 1.0, 0.6, 0.5, 0.4])
     assert np.array_equal(net[1], [1.0, 1.0, 1.0, 9.0, 8.0, 7.0])
     assert np.array_equal(net[2], [5.0, 4.0, 2.0, 0.3, 0.2, 0.1])
@@ -201,10 +240,9 @@ def test_head_forward_sorted_rows_orders_each_block():
     # Sorting is a per-row permutation: feeding pre-sorted rows through an
     # unsorted head of identical weights gives identical outputs.
     plain = DiscoveryHead(head.w1, head.b1, head.w2, head.b2, sorted_rows=False)
-    _, _, _, logits_sorted, p_sorted, _ = head_forward(values[None], head)
-    _, _, _, logits_plain, p_plain, _ = head_forward(net[None], plain)
-    assert np.array_equal(logits_sorted, logits_plain)
-    assert np.array_equal(p_sorted, p_plain)
+    plain_pass = head_forward(net[None], plain)
+    assert np.array_equal(sorted_pass.logits, plain_pass.logits)
+    assert np.array_equal(sorted_pass.p, plain_pass.p)
 
 
 def test_head_forward_shape_and_finiteness_errors():

@@ -54,6 +54,9 @@ def test_lexicon_load_skips_comments_and_blanks(tmp_path):
     path.write_text("# animals\ndog\n\ncat\n  # vehicles\nfire truck\n")
     lex = Lexicon.load(str(path))
     assert lex.terms == ["dog", "cat", "fire truck"]
+    path.write_bytes("dog\ncafé\n".encode("utf-8") + b"\xffox\n")
+    with pytest.raises(FormatError, match="^line 3: not valid UTF-8$"):
+        Lexicon.load(str(path))
 
 
 def test_parse_corpus_accepts_str_bytes_and_file():
@@ -79,6 +82,8 @@ def test_parse_corpus_reports_line_numbers():
         parse_corpus("img1\ta dog\nimg2\ta cat\nbroken line\n")
     with pytest.raises(FormatError, match="line 2.*3 fields"):
         parse_corpus("img1\ta dog\nimg2\ta\tcat\n")
+    with pytest.raises(FormatError, match="^line 2: not valid UTF-8$"):
+        parse_corpus("img1\ta café\n".encode("utf-8") + b"img2\ta \xe9t\xe9\n")
 
 
 def test_parse_corpus_rejects_duplicate_image_ids():
@@ -248,3 +253,6 @@ def test_load_index_rejects_malformed_lines(tmp_path):
         path.write_text(f"0\tdog\t1\timg1\n1\tx\t3\t{members}\n")
         with pytest.raises(FormatError, match="line 2: empty or duplicate member id"):
             load_index(str(path))
+    path.write_bytes(b"0\tdog\t1\timg1\n1\tcat\t1\t\xffimg2\n")
+    with pytest.raises(FormatError, match="^line 2: not valid UTF-8$"):
+        load_index(str(path))

@@ -72,21 +72,18 @@ def test_iou_hand_cases():
 
 
 def test_pseudo_label_validation():
-    PseudoLabel("img", 0, 1, 0.5)
+    PseudoLabel("img", 0, 1)
     with pytest.raises(ValueError, match="region index"):
-        PseudoLabel("img", 0, -1, 0.5)
-    for weight in (0.0, 1.5):
-        with pytest.raises(ValueError, match="weight"):
-            PseudoLabel("img", 0, 1, weight)
+        PseudoLabel("img", 0, -1)
 
 
 def test_cover_rate_index_mode():
     truth = ScenarioTruth({"a": {(0, 1), (2, 1)}, "b": {(1, 2)}})
     labels = [
-        PseudoLabel("a", 1, 0, 1.0),   # hit
-        PseudoLabel("a", 1, 1, 1.0),   # miss: region 1 is not true for 1
-        PseudoLabel("b", 2, 1, 0.5),   # hit
-        PseudoLabel("b", 1, 1, 1.0),   # miss: wrong concept
+        PseudoLabel("a", 1, 0),   # hit
+        PseudoLabel("a", 1, 1),   # miss: region 1 is not true for 1
+        PseudoLabel("b", 2, 1),   # hit
+        PseudoLabel("b", 1, 1),   # miss: wrong concept
     ]
     assert cover_rate(labels, truth) == pytest.approx(0.5)
     with pytest.raises(ValueError, match="at least one label"):
@@ -99,18 +96,18 @@ def test_cover_rate_box_mode():
     gt = {("a", 1): [np.array([0.0, 0.0, 2.0, 2.0])],
           ("b", 1): [np.array([20.0, 20.0, 22.0, 22.0]), np.array([0.0, 0.0, 2.0, 2.0])]}
     truth = ScenarioTruth({"a": {(0, 1)}}, gt_boxes=gt)
-    exact = PseudoLabel("a", 1, 0, 1.0, box=np.array([0.0, 0.0, 2.0, 2.0]))
-    near = PseudoLabel("a", 1, 0, 1.0, box=np.array([0.1, 0.0, 2.0, 2.0]))
-    far = PseudoLabel("a", 1, 0, 1.0, box=np.array([10.0, 10.0, 12.0, 12.0]))
-    unlabeled = PseudoLabel("a", 9, 0, 1.0, box=np.array([0.0, 0.0, 2.0, 2.0]))
+    exact = PseudoLabel("a", 1, 0, box=np.array([0.0, 0.0, 2.0, 2.0]))
+    near = PseudoLabel("a", 1, 0, box=np.array([0.1, 0.0, 2.0, 2.0]))
+    far = PseudoLabel("a", 1, 0, box=np.array([10.0, 10.0, 12.0, 12.0]))
+    unlabeled = PseudoLabel("a", 9, 0, box=np.array([0.0, 0.0, 2.0, 2.0]))
     assert cover_rate([exact, near], truth, mode="box") == 1.0
     assert cover_rate([far], truth, mode="box") == 0.0
     assert cover_rate([unlabeled], truth, mode="box") == 0.0  # no gt boxes
     # The best of an image's ground-truth boxes counts, whichever it is.
-    second = PseudoLabel("b", 1, 0, 1.0, box=np.array([0.0, 0.0, 2.0, 2.0]))
+    second = PseudoLabel("b", 1, 0, box=np.array([0.0, 0.0, 2.0, 2.0]))
     assert cover_rate([second, far, exact, unlabeled], truth, mode="box") == 0.5
     with pytest.raises(ValueError, match="carries no box"):
-        cover_rate([PseudoLabel("a", 1, 0, 1.0)], truth, mode="box")
+        cover_rate([PseudoLabel("a", 1, 0)], truth, mode="box")
 
 
 # --------------------------------------------------------- support sampling
@@ -264,18 +261,15 @@ def _replay_per_query(state, scenario, index, strategies, group_size, seed, mode
             _, rows = similarity_rows(query, supports[None], guide)
             fs = feature_map[query_id]
             for name in strategies:
-                weight = 1.0
                 if name == "region_region":
-                    p = head_forward(rows, state.head).p[0]
-                    idx = int(np.argmax(p))
-                    weight = float(p[idx])
+                    idx = int(np.argmax(head_forward(rows, state.head).p[0]))
                 elif name == "heuristic":
                     idx = int(heuristic_picks(rows)[0])
                 elif name == "region_word":
                     idx = int(baseline_region_word(query, w_c)[0])
                 else:
                     idx = int(baseline_max_size(fs.areas[None])[0])
-                labels[name].append(PseudoLabel(query_id, cid, idx, weight, fs.boxes[idx]))
+                labels[name].append(PseudoLabel(query_id, cid, idx, fs.boxes[idx]))
     per_concept = {
         name: {cid: (cover_rate([lab for lab in labels[name] if lab.concept_id == cid],
                                 scenario.truth, mode), len(index.groups[cid]))

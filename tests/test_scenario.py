@@ -13,7 +13,6 @@ from codiscover import (
     cover_rate,
     extract_concepts,
     generate_scenario,
-    image_feature,
     load_features,
     load_features_tsv,
     load_text_embeddings,
@@ -273,8 +272,7 @@ def test_with_boxes_areas_match_extents_and_truth_boxes_score():
                 np.array_equal(fs.boxes[region], g)
                 for g in scenario.truth.gt_boxes[(fs.image_id, cid)]
             )
-            labels.append(PseudoLabel(fs.image_id, cid, region, 1.0,
-                                      box=fs.boxes[region].copy()))
+            labels.append(PseudoLabel(fs.image_id, cid, region, box=fs.boxes[region].copy()))
     # A label sitting exactly on its ground-truth box has IoU 1 > 0.5.
     assert cover_rate(labels, scenario.truth, mode="box") == 1.0
 
@@ -289,11 +287,6 @@ def test_generate_scenario_is_deterministic_per_seed():
         assert np.array_equal(fa.areas, fb.areas)
     c = generate_scenario(ScenarioConfig(**{**config.__dict__, "seed": 13}))
     assert not np.array_equal(a.feature_sets[0].features, c.feature_sets[0].features)
-
-
-def test_image_feature_is_region_mean():
-    fs = RegionFeatureSet("a", [[1.0, 3.0], [3.0, 5.0]])
-    assert np.array_equal(image_feature(fs), [2.0, 4.0])
 
 
 # ------------------------------------------------------------------- codecs
@@ -384,6 +377,9 @@ def test_load_features_rejects_corruption(tmp_path):
     bad.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
     with pytest.raises(FormatError, match="not valid UTF-8"):
         load_features(str(bad))
+    bad.write_bytes(blob.replace(b"img1", b"img0"))
+    with pytest.raises(FormatError, match="duplicate image id 'img0'"):
+        load_features(str(bad))
 
     # NaN payload passes framing but fails the per-image validation.
     nan_blob = bytearray(blob)
@@ -441,6 +437,10 @@ def test_load_features_tsv_rejects_corruption(tmp_path):
                          ("1.0 2.0\t1\t1.0", "line 2: expected 4 box values")):
         path.write_text(f"{header}img0\t0\t{row}\n")
         with pytest.raises(FormatError, match=message):
+            load_features_tsv(str(path))
+    for line, data in ((1, b"# CODF-TSV\tn=1\xff\n"), (2, header.encode() + b"\xff\n")):
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=f"^line {line}: not valid UTF-8$"):
             load_features_tsv(str(path))
 
 

@@ -177,9 +177,30 @@ def test_caption_batch_loss_input_validation():
     alien = MiniGroup(99, groups[0].image_ids)
     with pytest.raises(ValueError, match="not in classifier"):
         caption_batch_loss(state, [alien], caption_vectors, config)
+    short = MiniGroup(groups[1].concept_id, groups[1].image_ids[:2])
+    with pytest.raises(ValueError, match="mini-groups of 3 and 2 images in one batch"):
+        caption_batch_loss(state, [groups[0], short], caption_vectors, config)
     state.features[groups[0].image_ids[0]][0] = 0.0
     with pytest.raises(ValueError, match="zero feature row"):
         caption_batch_loss(state, groups, caption_vectors, config)
+
+
+def test_caption_batch_loss_makes_one_call_of_each_core_op(monkeypatch):
+    import codiscover.training as training_module
+
+    scenario, index, config = small_setup(sorted_rows=True, mini_groups_per_batch=4)
+    state = init_model(scenario, index, config)
+    groups, caption_vectors = make_batch(scenario, index, config, num_groups=4)
+    calls = {}
+    for name in ("similarity_rows", "head_forward", "head_backward", "similarity_backward"):
+        def counted(*args, _real=getattr(training_module, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(training_module, name, counted)
+    caption_batch_loss(state, groups, caption_vectors, config)
+    assert calls == {"similarity_rows": 1, "head_forward": 1, "head_backward": 1,
+                     "similarity_backward": 1}
 
 
 # ---------------------------------------------------------------- gradients
@@ -434,6 +455,11 @@ def test_checkpoint_rejects_corruption(tmp_path):
     at = blob.index(next(iter(state.features)).encode())
     trailing.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
     with pytest.raises(FormatError, match="not valid UTF-8"):
+        load_checkpoint(str(trailing))
+    # A second record under the first image's id (ids of equal length).
+    first, second = (image_id.encode() for image_id in list(state.features)[:2])
+    trailing.write_bytes(blob.replace(second, first))
+    with pytest.raises(FormatError, match=f"duplicate image id {first.decode()!r}"):
         load_checkpoint(str(trailing))
 
 
