@@ -173,7 +173,9 @@ class HeadPass(NamedTuple):
     hidden: np.ndarray  # (Q*n, hidden) ReLU outputs, > 0 exactly where a unit is active
     logits: np.ndarray  # (Q, n)
     p: np.ndarray  # (Q, n) softmax over each query's proposals
-    perm: np.ndarray | None  # (Q, n, m, n) sort order within each block; None unsorted
+    # (Q, n, m, n) flat index into the rows of each entry of net's sorted
+    # blocks; None unsorted
+    perm: np.ndarray | None
 
 
 def head_forward(rows: np.ndarray, head: DiscoveryHead) -> HeadPass:
@@ -191,9 +193,10 @@ def head_forward(rows: np.ndarray, head: DiscoveryHead) -> HeadPass:
     if head.sorted_rows:
         if width % n != 0:
             raise ValueError("row width is not a multiple of the proposal count")
-        blocks = rows.reshape(q, n, width // n, n)
-        perm = np.argsort(-blocks, axis=3)
-        rows = np.take_along_axis(blocks, perm, axis=3)
+        perm = np.argsort(-rows.reshape(-1, n), axis=1)
+        perm += np.arange(0, rows.size, n)[:, None]
+        rows = rows.reshape(-1)[perm]
+        perm = perm.reshape(q, n, width // n, n)
     net = rows.reshape(q * n, width)
     hidden = np.maximum(net @ head.w1.T + head.b1, 0.0)
     logits = (hidden @ head.w2 + head.b2[0]).reshape(q, n)
@@ -211,8 +214,8 @@ def head_backward(fwd: HeadPass, dp: np.ndarray, head: DiscoveryHead):
     dz1 = np.outer(dlogits, head.w2) * (fwd.hidden > 0.0)
     dnet = dz1 @ head.w1
     if fwd.perm is not None:
-        dsorted, dnet = dnet.reshape(fwd.perm.shape), np.empty(fwd.perm.shape)
-        np.put_along_axis(dnet, fwd.perm, dsorted, axis=3)
+        dsorted, dnet = dnet, np.empty(fwd.perm.size)
+        dnet[fwd.perm.ravel()] = dsorted.ravel()
     return (dnet.reshape(*fwd.p.shape, -1), dz1.T @ fwd.net, dz1.sum(axis=0),
             fwd.hidden.T @ dlogits, dlogits.sum().reshape(1))
 

@@ -115,7 +115,8 @@ def parse_corpus(stream) -> list[CaptionRecord]:
         One CaptionRecord per non-empty line, in corpus order.
     """
     if hasattr(stream, "read"):
-        stream = stream.read()
+        # A text stream's own decoding would fail before the line check.
+        stream = getattr(stream, "buffer", stream).read()
     if isinstance(stream, bytes):
         stream = stream.decode("utf-8", "surrogateescape")
     records: list[CaptionRecord] = []

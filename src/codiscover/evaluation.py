@@ -58,8 +58,12 @@ def iou(box_a, box_b) -> np.ndarray:
     a = np.asarray(box_a, dtype=np.float64)
     b = np.asarray(box_b, dtype=np.float64)
     for box in (a, b):
-        if box.shape[-1:] != (4,) or np.any(box[..., 2:] <= box[..., :2]):
-            raise ValueError(f"degenerate box {box!r}")
+        if box.shape[-1:] != (4,):
+            raise ValueError(f"degenerate box array of shape {box.shape}, not (..., 4)")
+        bad = np.flatnonzero(np.any(box[..., 2:] <= box[..., :2], axis=-1))
+        if bad.size:
+            x1, y1, x2, y2 = box.reshape(-1, 4)[bad[0]].tolist()
+            raise ValueError(f"degenerate box {bad[0]}: ({x1}, {y1}, {x2}, {y2})")
     overlap = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])
     inter = np.prod(np.maximum(overlap, 0.0), axis=-1)
     area_a = np.prod(a[..., 2:] - a[..., :2], axis=-1)

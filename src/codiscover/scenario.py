@@ -109,12 +109,25 @@ class TextEmbeddingTable:
 
     def caption_embedding(self, concept_ids: Iterable[int]) -> np.ndarray:
         """Caption proxy: arithmetic mean of the concept embeddings, unit norm."""
-        vecs = [self.vector(cid) for cid in concept_ids]
-        if not vecs:
-            raise ValueError("caption mentions no embeddable concepts")
-        mean = np.mean(vecs, axis=0)
-        norm = np.linalg.norm(mean)
-        if norm == 0.0:
+        return self.caption_embeddings([concept_ids])[0]
+
+    def caption_embeddings(self, concept_lists: Iterable[Iterable[int]]) -> np.ndarray:
+        """Caption proxies (R, d) of R captions' concept lists, from one
+        per-caption concept count matrix times the embeddings they name."""
+        concept_lists = [list(ids) for ids in concept_lists]
+        named = dict.fromkeys(cid for ids in concept_lists for cid in ids)
+        column = {cid: j for j, cid in enumerate(named)}
+        vecs = [self.vector(cid) for cid in column]
+        counts = np.zeros((len(concept_lists), len(column)))
+        for r, ids in enumerate(concept_lists):
+            if not ids:
+                raise ValueError("caption mentions no embeddable concepts")
+            for cid in ids:
+                counts[r, column[cid]] += 1.0
+        mean = (counts @ np.array(vecs)) / counts.sum(axis=1, keepdims=True)
+        # One dot per row, as np.linalg.norm computes it for a single vector.
+        norm = np.sqrt((mean[:, None, :] @ mean[:, :, None])[:, 0])
+        if not norm.all():
             raise ValueError("caption embedding collapsed to the zero vector")
         return mean / norm
 

@@ -148,14 +148,22 @@ def init_model(scenario, index: ConceptGroupIndex, config: TrainConfig,
 
 def caption_proxies(scenario) -> dict[str, np.ndarray]:
     """Image id -> frozen caption embedding proxy of the image's concepts."""
-    return {record.image_id: scenario.text_table.caption_embedding(record.concepts)
-            for record in scenario.records}
+    records = scenario.records
+    vectors = scenario.text_table.caption_embeddings([record.concepts for record in records])
+    return {record.image_id: vector for record, vector in zip(records, vectors)}
 
 
 def _support_positions(k: int) -> np.ndarray:
     """(k, k-1): the other positions of a k-image mini-group, for each query."""
     cols = np.arange(k - 1)
     return cols + (cols >= np.arange(k)[:, None])
+
+
+def _sum_by_owner(terms: np.ndarray, owner: np.ndarray, count: int) -> np.ndarray:
+    """Sum terms (L, ...) per owner (L,) into (count, ...) as one one-hot
+    (count, L) matmul, so every owner's terms add in one fixed order."""
+    onehot = (owner == np.arange(count)[:, None]).astype(np.float64)
+    return (onehot @ terms.reshape(owner.size, -1)).reshape(count, *terms.shape[1:])
 
 
 def _bce_rows(logits: np.ndarray, positive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,14 +244,13 @@ def caption_batch_loss(
     dp = (f_q @ dfp[:, :, None])[:, :, 0]
     drows, *head_grads = head_backward(fwd, dp, state.head)
     # Gradients per batch image, of the raw and of the unit-normalized features:
-    # np.add.at keeps every term of an image held at several positions.
-    graw = np.zeros_like(raw)
-    np.add.at(graw, pos, fwd.p[:, :, None] * dfp[:, None, :])
+    # an image held at several positions sums the terms of all of them.
+    batch = len(batch_ids)
+    graw = _sum_by_owner(fwd.p[:, :, None] * dfp[:, None, :], pos, batch)
     del fwd
     dquery, dsupport = similarity_backward(drows, qw, support_hat, guide)
-    ghat = np.zeros_like(raw)
-    np.add.at(ghat, pos, dquery)
-    np.add.at(ghat, supports, dsupport)
+    ghat = (_sum_by_owner(dquery, pos, batch)
+            + _sum_by_owner(dsupport.reshape(-1, *raw.shape[1:]), supports.ravel(), batch))
 
     # Image-text branch over the batch's distinct images.
     v = raw.mean(axis=1)
@@ -255,7 +262,6 @@ def caption_batch_loss(
     vhat = v / vnorm
     that = t / tnorm
     logits = config.temperature * (vhat @ that.T)
-    batch = len(batch_ids)
     losses, dlogits = _bce_rows(logits, np.arange(batch))
     it_loss = float(losses.sum() / batch)
     dlogits *= config.lambda_image_text / batch

@@ -245,6 +245,26 @@ def test_head_forward_sorted_rows_orders_each_block():
     assert np.array_equal(sorted_pass.p, plain_pass.p)
 
 
+def test_sorted_head_matches_along_axis_reference():
+    # Q=5 queries, m=3 supports of n=4 proposals, with tied entries.
+    rng = np.random.default_rng(8)
+    head = DiscoveryHead.initialize(m=3, n=4, hidden=6, rng=rng, sorted_rows=True)
+    rows = np.round(rng.standard_normal((5, 4, 12)), 1)
+    fwd = head_forward(rows, head)
+    blocks = rows.reshape(5, 4, 3, 4)
+    order = np.argsort(-blocks, axis=3)
+    assert np.array_equal(fwd.net, np.take_along_axis(blocks, order, axis=3).reshape(20, 12))
+    assert fwd.perm.shape == (5, 4, 3, 4)
+    assert np.array_equal(rows.reshape(-1)[fwd.perm], fwd.net.reshape(fwd.perm.shape))
+    dp = rng.standard_normal((5, 4))
+    drows = head_backward(fwd, dp, head)[0]
+    plain = DiscoveryHead(head.w1, head.b1, head.w2, head.b2, sorted_rows=False)
+    dsorted = head_backward(head_forward(fwd.net.reshape(5, 4, 12), plain), dp, plain)[0]
+    want = np.empty(blocks.shape)
+    np.put_along_axis(want, order, dsorted.reshape(blocks.shape), axis=3)
+    assert np.array_equal(drows, want.reshape(rows.shape))
+
+
 def test_head_forward_shape_and_finiteness_errors():
     head = DiscoveryHead.initialize(m=1, n=2, hidden=2, rng=np.random.default_rng(5))
     with pytest.raises(ValueError, match="head input"):

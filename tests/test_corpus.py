@@ -77,13 +77,22 @@ def test_parse_corpus_skips_blank_lines_and_handles_crlf():
     assert records[0].caption == "a dog"
 
 
-def test_parse_corpus_reports_line_numbers():
+def test_parse_corpus_reports_line_numbers(tmp_path):
     with pytest.raises(FormatError, match="line 3"):
         parse_corpus("img1\ta dog\nimg2\ta cat\nbroken line\n")
     with pytest.raises(FormatError, match="line 2.*3 fields"):
         parse_corpus("img1\ta dog\nimg2\ta\tcat\n")
     with pytest.raises(FormatError, match="^line 2: not valid UTF-8$"):
         parse_corpus("img1\ta café\n".encode("utf-8") + b"img2\ta \xe9t\xe9\n")
+    # A stream opened as UTF-8 text names the line too, also when the bad
+    # byte lies past the first 8 KiB (400 lines of 25 bytes come before it).
+    path = tmp_path / "corpus.tsv"
+    for good_lines in (1, 400):
+        good = b"".join(b"img%05d\ta dog and a cat\n" % i for i in range(good_lines))
+        path.write_bytes(good + b"bad\ta \xff cat\n")
+        with open(path, encoding="utf-8") as fh, pytest.raises(
+                FormatError, match=f"^line {good_lines + 1}: not valid UTF-8$"):
+            parse_corpus(fh)
 
 
 def test_parse_corpus_rejects_duplicate_image_ids():

@@ -108,6 +108,10 @@ def test_cover_rate_box_mode():
     assert cover_rate([second, far, exact, unlabeled], truth, mode="box") == 0.5
     with pytest.raises(ValueError, match="carries no box"):
         cover_rate([PseudoLabel("a", 1, 0)], truth, mode="box")
+    # A bad box is named on one line by its index among the boxes scored.
+    bad = PseudoLabel("a", 1, 0, box=np.array([2.0, 0.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match=r"^degenerate box 1: \(2\.0, 0\.0, 1\.0, 1\.0\)$"):
+        cover_rate([exact, bad], truth, mode="box")
 
 
 # --------------------------------------------------------- support sampling

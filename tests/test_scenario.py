@@ -90,6 +90,26 @@ def test_caption_embedding_rejects_zero_mean():
         table.caption_embedding([0, 1])
 
 
+def test_caption_embeddings_match_row_by_row_proxies():
+    scenario = generate_scenario(ScenarioConfig(num_concepts=6, d=8, n=8, images_per_concept=5,
+                                                multi_concept_rate=0.5, seed=4))
+    table = scenario.text_table
+    lists = [record.concepts for record in scenario.records]
+    assert any(len(concepts) > 1 for concepts in lists)
+    batch = table.caption_embeddings(lists)
+    assert batch.shape == (len(lists), 8)
+    for row, concepts in zip(batch, lists):
+        assert np.array_equal(row, table.caption_embedding(concepts))
+    # The batch raises the one-caption errors.
+    with pytest.raises(ValueError, match="no embeddable"):
+        table.caption_embeddings([[0], []])
+    with pytest.raises(ValueError, match="concept 99 has no text embedding"):
+        table.caption_embeddings([[0], [1, 99]])
+    opposed = TextEmbeddingTable({0: np.array([1.0, 0.0]), 1: np.array([-1.0, 0.0])})
+    with pytest.raises(ValueError, match="zero vector"):
+        opposed.caption_embeddings([[0], [0, 1]])
+
+
 def test_text_embedding_table_rejects_bad_vectors():
     with pytest.raises(ValueError, match="finite nonzero"):
         TextEmbeddingTable({0: np.array([0.0, 0.0])})

@@ -28,7 +28,12 @@ from codiscover import (
     unit_rows,
     write_metrics_csv,
 )
-from codiscover.training import GradientBundle, caption_proxies
+from codiscover.training import (
+    GradientBundle,
+    _sum_by_owner,
+    _support_positions,
+    caption_proxies,
+)
 
 
 def small_setup(sorted_rows=False, **train_overrides):
@@ -201,6 +206,24 @@ def test_caption_batch_loss_makes_one_call_of_each_core_op(monkeypatch):
     caption_batch_loss(state, groups, caption_vectors, config)
     assert calls == {"similarity_rows": 1, "head_forward": 1, "head_backward": 1,
                      "similarity_backward": 1}
+
+
+def test_sum_by_owner_matches_add_at_on_repeated_owners():
+    # Two groups of four over five images; image 0 is held twice in the
+    # second group, so it is one of its own supports there.
+    pos = np.array([0, 1, 2, 1, 3, 0, 0, 4])
+    supports = pos.reshape(-1, 4)[:, _support_positions(4)].ravel()
+    assert np.any(supports.reshape(8, 3) == pos[:, None])
+    rng = np.random.default_rng(21)
+    for owner in (pos, supports, np.concatenate([pos, supports])):
+        scale = rng.uniform(0.1, 10.0, (owner.size, 1, 1))
+        terms = rng.standard_normal((owner.size, 3, 2)) * scale
+        want = np.zeros((6, 3, 2))
+        np.add.at(want, owner, terms)
+        got = _sum_by_owner(terms, owner, 6)
+        assert got.shape == want.shape
+        assert np.all(got[5] == 0.0)  # image 5 owns no term
+        assert _rel_diff(got, want) <= 1e-15
 
 
 # ---------------------------------------------------------------- gradients
