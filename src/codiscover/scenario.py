@@ -48,35 +48,37 @@ class RegionFeatureSet:
     areas: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2 or self.features.shape[0] < 1 or self.features.shape[1] < 1:
+        features = self.features = np.asarray(self.features, dtype=np.float64)
+        if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
             raise ValueError(f"image {self.image_id!r}: features must be a non-empty 2-D matrix")
-        if not np.all(np.isfinite(self.features)):
+        if not np.isfinite(features).all():
             raise ValueError(f"image {self.image_id!r}: non-finite feature values")
-        if np.any(np.linalg.norm(self.features, axis=1) == 0.0):
+        # A row's squares sum to zero exactly when its norm does (underflow included).
+        if ((features * features).sum(axis=1) == 0.0).any():
             raise ValueError(f"image {self.image_id!r}: zero feature row")
-        n = self.features.shape[0]
-        if self.boxes is not None:
-            self.boxes = np.asarray(self.boxes, dtype=np.float64)
-            if self.boxes.shape != (n, 4):
+        n = features.shape[0]
+        boxes = self.boxes
+        if boxes is not None:
+            boxes = self.boxes = np.asarray(boxes, dtype=np.float64)
+            if boxes.shape != (n, 4):
                 raise ValueError(f"image {self.image_id!r}: boxes must have shape ({n}, 4)")
-            if not np.all(np.isfinite(self.boxes)):
+            if not np.isfinite(boxes).all():
                 raise ValueError(f"image {self.image_id!r}: non-finite box values")
-            if np.any(self.boxes[:, 2] <= self.boxes[:, 0]) or np.any(
-                self.boxes[:, 3] <= self.boxes[:, 1]
-            ):
+            if (boxes[:, 2:] <= boxes[:, :2]).any():
                 raise ValueError(f"image {self.image_id!r}: degenerate box (x1<x2, y1<y2 required)")
         if self.areas is not None:
-            self.areas = np.asarray(self.areas, dtype=np.float64)
-            if self.areas.shape != (n,):
+            areas = self.areas = np.asarray(self.areas, dtype=np.float64)
+            if areas.shape != (n,):
                 raise ValueError(f"image {self.image_id!r}: areas must have shape ({n},)")
-            if not np.all(np.isfinite(self.areas)) or np.any(self.areas <= 0.0):
+            if not np.isfinite(areas).all() or (areas <= 0.0).any():
                 raise ValueError(f"image {self.image_id!r}: areas must be positive finite")
-            if self.boxes is not None:
-                box_areas = (self.boxes[:, 2] - self.boxes[:, 0]) * (
-                    self.boxes[:, 3] - self.boxes[:, 1]
-                )
-                if not np.allclose(self.areas, box_areas, rtol=1e-9, atol=0.0):
+            if boxes is not None:
+                extent = boxes[:, 2:] - boxes[:, :2]
+                box_areas = extent[:, 0] * extent[:, 1]
+                # Relative agreement to 1e-9; an extent product that overflowed
+                # to inf would pass the bound, so it must also be finite.
+                if not (np.isfinite(box_areas).all()
+                        and (np.abs(areas - box_areas) <= 1e-9 * box_areas).all()):
                     raise ValueError(f"image {self.image_id!r}: areas disagree with box extents")
 
     @property
@@ -314,20 +316,27 @@ def generate_scenario(config: ScenarioConfig, rng: np.random.Generator | None = 
                 )
                 owner.extend([cc] * count)
                 cursor += count
-            pool = [x for x in range(k) if x not in concepts]
-            while cursor < n:
-                if pool:
-                    base = prototypes[pool[int(rng.integers(len(pool)))]]
+            # Distractors copy a prototype the caption does not name: the r-th
+            # free concept id is r stepped past each smaller named id.
+            named = sorted(concepts)
+            free = k - len(named)
+            bases, noise = [], []
+            for _ in range(n - cursor):
+                if free:
+                    r = int(rng.integers(free))
+                    for cc in named:
+                        r += r >= cc
+                    bases.append(prototypes[r])
                 else:
                     g = rng.standard_normal(d)
-                    base = g / np.linalg.norm(g)
-                rows[cursor] = base + config.noise_sigma * rng.standard_normal(d)
-                owner.append(None)
-                cursor += 1
+                    bases.append(g / np.linalg.norm(g))
+                noise.append(rng.standard_normal(d))
+            rows[cursor:] = np.array(bases) + config.noise_sigma * np.array(noise)
+            owner.extend([None] * (n - cursor))
 
             perm = rng.permutation(n)
             rows = rows[perm]
-            owner = [owner[int(j)] for j in perm]
+            owner = [owner[j] for j in perm.tolist()]
             true_idx = [j for j in range(n) if owner[j] is not None]
 
             target = rng.uniform(1.0, 2.0, size=n)
@@ -424,6 +433,9 @@ def load_features(path: str) -> list[RegionFeatureSet]:
 def save_features_tsv(feature_sets: list[RegionFeatureSet], path: str) -> None:
     """Equivalent debug TSV format; floats use repr so round-trips are exact."""
     n, d, has_boxes, has_areas = _feature_layout(feature_sets)
+    for fs in feature_sets:
+        if any(ch in fs.image_id for ch in "\t\n\r"):
+            raise ValueError(f"image id {fs.image_id!r} contains a separator character")
     with atomic_writer(path, "w") as fh:
         fh.write(f"# CODF-TSV\tn={n}\td={d}\tboxes={int(has_boxes)}\tareas={int(has_areas)}\n")
         for fs in feature_sets:

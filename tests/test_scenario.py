@@ -1,5 +1,8 @@
 """Tests for the synthetic scenario generator and feature/text codecs."""
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -54,6 +57,9 @@ def test_region_feature_set_validation():
         RegionFeatureSet("a", [[1.0, np.nan]])
     with pytest.raises(ValueError, match="zero feature row"):
         RegionFeatureSet("a", [[1.0, 1.0], [0.0, 0.0]])
+    # A row whose squares underflow has zero norm too.
+    with pytest.raises(ValueError, match="zero feature row"):
+        RegionFeatureSet("a", [[1.0, 1.0], [1e-200, 1e-200]])
 
 
 def test_region_feature_set_box_and_area_validation():
@@ -69,6 +75,14 @@ def test_region_feature_set_box_and_area_validation():
         RegionFeatureSet("a", features, None, [1.0, -1.0])
     with pytest.raises(ValueError, match="disagree"):
         RegionFeatureSet("a", features, boxes, [5.0, 1.0])
+    # Areas must match the extents to 1e-9 relative.
+    RegionFeatureSet("a", features, boxes, [6.0 * (1 + 5e-10), 1.0])
+    with pytest.raises(ValueError, match="disagree"):
+        RegionFeatureSet("a", features, boxes, [6.0 * (1 + 2e-9), 1.0])
+    # Finite corners whose extent overflows give no finite area to agree with.
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="disagree"):
+        RegionFeatureSet("a", features, [[-1e308, 0.0, 1e308, 1e308], [1.0, 1.0, 2.0, 2.0]],
+                         [1e308, 1.0])
 
 
 def test_text_embedding_table_lookup_and_caption_proxy():
@@ -309,6 +323,56 @@ def test_generate_scenario_is_deterministic_per_seed():
     assert not np.array_equal(a.feature_sets[0].features, c.feature_sets[0].features)
 
 
+def _world_digest(scenario: Scenario) -> str:
+    """sha256 of everything a world holds, as little-endian float64 bytes."""
+    h = hashlib.sha256()
+
+    def put(*parts):
+        for part in parts:
+            if isinstance(part, np.ndarray):
+                h.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
+            else:
+                h.update(repr(part).encode())
+
+    for fs in scenario.feature_sets:
+        put(fs.image_id, fs.features, fs.boxes is None, fs.areas)
+        if fs.boxes is not None:
+            put(fs.boxes)
+    for record in scenario.records:
+        put(record.image_id, record.caption, record.concepts)
+    for image_id in sorted(scenario.truth.true_pairs):
+        put(image_id, sorted(scenario.truth.true_pairs[image_id]))
+    for key in sorted(scenario.truth.gt_boxes):
+        put(key, *scenario.truth.gt_boxes[key])
+    for cid in sorted(scenario.text_table.embeddings):
+        put(cid, scenario.text_table.embeddings[cid])
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("overrides, digest", [
+    # Boxes, some captions naming a random second concept.
+    (dict(with_boxes=True, multi_concept_rate=0.3),
+     "f01a4f175a57a737c23fdec8f41155eac274721c49cc7f3ba219e762ed04c457"),
+    # Partner mode with an odd concept count: the last concept pairs backwards.
+    (dict(num_concepts=5, multi_concept_rate=0.7, second_concept="partner"),
+     "dc71b8862d363dfc57a3a33ad91c3a022c6b453363e3f21da52c14c0333a8246"),
+    # Two concepts, both named in every caption: no prototype is left for
+    # distractors, which fall back to fresh random directions.
+    (dict(num_concepts=2, multi_concept_rate=1.0),
+     "58596cea5f6b78244c57772a876ee67f56155958f3e55cf455e96f912377540e"),
+    # Text rotated away from the prototypes draws extra directions first.
+    (dict(misaligned_text_degrees=35.0, max_size_bias=0.8),
+     "61e504ac00b3602d52589c70344a42faff0be02696f98129438763777f747ba1"),
+], ids=["boxes", "partner-odd", "every-concept-named", "rotated-text"])
+def test_generate_scenario_worlds_are_pinned(overrides, digest):
+    # A world is defined by the generator's draw order: changing any rng call,
+    # its arguments or their order changes every later value. A restructured
+    # generator must reproduce these digests exactly.
+    config = ScenarioConfig(**{**dict(num_concepts=7, d=6, n=7, images_per_concept=3,
+                                      distractor_count=3, seed=21), **overrides})
+    assert _world_digest(generate_scenario(config)) == digest
+
+
 # ------------------------------------------------------------------- codecs
 
 
@@ -359,6 +423,17 @@ def test_save_features_validates_inputs(tmp_path):
     with pytest.raises(ValueError, match="inconsistent optional"):
         save_features_tsv(mixed, str(tmp_path / "x.tsv"))
     assert not (tmp_path / "x.tsv").exists()
+
+
+def test_save_features_tsv_rejects_separators_in_image_ids(tmp_path):
+    rng = np.random.default_rng(5)
+    path = tmp_path / "x.tsv"
+    for bad in ("a\tb", "a\nb", "a\rb"):
+        sets = _random_feature_sets(rng, count=2)
+        sets[1].image_id = bad
+        with pytest.raises(ValueError, match=re.escape(f"image id {bad!r} contains a separator")):
+            save_features_tsv(sets, str(path))
+        assert not path.exists()
 
 
 def test_load_features_rejects_corruption(tmp_path):
