@@ -65,12 +65,6 @@ def _parse_bool(raw: str) -> bool:
     raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_tristate(raw: str):
-    if raw.lower() in ("auto", "none"):
-        return None
-    return _parse_bool(raw)
-
-
 def _parse_int(raw: str) -> int:
     try:
         return int(raw)
@@ -85,8 +79,7 @@ def _parse_float(raw: str) -> float:
         raise ConfigError(f"expected a number, got {raw!r}") from None
 
 
-_PARSER_BY_TYPE = {int: _parse_int, float: _parse_float, bool: _parse_bool,
-                   bool | None: _parse_tristate, str: str}
+_PARSER_BY_TYPE = {int: _parse_int, float: _parse_float, bool: _parse_bool, str: str}
 
 
 def _field_parsers(cls) -> dict:
@@ -188,8 +181,6 @@ def resolve_run_config(pairs: dict[str, str], seed_override: int | None = None) 
 
 
 def _format_value(value) -> str:
-    if value is None:
-        return "auto"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

@@ -75,12 +75,11 @@ class DiscoveryHead:
         m: int,
         n: int,
         hidden: int = 128,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
         sorted_rows: bool = False,
     ) -> "DiscoveryHead":
         """He initialization: N(0, sqrt(2/fan_in)) weights, zero biases."""
-        if rng is None:
-            rng = np.random.default_rng(0)
         in_dim = m * n
         w1 = rng.standard_normal((hidden, in_dim)) * np.sqrt(2.0 / in_dim)
         w2 = rng.standard_normal(hidden) * np.sqrt(2.0 / hidden)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -73,10 +73,12 @@ class RegionFeatureSet:
             if not np.isfinite(areas).all() or (areas <= 0.0).any():
                 raise ValueError(f"image {self.image_id!r}: areas must be positive finite")
             if boxes is not None:
-                extent = boxes[:, 2:] - boxes[:, :2]
-                box_areas = extent[:, 0] * extent[:, 1]
-                # Relative agreement to 1e-9; an extent product that overflowed
-                # to inf would pass the bound, so it must also be finite.
+                # Relative agreement to 1e-9; extents or their product may
+                # overflow to inf, which would pass the bound, so the product
+                # must also be finite.
+                with np.errstate(over="ignore"):
+                    extent = boxes[:, 2:] - boxes[:, :2]
+                    box_areas = extent[:, 0] * extent[:, 1]
                 if not (np.isfinite(box_areas).all()
                         and (np.abs(areas - box_areas) <= 1e-9 * box_areas).all()):
                     raise ValueError(f"image {self.image_id!r}: areas disagree with box extents")
@@ -92,10 +94,11 @@ class RegionFeatureSet:
 
 @dataclass
 class TextEmbeddingTable:
-    """Concept id -> d-vector text embedding, plus the caption-proxy rule tag."""
+    """Concept id -> d-vector text embedding. `rule_tag` names the one
+    caption-proxy rule, `caption_embeddings`, and is written into CODT files."""
 
     embeddings: dict[int, np.ndarray]
-    rule_tag: str = "unit-mean-of-concept-embeddings"
+    rule_tag: ClassVar[str] = "unit-mean-of-concept-embeddings"
 
     def __post_init__(self) -> None:
         for cid, vec in self.embeddings.items():
@@ -150,6 +153,9 @@ class ScenarioTruth:
 
 @dataclass
 class ScenarioConfig:
+    """Shape and noise of a synthetic world. Concept prototypes are unit
+    vectors, and orthonormal exactly when num_concepts <= d."""
+
     num_concepts: int = 20
     d: int = 32
     n: int = 16
@@ -160,9 +166,6 @@ class ScenarioConfig:
     instances_min: int = 1
     instances_max: int = 3
     seed: int = 0
-    # None = decorrelate prototypes exactly when num_concepts <= d;
-    # True = require decorrelation (error when impossible); False = never.
-    orthogonalize: bool | None = None
     misaligned_text_degrees: float = 0.0
     max_size_bias: float = 0.5
     with_boxes: bool = False
@@ -199,7 +202,6 @@ class Scenario:
     text_table: TextEmbeddingTable
     truth: ScenarioTruth
     lexicon: Lexicon
-    config: ScenarioConfig
 
     def feature_map(self) -> dict[str, RegionFeatureSet]:
         return {fs.image_id: fs for fs in self.feature_sets}
@@ -212,12 +214,7 @@ def concept_term(concept_id: int) -> str:
 def _make_prototypes(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
     k, d = config.num_concepts, config.d
     raw = rng.standard_normal((k, d))
-    wants_ortho = config.orthogonalize
-    if wants_ortho is None:
-        wants_ortho = k <= d
-    elif wants_ortho and k > d:
-        raise ValueError(f"cannot orthogonalize {k} prototypes in {d} dimensions")
-    if wants_ortho:
+    if k <= d:
         q, r = np.linalg.qr(raw.T)
         signs = np.sign(np.diag(r))
         signs[signs == 0.0] = 1.0
@@ -279,19 +276,15 @@ def _instance_counts(
     return counts
 
 
-def generate_scenario(config: ScenarioConfig, rng: np.random.Generator | None = None) -> Scenario:
-    """Generate an oracle-labeled synthetic world.
-
-    Args:
-        config: scenario shape and noise parameters.
-        rng: optional generator; defaults to one seeded from config.seed.
+def generate_scenario(config: ScenarioConfig) -> Scenario:
+    """Generate an oracle-labeled synthetic world from a generator seeded
+    with config.seed.
 
     Returns:
         A Scenario bundling caption records (concepts filled), region feature
         sets, the text embedding table, oracle truth, and the term lexicon.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     prototypes = _make_prototypes(config, rng)
     text = _make_text_embeddings(prototypes, config, rng)
     k, d, n = config.num_concepts, config.d, config.n
@@ -377,8 +370,7 @@ def generate_scenario(config: ScenarioConfig, rng: np.random.Generator | None = 
 
     table = TextEmbeddingTable({c: text[c].copy() for c in range(k)})
     lexicon = Lexicon([concept_term(c) for c in range(k)])
-    return Scenario(records, feature_sets, table, ScenarioTruth(true_pairs, gt_boxes),
-                    lexicon, config)
+    return Scenario(records, feature_sets, table, ScenarioTruth(true_pairs, gt_boxes), lexicon)
 
 
 def _feature_layout(feature_sets: list[RegionFeatureSet]) -> tuple[int, int, bool, bool]:
@@ -538,10 +530,12 @@ def load_text_embeddings(path: str) -> TextEmbeddingTable:
     with read_container(path, TEXT_MAGIC, _FORMAT_VERSION) as fh:
         count, d = read_u32(fh), read_u32(fh)
         rule_tag = read_str(fh)
+        if rule_tag != TextEmbeddingTable.rule_tag:
+            raise FormatError(f"unknown caption-proxy rule {rule_tag!r}")
         embeddings = {}
         for _ in range(count):
             cid = read_u32(fh)
             if cid in embeddings:
                 raise FormatError(f"duplicate concept id {cid}")
             embeddings[cid] = read_f64_array(fh, d)
-        return TextEmbeddingTable(embeddings, rule_tag)
+        return TextEmbeddingTable(embeddings)

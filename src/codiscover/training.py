@@ -58,8 +58,6 @@ class TrainConfig:
     eval_interval: int = 200
     text_guidance: bool = True
     sorted_rows: bool = False
-    train_head: bool = True
-    train_features: bool = True
 
     def __post_init__(self) -> None:
         if self.group_size < 2:
@@ -87,8 +85,6 @@ class ModelState:
     head: DiscoveryHead
     classifier: OpenVocabClassifier
     features: dict[str, np.ndarray]
-    train_head: bool = True
-    train_features: bool = True
 
 
 @dataclass
@@ -142,8 +138,7 @@ def init_model(scenario, index: ConceptGroupIndex, config: TrainConfig,
     )
     features = {fs.image_id: fs.features.astype(np.float64, copy=True)
                 for fs in scenario.feature_sets}
-    return ModelState(head, classifier, features,
-                      train_head=config.train_head, train_features=config.train_features)
+    return ModelState(head, classifier, features)
 
 
 def caption_proxies(scenario) -> dict[str, np.ndarray]:
@@ -285,24 +280,21 @@ def sgd_step(
 ) -> GradientBundle:
     """In-place SGD with momentum: v = momentum*v + g; param -= lr*v.
 
-    Frozen groups (classifier always; head/features per state flags) are
-    untouched. Feature velocities live per image and update lazily when that
-    image receives a gradient. Returns the velocity state to thread through
-    subsequent steps.
+    Updates the head and the features of the batch's images; the classifier
+    stays frozen. Feature velocities live per image and update lazily when
+    that image receives a gradient. Returns the velocity state to thread
+    through subsequent steps.
     """
     if velocity is None:
         velocity = GradientBundle(*(np.zeros_like(getattr(state.head, name))
                                     for name in _HEAD_PARAMS), {})
-    updates = []
-    if state.train_head:
-        updates += [(f"head parameter {name}", getattr(state.head, name),
-                     getattr(velocity, name), getattr(grads, name)) for name in _HEAD_PARAMS]
-    if state.train_features:
-        for image_id, grad in grads.features.items():
-            if image_id not in velocity.features:
-                velocity.features[image_id] = np.zeros_like(grad)
-            updates.append((f"features for image {image_id!r}", state.features[image_id],
-                            velocity.features[image_id], grad))
+    updates = [(f"head parameter {name}", getattr(state.head, name),
+                getattr(velocity, name), getattr(grads, name)) for name in _HEAD_PARAMS]
+    for image_id, grad in grads.features.items():
+        if image_id not in velocity.features:
+            velocity.features[image_id] = np.zeros_like(grad)
+        updates.append((f"features for image {image_id!r}", state.features[image_id],
+                        velocity.features[image_id], grad))
     for what, param, vel, grad in updates:
         vel *= momentum
         vel += grad
@@ -449,8 +441,9 @@ def save_checkpoint(state: ModelState, path: str) -> None:
     for image_id in image_ids:
         if state.features[image_id].shape != (n, d):
             raise ValueError(f"image {image_id!r}: inconsistent feature shape")
-    flags = (int(state.train_head) | (int(state.train_features) << 1)
-             | (int(head.sorted_rows) << 2))
+    # Bits 0-1 are always set, so checkpoints keep their bytes, and ignored on
+    # load, where files of older writers may have them clear.
+    flags = 3 | (int(head.sorted_rows) << 2)
     with atomic_writer(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         for value in (_CHECKPOINT_VERSION, head.hidden, head.in_dim, d, k, n, flags):
@@ -483,5 +476,4 @@ def load_checkpoint(path: str) -> ModelState:
             if image_id in features:
                 raise FormatError(f"duplicate image id {image_id!r}")
             features[image_id] = read_f64_array(fh, n * d).reshape(n, d)
-        return ModelState(head, classifier, features,
-                          train_head=bool(flags & 1), train_features=bool(flags & 2))
+        return ModelState(head, classifier, features)

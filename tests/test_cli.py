@@ -110,7 +110,8 @@ def test_resolve_run_config_validates_keys_and_values():
         resolve_run_config({"train.momentum": "1.5"})  # dataclass rule surfaces
     with pytest.raises(ConfigError, match="unknown config key"):
         resolve_run_config({"threads": "2"})
-    for key in ("train", "eval.group_size", "corpus.steps"):
+    for key in ("train", "eval.group_size", "corpus.steps", "scenario.orthogonalize",
+                "train.train_head", "train.train_features"):
         with pytest.raises(ConfigError, match="unknown config key"):
             resolve_run_config({key: "2"})
     with pytest.raises(ConfigError, match="min_freq"):
@@ -135,14 +136,12 @@ def test_field_parsers_reject_a_type_without_parser():
 
 def test_resolve_run_config_parses_typed_values():
     config = resolve_run_config({
-        "scenario.orthogonalize": "auto",
         "scenario.misaligned_text_degrees": "22.5",
         "scenario.second_concept": "partner",
         "train.text_guidance": "off",
         "train.learning_rate": "0.25",
         "eval.strategies": "max_size , region_word",
     })
-    assert config.scenario.orthogonalize is None
     assert config.scenario.misaligned_text_degrees == 22.5
     assert config.scenario.second_concept == "partner"
     assert config.train.text_guidance is False
@@ -170,7 +169,6 @@ def test_format_run_config_round_trips(tmp_path):
         "scenario.multi_concept_rate": "0.25",
         "scenario.instances_min": "2",
         "scenario.instances_max": "4",
-        "scenario.orthogonalize": "false",
         "scenario.misaligned_text_degrees": "12.5",
         "scenario.max_size_bias": "0.3",
         "scenario.with_boxes": "true",
@@ -187,8 +185,6 @@ def test_format_run_config_round_trips(tmp_path):
         "train.eval_interval": "5",
         "train.text_guidance": "false",
         "train.sorted_rows": "true",
-        "train.train_head": "false",
-        "train.train_features": "false",
     })
     # Every section field but the derived seed is off its default, so each
     # one's formatting and parsing is exercised.
@@ -353,6 +349,17 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     missing = tmp_path / "missing.cfg"
     assert main(["train", "--config", str(missing),
                  "--out", str(tmp_path / "o")]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("key", ["scenario.orthogonalize", "train.train_head",
+                                 "train.train_features"])
+def test_cli_removed_config_keys_exit_2(tmp_path, capsys, key):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"{key} = true\n")
+    assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"unknown config key {key!r}" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_missing_checkpoint_exits_2(tmp_path, tiny_config, capsys):

@@ -79,10 +79,11 @@ def test_region_feature_set_box_and_area_validation():
     RegionFeatureSet("a", features, boxes, [6.0 * (1 + 5e-10), 1.0])
     with pytest.raises(ValueError, match="disagree"):
         RegionFeatureSet("a", features, boxes, [6.0 * (1 + 2e-9), 1.0])
-    # Finite corners whose extent overflows give no finite area to agree with.
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="disagree"):
-        RegionFeatureSet("a", features, [[-1e308, 0.0, 1e308, 1e308], [1.0, 1.0, 2.0, 2.0]],
-                         [1e308, 1.0])
+    # Finite corners whose extent, or whose extents' product, overflows give no
+    # finite area to agree with; the refusal comes without an overflow warning.
+    for box in ([-1e308, 0.0, 1e308, 1e308], [0.0, 0.0, 1e200, 1e200]):
+        with pytest.raises(ValueError, match="disagree"):
+            RegionFeatureSet("a", features, [box, [1.0, 1.0, 2.0, 2.0]], [1e308, 1.0])
 
 
 def test_text_embedding_table_lookup_and_caption_proxy():
@@ -226,16 +227,12 @@ def test_generated_text_embeddings_are_orthonormal_when_they_fit():
     assert np.allclose(gram, np.eye(6), atol=1e-9)
 
 
-def test_orthogonalize_flag_behaviour():
-    with pytest.raises(ValueError, match="orthogonalize"):
-        generate_scenario(ScenarioConfig(num_concepts=9, d=8, n=6,
-                                         images_per_concept=1, distractor_count=2,
-                                         orthogonalize=True))
-    config = ScenarioConfig(num_concepts=4, d=8, n=6, images_per_concept=1,
-                            distractor_count=2, orthogonalize=False, seed=1)
-    rows = np.stack([generate_scenario(config).text_table.vector(c) for c in range(4)])
+def test_generated_text_embeddings_are_unit_but_correlated_when_they_do_not_fit():
+    config = ScenarioConfig(num_concepts=9, d=8, n=6, images_per_concept=1,
+                            distractor_count=2, seed=1)
+    rows = np.stack([generate_scenario(config).text_table.vector(c) for c in range(9)])
     assert np.allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
-    gram = rows @ rows.T - np.eye(4)
+    gram = rows @ rows.T - np.eye(9)
     assert np.abs(gram).max() > 1e-6  # plain normalized draws stay correlated
 
 
@@ -539,18 +536,23 @@ def test_load_features_tsv_rejects_corruption(tmp_path):
             load_features_tsv(str(path))
 
 
-def test_text_embedding_codec_round_trip(tmp_path):
+def test_text_embedding_codec_round_trip(tmp_path, monkeypatch):
     rng = np.random.default_rng(4)
-    table = TextEmbeddingTable(
-        {cid: rng.standard_normal(6) for cid in (4, 0, 2)}, rule_tag="custom-rule"
-    )
+    table = TextEmbeddingTable({cid: rng.standard_normal(6) for cid in (4, 0, 2)})
     path = tmp_path / "text.codt"
     save_text_embeddings(table, str(path))
     loaded = load_text_embeddings(str(path))
-    assert loaded.rule_tag == "custom-rule"
+    assert loaded.rule_tag == "unit-mean-of-concept-embeddings"
     assert sorted(loaded.embeddings) == [0, 2, 4]
     for cid in table.embeddings:
         assert np.array_equal(table.embeddings[cid], loaded.embeddings[cid])
+    # caption_embeddings implements only the unit mean, so a file naming
+    # another caption-proxy rule is refused.
+    monkeypatch.setattr(TextEmbeddingTable, "rule_tag", "custom-rule")
+    save_text_embeddings(table, str(path))
+    monkeypatch.undo()
+    with pytest.raises(FormatError, match="^unknown caption-proxy rule 'custom-rule'$"):
+        load_text_embeddings(str(path))
 
 
 def test_text_embedding_codec_errors(tmp_path):

@@ -306,27 +306,6 @@ def test_sgd_step_momentum_arithmetic():
     assert np.allclose(velocity.w2, 2.5, atol=1e-15)
 
 
-def test_sgd_step_respects_freeze_flags():
-    scenario, index, config = small_setup()
-    state = init_model(scenario, index, config)
-    groups, caption_vectors = make_batch(scenario, index, config)
-    _, grads = caption_batch_loss(state, groups, caption_vectors, config)
-    image_id = next(iter(grads.features))
-
-    state.train_head = False
-    w1_before = state.head.w1.copy()
-    f_before = state.features[image_id].copy()
-    sgd_step(state, grads, 0.5, 0.0)
-    assert np.array_equal(state.head.w1, w1_before)
-    assert not np.array_equal(state.features[image_id], f_before)
-
-    state.train_head, state.train_features = True, False
-    f_before = state.features[image_id].copy()
-    sgd_step(state, grads, 0.5, 0.0)
-    assert np.array_equal(state.features[image_id], f_before)
-    assert not np.array_equal(state.head.w1, w1_before)
-
-
 def test_sgd_step_rejects_non_finite_updates():
     scenario, index, config = small_setup()
     state = init_model(scenario, index, config)
@@ -337,7 +316,8 @@ def test_sgd_step_rejects_non_finite_updates():
     with pytest.raises(ValueError, match="non-finite head parameter w1"):
         sgd_step(state, bad, 0.1, 0.9)
     image_id = next(iter(state.features))
-    state.train_head = False  # w1 is already non-finite
+    state.head.w1[...] = 0.0  # the failed update left w1 non-finite
+    bad.w1 = np.zeros_like(state.head.w1)
     bad.features = {image_id: np.full_like(state.features[image_id], np.nan)}
     with pytest.raises(ValueError, match=f"non-finite features for image {image_id!r}"):
         sgd_step(state, bad, 0.1, 0.9)
@@ -423,8 +403,7 @@ def test_write_metrics_csv_round_trips_floats(tmp_path):
 
 
 def test_checkpoint_round_trip_is_exact(tmp_path):
-    scenario, index, config = small_setup(steps=2, eval_interval=0,
-                                          sorted_rows=True, train_features=False)
+    scenario, index, config = small_setup(steps=2, eval_interval=0, sorted_rows=True)
     state, _ = run_training(index, scenario, config, eval_seed=11)
     path = tmp_path / "checkpoint.codc"
     save_checkpoint(state, str(path))
@@ -432,13 +411,33 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     for name in ("w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(loaded.head, name), getattr(state.head, name))
     assert loaded.head.sorted_rows is True
-    assert loaded.train_head is True
-    assert loaded.train_features is False
     assert loaded.classifier.concept_ids == state.classifier.concept_ids
     assert np.array_equal(loaded.classifier.weights, state.classifier.weights)
     assert set(loaded.features) == set(state.features)
     for image_id in state.features:
         assert np.array_equal(loaded.features[image_id], state.features[image_id])
+
+
+@pytest.mark.parametrize("sorted_rows", [False, True])
+def test_checkpoint_flag_bits_0_1_are_written_set_and_ignored(tmp_path, sorted_rows):
+    scenario, index, config = small_setup(sorted_rows=sorted_rows)
+    state = init_model(scenario, index, config)
+    path = tmp_path / "checkpoint.codc"
+    save_checkpoint(state, str(path))
+    blob = path.read_bytes()
+    # Header u32s after the magic: version, hidden, in_dim, d, k, n, flags.
+    assert int.from_bytes(blob[28:32], "little") == 3 | (sorted_rows << 2)
+    # Older writers cleared bits 0-1 for a frozen head or frozen features.
+    cleared = tmp_path / "cleared.codc"
+    cleared.write_bytes(blob[:28] + (int(sorted_rows) << 2).to_bytes(4, "little") + blob[32:])
+    a, b = load_checkpoint(str(path)), load_checkpoint(str(cleared))
+    assert a.head.sorted_rows is b.head.sorted_rows is sorted_rows
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(a.head, name), getattr(b.head, name))
+    assert a.classifier.concept_ids == b.classifier.concept_ids
+    assert np.array_equal(a.classifier.weights, b.classifier.weights)
+    assert list(a.features) == list(b.features)
+    assert all(np.array_equal(a.features[i], b.features[i]) for i in a.features)
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
