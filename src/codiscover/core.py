@@ -112,15 +112,21 @@ class OpenVocabClassifier:
         return cls(rows, list(concept_ids))
 
 
-def text_guide_weights(w_c: np.ndarray) -> np.ndarray:
-    """Guidance profile sqrt(d) * |w_c| / ||w_c|| along the last axis, so a
-    (B, d) block of embeddings gives B profiles; each has L2 norm sqrt(d)."""
-    w_c = np.asarray(w_c, dtype=np.float64)
+def _embedding_norms(w_c: np.ndarray) -> np.ndarray:
+    """L2 norms of text embeddings along the last axis, kept as a trailing
+    axis of length 1; refuses a zero embedding."""
     # One dot per row, as np.linalg.norm computes it for a single vector.
     norm = np.sqrt((w_c[..., None, :] @ w_c[..., :, None])[..., 0])
     if not norm.all():
         raise ValueError("text embedding is the zero vector")
-    return np.sqrt(w_c.shape[-1]) * np.abs(w_c) / norm
+    return norm
+
+
+def text_guide_weights(w_c: np.ndarray) -> np.ndarray:
+    """Guidance profile sqrt(d) * |w_c| / ||w_c|| along the last axis, so a
+    (B, d) block of embeddings gives B profiles; each has L2 norm sqrt(d)."""
+    w_c = np.asarray(w_c, dtype=np.float64)
+    return np.sqrt(w_c.shape[-1]) * np.abs(w_c) / _embedding_norms(w_c)
 
 
 def text_guided_similarity(f_i: np.ndarray, f_j: np.ndarray, w_bar: np.ndarray) -> float:
@@ -257,12 +263,11 @@ def heuristic_picks(rows: np.ndarray) -> np.ndarray:
 
 def baseline_region_word(query_hat: np.ndarray, w_c: np.ndarray) -> np.ndarray:
     """Region-word baseline over Q queries' unit-normalized region features
-    (Q, n, d): each query's argmax of cosine(f_i, w_c)."""
+    (Q, n, d) and a text embedding w_c, one (d,) for all queries or one per
+    query (Q, d) along the last axis: each query's argmax of cosine(f_i, w_c)."""
     w_c = np.asarray(w_c, dtype=np.float64)
-    norm = np.linalg.norm(w_c)
-    if norm == 0.0:
-        raise ValueError("text embedding is the zero vector")
-    return np.argmax(query_hat @ (w_c / norm), axis=1)
+    unit = (w_c / _embedding_norms(w_c))[..., None]
+    return np.argmax((query_hat @ unit)[..., 0], axis=1)
 
 
 def baseline_max_size(areas: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -126,6 +127,12 @@ def _sample_supports(pool: list[str], query_id: str, m: int,
     return [others[int(i)] for i in picks]
 
 
+# Queries per batched forward. Every concept's rows are (group_size-1)*n wide,
+# so a batch may span concepts; the cap bounds a pass's peak memory (about
+# 2.4 MB at n=16, K=4, hidden 128) however large a concept's group is.
+_BATCH = 32
+
+
 def compare_strategies(
     state: ModelState,
     scenario: Scenario,
@@ -138,8 +145,9 @@ def compare_strategies(
 ) -> EvalReport:
     """Pick one pseudo-label region per (concept, member image, strategy) and score
     cover rates. Every member image serves as query once, with supports
-    resampled from its group under a fixed evaluation seed; the queries of a
-    concept go through the similarity and head forward in one batch."""
+    resampled from its group under a fixed evaluation seed; the queries go
+    through the similarity, the head and the baselines in batches of up to
+    _BATCH queries, which may span concepts."""
     strategies = tuple(strategies)
     if not strategies:
         raise ValueError("strategies must be nonempty")
@@ -156,45 +164,19 @@ def compare_strategies(
             f"the model has no features for {len(missing)} of the index's {len(member_ids)} "
             f"member images (e.g. {missing[0]!r}); was it trained on another world?"
         )
-    rng = np.random.default_rng(seed)
     feature_map = scenario.feature_map()
-    hits: dict[str, dict[int, int]] = {name: {} for name in strategies}
-    for cid in concepts:
-        row = state.classifier.row_of.get(cid)
-        if row is None:
-            raise ValueError(f"concept {cid} not in classifier")
-        w_c = state.classifier.weights[row]
-        members = index.groups[cid]
-        if not members:
-            raise ValueError(f"concept {cid} has no member images")
-        slot = {image_id: k for k, image_id in enumerate(members)}
-        supports = np.array([[slot[i] for i in _sample_supports(members, q, group_size - 1, rng)]
-                             for q in members], dtype=int)
-        hat = unit_rows(np.stack([state.features[i] for i in members]), f"concept {cid}")
-        picks = {}
-        if {"region_region", "heuristic"} & set(strategies):
-            _, rows = similarity_rows(hat, hat[supports], concept_guide(w_c, text_guidance))
-            if "region_region" in strategies:
-                picks["region_region"] = head_forward(rows, state.head).p.argmax(axis=1)
-            if "heuristic" in strategies:
-                picks["heuristic"] = heuristic_picks(rows)
-        if "region_word" in strategies:
-            picks["region_word"] = baseline_region_word(hat, w_c)
-        if "max_size" in strategies:
-            picks["max_size"] = baseline_max_size(
-                _stack_present([feature_map[i].areas for i in members], members, "areas"))
-        boxes = (_stack_present([feature_map[i].boxes for i in members], members, "boxes")
-                 if mode == "box" else None)
-        keys = [(image_id, cid) for image_id in members]
-        for name, pick in picks.items():
-            picked = None if boxes is None else boxes[np.arange(len(members)), pick]
-            hits[name][cid] = int(_covered(keys, pick, picked, scenario.truth, mode).sum())
+    hits = {name: np.zeros(len(concepts), dtype=np.int64) for name in strategies}
+    queries = _queries(state, index, concepts, group_size, np.random.default_rng(seed))
+    while batch := list(itertools.islice(queries, _BATCH)):
+        _score_batch(batch, state, feature_map, scenario.truth, strategies, mode,
+                     text_guidance, hits)
 
     samples = sum(len(index.groups[cid]) for cid in concepts)
-    rates = {name: sum(hits[name].values()) / samples for name in strategies}
+    counts = {name: hits[name].tolist() for name in strategies}
+    rates = {name: sum(counts[name]) / samples for name in strategies}
     per_concept = {
-        name: {cid: (hits[name][cid] / len(index.groups[cid]), len(index.groups[cid]))
-               for cid in concepts}
+        name: {cid: (count / len(index.groups[cid]), len(index.groups[cid]))
+               for cid, count in zip(concepts, counts[name])}
         for name in strategies
     }
     echo = {
@@ -205,6 +187,66 @@ def compare_strategies(
         "text_guidance": text_guidance,
     }
     return EvalReport(rates, per_concept, samples, echo)
+
+
+def _queries(state: ModelState, index: ConceptGroupIndex, concepts: list[int],
+             group_size: int, rng: np.random.Generator):
+    """Yield (query id, support ids, classifier row, concept id, concept
+    position) for every member image of every concept, in index order, drawing
+    each query's supports as it is yielded."""
+    for k, cid in enumerate(concepts):
+        row = state.classifier.row_of.get(cid)
+        if row is None:
+            raise ValueError(f"concept {cid} not in classifier")
+        members = index.groups[cid]
+        if not members:
+            raise ValueError(f"concept {cid} has no member images")
+        for query_id in members:
+            yield query_id, _sample_supports(members, query_id, group_size - 1, rng), row, cid, k
+
+
+def _score_batch(batch, state: ModelState, feature_map, truth: ScenarioTruth, strategies,
+                 mode: str, text_guidance: bool, hits: dict[str, np.ndarray]) -> None:
+    """Pick and score one region per strategy for a batch of (query id, support
+    ids, classifier row, concept id, concept position) entries, through one
+    call of each batched op, and add the hits to each concept's count."""
+    query_ids, support_ids, class_rows, cids, positions = zip(*batch)
+    images = list(dict.fromkeys(i for q, s in zip(query_ids, support_ids) for i in (q, *s)))
+    try:
+        hat = unit_rows(np.stack([state.features[i] for i in images]), "batch")
+    except ValueError:
+        # Name the first concept of the batch that holds a zero feature row.
+        for query_id, supports, cid in zip(query_ids, support_ids, cids):
+            for image_id in (query_id, *supports):
+                unit_rows(state.features[image_id], f"concept {cid}")
+        raise
+    slot = {image_id: j for j, image_id in enumerate(images)}
+    query_hat = hat[[slot[i] for i in query_ids]]
+    # int-typed even when empty, so group_size=1 gives (Q, 0) supports and
+    # similarity_rows refuses them.
+    supports = np.array([[slot[i] for i in ids] for ids in support_ids], dtype=int)
+    w = state.classifier.weights[list(class_rows)]
+    picks = {}
+    if {"region_region", "heuristic"} & set(strategies):
+        _, rows = similarity_rows(query_hat, hat[supports],
+                                  concept_guide(w, text_guidance)[:, None, :])
+        if "region_region" in strategies:
+            picks["region_region"] = head_forward(rows, state.head).p.argmax(axis=1)
+        if "heuristic" in strategies:
+            picks["heuristic"] = heuristic_picks(rows)
+    if "region_word" in strategies:
+        picks["region_word"] = baseline_region_word(query_hat, w)
+    if "max_size" in strategies:
+        picks["max_size"] = baseline_max_size(
+            _stack_present([feature_map[i].areas for i in query_ids], query_ids, "areas"))
+    boxes = (_stack_present([feature_map[i].boxes for i in query_ids], query_ids, "boxes")
+             if mode == "box" else None)
+    keys = list(zip(query_ids, cids))
+    owners = np.array(positions)
+    for name, pick in picks.items():
+        picked = None if boxes is None else boxes[np.arange(len(batch)), pick]
+        covered = _covered(keys, pick, picked, truth, mode)
+        hits[name] += np.bincount(owners[covered], minlength=hits[name].size)
 
 
 def ablate(

@@ -443,6 +443,26 @@ def test_baseline_region_word_picks_most_aligned_region():
         baseline_region_word(unit_rows(features, "query"), np.zeros(2))
 
 
+def test_baseline_region_word_takes_one_embedding_per_query():
+    # A (Q, d) block of embeddings, one per query, picks what each query's
+    # own call under its (d,) embedding picks.
+    rng = np.random.default_rng(11)
+    query = unit_rows(rng.standard_normal((40, 6, 9)), "query")
+    w = rng.standard_normal((40, 9))
+    picks = baseline_region_word(query, w)
+    assert picks.shape == (40,)
+    assert np.array_equal(picks, [baseline_region_word(query[q:q + 1], w[q])[0]
+                                  for q in range(40)])
+    # Ties break toward the lowest index within each query: regions 1 and 3
+    # of query 0 and regions 0 and 2 of query 1 align equally well.
+    e = np.eye(3)
+    tied = np.stack([e[[2, 0, 1, 0]], e[[1, 2, 1, 0]]])
+    w_tied = np.array([[5.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    assert np.array_equal(baseline_region_word(tied, w_tied), [1, 0])
+    with pytest.raises(ValueError, match="zero vector"):
+        baseline_region_word(query[:2], np.stack([w[0], np.zeros(9)]))
+
+
 def test_baseline_max_size():
     areas = np.array([[1.0, 5.0, 2.0], [2.0, 2.0, 1.0]])
     assert np.array_equal(baseline_max_size(areas), [1, 0])  # lowest index wins ties

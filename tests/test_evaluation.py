@@ -309,6 +309,86 @@ def test_compare_strategies_equals_per_query_replay(sorted_rows, text_guidance):
                                            mode, text_guidance)
 
 
+@pytest.mark.parametrize("sorted_rows", [False, True])
+@pytest.mark.parametrize("text_guidance", [True, False])
+def test_compare_strategies_across_batch_boundaries_equals_replay(sorted_rows, text_guidance):
+    # Evaluation runs its queries in batches of 32 that span concepts; here a
+    # concept spans batches, images sit in two groups, and a singleton group
+    # and a group smaller than K=4 share batches with full ones.
+    from codiscover import ConceptGroupIndex
+
+    scenario, full = small_world(with_boxes=True, num_concepts=5, images_per_concept=36,
+                                 multi_concept_rate=0.4, noise_sigma=0.3)
+    cids = full.concept_ids()
+    groups = {cid: list(full.groups[cid]) for cid in cids}
+    groups[cids[0]] = groups[cids[0]][:1]
+    groups[cids[1]] = groups[cids[1]][:2]
+    index = ConceptGroupIndex(groups, {c: len(g) for c, g in groups.items()},
+                              {c: full.terms[c] for c in cids})
+    sizes = [len(g) for g in groups.values()]
+    assert max(sizes) > 32 and sum(sizes) > 64
+    assert sum(sizes) > len({i for g in groups.values() for i in g})
+    config = TrainConfig(group_size=4, hidden=16, steps=0, sorted_rows=sorted_rows)
+    state = init_model(scenario, index, config)
+    for seed, mode in ((3, "box"), (4, "index")):
+        report = compare_strategies(state, scenario, index, STRATEGIES, group_size=4,
+                                    seed=seed, mode=mode, text_guidance=text_guidance)
+        assert report == _replay_per_query(state, scenario, index, STRATEGIES, 4, seed,
+                                           mode, text_guidance)
+
+
+def test_compare_strategies_calls_the_forward_and_iou_once_per_batch(monkeypatch):
+    import codiscover.evaluation as evaluation
+
+    scenario, index = small_world(with_boxes=True, num_concepts=20)
+    assert sum(len(index.groups[c]) for c in index.concept_ids()) == 100
+    config = TrainConfig(group_size=4, hidden=16, steps=0)
+    state = init_model(scenario, index, config)
+    calls = {"head_forward": 0, "iou": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(evaluation, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(evaluation, name, counted)
+    compare_strategies(state, scenario, index, STRATEGIES, group_size=4, seed=1, mode="box")
+    # 100 queries make batches of 32, 32, 32 and 4.
+    assert calls == {"head_forward": 4, "iou": 4 * len(STRATEGIES)}
+
+
+@pytest.mark.parametrize("num_concepts,images_per_concept", [(200, 6), (1, 300)])
+def test_compare_strategies_peak_memory_is_bounded(num_concepts, images_per_concept):
+    # The batches cap the pass's working set, whatever a concept's group size.
+    import tracemalloc
+
+    scenario = generate_scenario(ScenarioConfig(
+        num_concepts=num_concepts, d=32, n=16, images_per_concept=images_per_concept,
+        distractor_count=4, noise_sigma=0.05, with_boxes=True, seed=1))
+    index = build_concept_index(scenario.records, scenario.lexicon, 1)
+    config = TrainConfig(group_size=4, sorted_rows=True, hidden=128, steps=0)
+    state = init_model(scenario, index, config)
+    tracemalloc.start()
+    try:
+        compare_strategies(state, scenario, index, STRATEGIES, group_size=4, seed=2, mode="box")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
+def test_compare_strategies_names_the_concept_of_a_zero_feature_row():
+    # All 20 queries share one batch; the zero row belongs to the third
+    # concept's member, so the error names that concept, not the first.
+    scenario, index = small_world()
+    config = TrainConfig(group_size=3, hidden=16, steps=0, eval_interval=0)
+    state = init_model(scenario, index, config)
+    cid = index.concept_ids()[2]
+    member = index.groups[cid][1]
+    state.features[member] = state.features[member].copy()
+    state.features[member][3] = 0.0
+    with pytest.raises(ValueError, match=rf"^concept {cid}: zero feature row$"):
+        compare_strategies(state, scenario, index, STRATEGIES, group_size=3, seed=1)
+
+
 def test_compare_strategies_rejects_features_of_another_world():
     scenario, index = small_world()
     config = TrainConfig(group_size=3, hidden=16, steps=0, eval_interval=0)
