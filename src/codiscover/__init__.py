@@ -36,10 +36,8 @@ from .errors import CodiscoverError, ConfigError, FormatError
 from .evaluation import (
     AblationRow,
     EvalReport,
-    PseudoLabel,
     ablate,
     compare_strategies,
-    cover_rate,
     iou,
     write_ablation_csv,
     write_report_csv,

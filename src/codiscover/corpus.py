@@ -74,18 +74,20 @@ class Lexicon:
 
 @dataclass
 class ConceptGroupIndex:
-    """Concept id -> member image ids, with per-concept frequencies and terms."""
+    """Concept id -> member image ids, with per-concept terms."""
 
     groups: dict[int, list[str]]
-    frequencies: dict[int, int]
     terms: dict[int, str]
 
     def __post_init__(self) -> None:
-        for cid, ids in self.groups.items():
-            if self.frequencies.get(cid) != len(ids):
-                raise ValueError(f"concept {cid}: frequency does not match group size")
+        for cid in self.groups:
             if cid not in self.terms:
                 raise ValueError(f"concept {cid}: missing term")
+
+    @property
+    def frequencies(self) -> dict[int, int]:
+        """Concept id -> member count."""
+        return {cid: len(ids) for cid, ids in self.groups.items()}
 
     def concept_ids(self) -> list[int]:
         return sorted(self.groups)
@@ -174,11 +176,8 @@ def build_concept_index(
         for cid in record.concepts:
             groups.setdefault(cid, []).append(record.image_id)
     retained = {cid: ids for cid, ids in groups.items() if len(ids) >= min_freq}
-    return ConceptGroupIndex(
-        groups=retained,
-        frequencies={cid: len(ids) for cid, ids in retained.items()},
-        terms={cid: lexicon.term(cid) for cid in retained},
-    )
+    return ConceptGroupIndex(groups=retained,
+                             terms={cid: lexicon.term(cid) for cid in retained})
 
 
 def sample_mini_group(
@@ -198,20 +197,25 @@ def sample_mini_group(
 
 
 def save_index(index: ConceptGroupIndex, path: str) -> None:
-    """Write `concept_id<TAB>term<TAB>freq<TAB>comma-joined ids`, sorted by id."""
-    for cid in index.groups:
-        for image_id in index.groups[cid]:
-            if any(ch in image_id for ch in "\t\n,"):
+    """Write `concept_id<TAB>term<TAB>member count<TAB>comma-joined ids`, sorted
+    by id. Refuses, before creating the file, what load_index would refuse: an
+    id or term holding a character it splits on, an empty or repeated id."""
+    for cid, ids in index.groups.items():
+        if any(ch in index.terms[cid] for ch in "\t\n\r"):
+            raise ValueError(f"term {index.terms[cid]!r} contains a separator character")
+        if "" in ids or len(set(ids)) != len(ids):
+            raise ValueError(f"concept {cid}: empty or duplicate member id")
+        for image_id in ids:
+            if any(ch in image_id for ch in "\t\n\r,"):
                 raise ValueError(f"image id {image_id!r} contains a separator character")
     with atomic_writer(path, "w") as fh:
         for cid in sorted(index.groups):
-            ids = ",".join(index.groups[cid])
-            fh.write(f"{cid}\t{index.terms[cid]}\t{index.frequencies[cid]}\t{ids}\n")
+            ids = index.groups[cid]
+            fh.write(f"{cid}\t{index.terms[cid]}\t{len(ids)}\t{','.join(ids)}\n")
 
 
 def load_index(path: str) -> ConceptGroupIndex:
     groups: dict[int, list[str]] = {}
-    frequencies: dict[int, int] = {}
     terms: dict[int, str] = {}
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in utf8_lines(fh):
@@ -232,6 +236,5 @@ def load_index(path: str) -> ConceptGroupIndex:
             if int(fields[2]) != len(ids):
                 raise FormatError(f"line {lineno}: frequency does not match id count")
             groups[cid] = ids
-            frequencies[cid] = len(ids)
             terms[cid] = fields[1]
-    return ConceptGroupIndex(groups, frequencies, terms)
+    return ConceptGroupIndex(groups, terms)

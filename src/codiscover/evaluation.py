@@ -27,18 +27,6 @@ STRATEGIES = ("region_region", "region_word", "max_size", "heuristic")
 
 
 @dataclass
-class PseudoLabel:
-    image_id: str
-    concept_id: int
-    region_index: int
-    box: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.region_index < 0:
-            raise ValueError("region index must be >= 0")
-
-
-@dataclass
 class EvalReport:
     cover_rates: dict[str, float]
     per_concept: dict[str, dict[int, tuple[float, int]]]
@@ -95,23 +83,6 @@ def _stack_present(values: list, image_ids: list[str], what: str) -> np.ndarray:
         if value is None:
             raise ValueError(f"image {image_id!r} carries no {what}")
     return np.stack(values)
-
-
-def cover_rate(labels: list[PseudoLabel], truth: ScenarioTruth, mode: str = "index") -> float:
-    """Fraction of pseudo-labels matching oracle truth.
-
-    index mode: the assigned region index is a true region of that concept.
-    box mode: the assigned box has IoU > 0.5 with the closest (max-IoU)
-    ground-truth box of that concept in that image.
-    """
-    if not labels:
-        raise ValueError("cover_rate needs at least one label")
-    image_ids = [label.image_id for label in labels]
-    boxes = (_stack_present([label.box for label in labels], image_ids, "box")
-             if mode == "box" else None)
-    covered = _covered([(label.image_id, label.concept_id) for label in labels],
-                       [label.region_index for label in labels], boxes, truth, mode)
-    return int(covered.sum()) / len(labels)
 
 
 def _sample_supports(pool: list[str], query_id: str, m: int,

@@ -144,9 +144,6 @@ class ScenarioTruth:
     true_pairs: dict[str, set[tuple[int, int]]]
     gt_boxes: dict[tuple[str, int], list[np.ndarray]] = field(default_factory=dict)
 
-    def regions_for(self, image_id: str, concept_id: int) -> set[int]:
-        return {r for r, c in self.true_pairs.get(image_id, set()) if c == concept_id}
-
     def is_true(self, image_id: str, region_index: int, concept_id: int) -> bool:
         return (region_index, concept_id) in self.true_pairs.get(image_id, set())
 

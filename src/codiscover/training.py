@@ -93,9 +93,6 @@ class BatchLoss:
     region_word: float
     image_text: float
 
-    def __float__(self) -> float:
-        return self.total
-
 
 @dataclass
 class GradientBundle:

@@ -1,6 +1,7 @@
 """Tests for caption parsing, concept extraction, and group indexing."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -152,10 +153,15 @@ def test_build_concept_index_min_freq_boundary():
 
 
 def test_concept_group_index_validates_frequencies_and_terms():
-    with pytest.raises(ValueError, match="frequency"):
-        ConceptGroupIndex(groups={0: ["a", "b"]}, frequencies={0: 1}, terms={0: "dog"})
+    # Frequencies are the member counts, derived from the groups and not stored.
+    index = ConceptGroupIndex(groups={0: ["a", "b"], 3: []}, terms={0: "dog", 3: "cat"})
+    assert index.frequencies == {0: 2, 3: 0}
+    index.groups[0].append("c")
+    assert index.frequencies == {0: 3, 3: 0}
+    with pytest.raises(AttributeError):
+        index.frequencies = {0: 1, 3: 0}
     with pytest.raises(ValueError, match="missing term"):
-        ConceptGroupIndex(groups={0: ["a"]}, frequencies={0: 1}, terms={})
+        ConceptGroupIndex(groups={0: ["a"]}, terms={})
 
 
 def test_mini_group_validation():
@@ -165,11 +171,7 @@ def test_mini_group_validation():
 
 
 def test_sample_mini_group_draws_members_uniformly():
-    index = ConceptGroupIndex(
-        groups={7: ["a", "b", "c", "d"]},
-        frequencies={7: 4},
-        terms={7: "dog"},
-    )
+    index = ConceptGroupIndex(groups={7: ["a", "b", "c", "d"]}, terms={7: "dog"})
     rng = np.random.default_rng(123)
     counts = {name: 0 for name in "abcd"}
     draws = 8000
@@ -188,9 +190,7 @@ def test_sample_mini_group_draws_members_uniformly():
 
 
 def test_sample_mini_group_small_pool_falls_back_to_replacement():
-    index = ConceptGroupIndex(
-        groups={0: ["a", "b"]}, frequencies={0: 2}, terms={0: "dog"}
-    )
+    index = ConceptGroupIndex(groups={0: ["a", "b"]}, terms={0: "dog"})
     group = sample_mini_group(index, 0, 5, np.random.default_rng(0))
     assert len(group.image_ids) == 5
     assert set(group.image_ids) <= {"a", "b"}
@@ -200,7 +200,7 @@ def test_sample_mini_group_rare_concept_query_can_be_its_own_support():
     # Rare-concept rule of training: a group smaller than K is drawn with
     # replacement, so the query (position 0) can recur among its supports,
     # and a singleton group fills every position with its one image.
-    index = ConceptGroupIndex(groups={0: ["solo"], 1: ["a", "b"]}, frequencies={0: 1, 1: 2},
+    index = ConceptGroupIndex(groups={0: ["solo"], 1: ["a", "b"]},
                               terms={0: "yak", 1: "dog"})
     rng = np.random.default_rng(1)
     assert sample_mini_group(index, 0, 4, rng).image_ids == ["solo"] * 4
@@ -209,9 +209,7 @@ def test_sample_mini_group_rare_concept_query_can_be_its_own_support():
 
 
 def test_sample_mini_group_errors():
-    index = ConceptGroupIndex(
-        groups={0: ["a", "b"]}, frequencies={0: 2}, terms={0: "dog"}
-    )
+    index = ConceptGroupIndex(groups={0: ["a", "b"]}, terms={0: "dog"})
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="not in index"):
         sample_mini_group(index, 9, 2, rng)
@@ -220,11 +218,8 @@ def test_sample_mini_group_errors():
 
 
 def test_index_round_trips_through_tsv(tmp_path):
-    index = ConceptGroupIndex(
-        groups={3: ["img2", "img1"], 1: ["img1"]},
-        frequencies={3: 2, 1: 1},
-        terms={3: "fire truck", 1: "dog"},
-    )
+    index = ConceptGroupIndex(groups={3: ["img2", "img1"], 1: ["img1"]},
+                              terms={3: "fire truck", 1: "dog"})
     path = tmp_path / "index.tsv"
     save_index(index, str(path))
     lines = path.read_text().splitlines()
@@ -236,12 +231,23 @@ def test_index_round_trips_through_tsv(tmp_path):
 
 
 def test_save_index_rejects_separator_characters(tmp_path):
-    index = ConceptGroupIndex(
-        groups={0: ["bad,id"]}, frequencies={0: 1}, terms={0: "dog"}
-    )
-    with pytest.raises(ValueError, match="separator"):
-        save_index(index, str(tmp_path / "index.tsv"))
-    assert not (tmp_path / "index.tsv").exists()
+    # Each of these would write a file that load_index refuses.
+    path = tmp_path / "index.tsv"
+    for image_id in ("bad,id", "bad\tid", "bad\nid", "bad\rid"):
+        index = ConceptGroupIndex(groups={0: [image_id]}, terms={0: "dog"})
+        with pytest.raises(ValueError, match=re.escape(f"image id {image_id!r} contains")):
+            save_index(index, str(path))
+        assert not path.exists()
+    for term in ("bad\tterm", "bad\nterm", "bad\rterm"):
+        index = ConceptGroupIndex(groups={0: ["a"]}, terms={0: term})
+        with pytest.raises(ValueError, match=re.escape(f"term {term!r} contains")):
+            save_index(index, str(path))
+        assert not path.exists()
+    for ids in (["a", ""], ["a", "b", "a"]):
+        index = ConceptGroupIndex(groups={0: ids}, terms={0: "dog"})
+        with pytest.raises(ValueError, match="concept 0: empty or duplicate member id"):
+            save_index(index, str(path))
+        assert not path.exists()
 
 
 def test_load_index_rejects_malformed_lines(tmp_path):

@@ -7,14 +7,12 @@ import pytest
 
 from codiscover import (
     EvalReport,
-    PseudoLabel,
     ScenarioConfig,
     ScenarioTruth,
     TrainConfig,
     ablate,
     build_concept_index,
     compare_strategies,
-    cover_rate,
     generate_scenario,
     init_model,
     iou,
@@ -23,6 +21,7 @@ from codiscover import (
 from codiscover.evaluation import (
     STRATEGIES,
     AblationRow,
+    _covered,
     _sample_supports,
     write_ablation_csv,
     write_report_csv,
@@ -68,50 +67,39 @@ def test_iou_hand_cases():
         iou(right, [a, [3.0, 0.0, 1.0, 2.0]])
 
 
-# --------------------------------------------------------------- cover rate
+# ---------------------------------------------------------- scoring rule
 
 
-def test_pseudo_label_validation():
-    PseudoLabel("img", 0, 1)
-    with pytest.raises(ValueError, match="region index"):
-        PseudoLabel("img", 0, -1)
-
-
-def test_cover_rate_index_mode():
+def test_covered_index_mode():
     truth = ScenarioTruth({"a": {(0, 1), (2, 1)}, "b": {(1, 2)}})
-    labels = [
-        PseudoLabel("a", 1, 0),   # hit
-        PseudoLabel("a", 1, 1),   # miss: region 1 is not true for 1
-        PseudoLabel("b", 2, 1),   # hit
-        PseudoLabel("b", 1, 1),   # miss: wrong concept
-    ]
-    assert cover_rate(labels, truth) == pytest.approx(0.5)
-    with pytest.raises(ValueError, match="at least one label"):
-        cover_rate([], truth)
+    keys = [("a", 1), ("a", 1), ("b", 2), ("b", 1)]
+    # Hit; miss (region 1 is not true for 1); hit; miss (wrong concept).
+    covered = _covered(keys, [0, 1, 1, 1], None, truth, "index")
+    assert covered.tolist() == [True, False, True, False]
     with pytest.raises(ValueError, match="unknown cover mode"):
-        cover_rate(labels, truth, mode="pixel")
+        _covered(keys, [0, 1, 1, 1], None, truth, "pixel")
 
 
-def test_cover_rate_box_mode():
+def test_covered_box_mode():
     gt = {("a", 1): [np.array([0.0, 0.0, 2.0, 2.0])],
           ("b", 1): [np.array([20.0, 20.0, 22.0, 22.0]), np.array([0.0, 0.0, 2.0, 2.0])]}
     truth = ScenarioTruth({"a": {(0, 1)}}, gt_boxes=gt)
-    exact = PseudoLabel("a", 1, 0, box=np.array([0.0, 0.0, 2.0, 2.0]))
-    near = PseudoLabel("a", 1, 0, box=np.array([0.1, 0.0, 2.0, 2.0]))
-    far = PseudoLabel("a", 1, 0, box=np.array([10.0, 10.0, 12.0, 12.0]))
-    unlabeled = PseudoLabel("a", 9, 0, box=np.array([0.0, 0.0, 2.0, 2.0]))
-    assert cover_rate([exact, near], truth, mode="box") == 1.0
-    assert cover_rate([far], truth, mode="box") == 0.0
-    assert cover_rate([unlabeled], truth, mode="box") == 0.0  # no gt boxes
+    exact = [0.0, 0.0, 2.0, 2.0]
+    near = [0.1, 0.0, 2.0, 2.0]  # IoU 0.95 with the ground truth
+    far = [10.0, 10.0, 12.0, 12.0]
+
+    def covered(keys, boxes):
+        return _covered(keys, [0] * len(keys), np.array(boxes), truth, "box").tolist()
+
+    assert covered([("a", 1), ("a", 1)], [exact, near]) == [True, True]
+    assert covered([("a", 1)], [far]) == [False]
+    assert covered([("a", 9)], [exact]) == [False]  # no gt boxes
     # The best of an image's ground-truth boxes counts, whichever it is.
-    second = PseudoLabel("b", 1, 0, box=np.array([0.0, 0.0, 2.0, 2.0]))
-    assert cover_rate([second, far, exact, unlabeled], truth, mode="box") == 0.5
-    with pytest.raises(ValueError, match="carries no box"):
-        cover_rate([PseudoLabel("a", 1, 0)], truth, mode="box")
+    assert covered([("b", 1), ("a", 1), ("a", 1), ("a", 9)],
+                   [exact, far, exact, exact]) == [True, False, True, False]
     # A bad box is named on one line by its index among the boxes scored.
-    bad = PseudoLabel("a", 1, 0, box=np.array([2.0, 0.0, 1.0, 1.0]))
     with pytest.raises(ValueError, match=r"^degenerate box 1: \(2\.0, 0\.0, 1\.0, 1\.0\)$"):
-        cover_rate([exact, bad], truth, mode="box")
+        covered([("a", 1), ("a", 1)], [exact, [2.0, 0.0, 1.0, 1.0]])
 
 
 # --------------------------------------------------------- support sampling
@@ -219,8 +207,7 @@ def test_compare_strategies_label_matches_manual_pipeline():
     state = init_model(scenario, index, config)
     cid = index.concept_ids()[0]
     query_id = index.groups[cid][0]
-    solo = ConceptGroupIndex(groups={cid: [query_id]}, frequencies={cid: 1},
-                             terms={cid: index.terms[cid]})
+    solo = ConceptGroupIndex(groups={cid: [query_id]}, terms={cid: index.terms[cid]})
 
     # A singleton group supports itself, so no randomness is involved.
     w_c = state.classifier.weights[state.classifier.row_of[cid]]
@@ -239,7 +226,8 @@ def test_compare_strategies_label_matches_manual_pipeline():
 def _replay_per_query(state, scenario, index, strategies, group_size, seed, mode,
                       text_guidance):
     """compare_strategies replayed one query at a time (Q=1) through the
-    public batched ops, scored label by label with cover_rate."""
+    public batched ops, and each label scored on its own: a truth lookup in
+    index mode, IoU > 0.5 with any ground-truth box of its key in box mode."""
     from codiscover import (
         EvalReport,
         baseline_max_size,
@@ -253,7 +241,7 @@ def _replay_per_query(state, scenario, index, strategies, group_size, seed, mode
 
     rng = np.random.default_rng(seed)
     feature_map = scenario.feature_map()
-    labels = {name: [] for name in strategies}
+    hits = {name: [] for name in strategies}
     for cid in index.concept_ids():
         w_c = state.classifier.weights[state.classifier.row_of[cid]]
         guide = concept_guide(w_c, text_guidance)
@@ -273,17 +261,22 @@ def _replay_per_query(state, scenario, index, strategies, group_size, seed, mode
                     idx = int(baseline_region_word(query, w_c)[0])
                 else:
                     idx = int(baseline_max_size(fs.areas[None])[0])
-                labels[name].append(PseudoLabel(query_id, cid, idx, fs.boxes[idx]))
+                if mode == "index":
+                    hit = scenario.truth.is_true(query_id, idx, cid)
+                else:
+                    hit = any(iou(fs.boxes[idx], g) > 0.5
+                              for g in scenario.truth.gt_boxes.get((query_id, cid), []))
+                hits[name].append((cid, hit))
     per_concept = {
-        name: {cid: (cover_rate([lab for lab in labels[name] if lab.concept_id == cid],
-                                scenario.truth, mode), len(index.groups[cid]))
+        name: {cid: (sum(hit for c, hit in hits[name] if c == cid) / len(index.groups[cid]),
+                     len(index.groups[cid]))
                for cid in index.concept_ids()}
         for name in strategies
     }
-    rates = {name: cover_rate(labels[name], scenario.truth, mode) for name in strategies}
+    rates = {name: sum(hit for _, hit in hits[name]) / len(hits[name]) for name in strategies}
     echo = {"strategies": list(strategies), "group_size": group_size, "seed": seed,
             "mode": mode, "text_guidance": text_guidance}
-    return EvalReport(rates, per_concept, len(labels[strategies[0]]), echo)
+    return EvalReport(rates, per_concept, len(hits[strategies[0]]), echo)
 
 
 @pytest.mark.parametrize("sorted_rows", [False, True])
@@ -298,8 +291,7 @@ def test_compare_strategies_equals_per_query_replay(sorted_rows, text_guidance):
     groups = {cid: list(full.groups[cid]) for cid in cids}
     groups[cids[0]] = groups[cids[0]][:1]
     groups[cids[1]] = groups[cids[1]][:2]
-    index = ConceptGroupIndex(groups, {c: len(g) for c, g in groups.items()},
-                              {c: full.terms[c] for c in cids})
+    index = ConceptGroupIndex(groups, {c: full.terms[c] for c in cids})
     config = TrainConfig(group_size=4, hidden=16, steps=0, sorted_rows=sorted_rows)
     state = init_model(scenario, index, config)
     for seed, mode in ((3, "box"), (4, "index")):
@@ -323,8 +315,7 @@ def test_compare_strategies_across_batch_boundaries_equals_replay(sorted_rows, t
     groups = {cid: list(full.groups[cid]) for cid in cids}
     groups[cids[0]] = groups[cids[0]][:1]
     groups[cids[1]] = groups[cids[1]][:2]
-    index = ConceptGroupIndex(groups, {c: len(g) for c, g in groups.items()},
-                              {c: full.terms[c] for c in cids})
+    index = ConceptGroupIndex(groups, {c: full.terms[c] for c in cids})
     sizes = [len(g) for g in groups.values()]
     assert max(sizes) > 32 and sum(sizes) > 64
     assert sum(sizes) > len({i for g in groups.values() for i in g})

@@ -155,7 +155,6 @@ def test_caption_batch_loss_matches_compositional_reference(sorted_rows, text_gu
         + config.lambda_image_text * it_expected,
         rel=1e-12,
     )
-    assert float(loss) == loss.total
 
 
 def test_caption_batch_loss_zero_weights_zero_gradients():
