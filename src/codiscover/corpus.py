@@ -18,6 +18,8 @@ from ._binio import atomic_writer, utf8_lines
 from .errors import FormatError
 
 _PUNCT_TABLE = str.maketrans({ch: " " for ch in string.punctuation})
+# Characters an image id may not hold: the index file splits on them.
+_ID_SEPARATORS = "\t\n\r,"
 
 
 def tokenize(text: str) -> list[str]:
@@ -50,9 +52,6 @@ class Lexicon:
             self.max_phrase_len = max(self.max_phrase_len, len(tokens))
         if not self.terms:
             raise ValueError("lexicon is empty")
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
     def term(self, concept_id: int) -> str:
         return self.terms[concept_id]
@@ -133,6 +132,9 @@ def parse_corpus(stream) -> list[CaptionRecord]:
                 f"line {lineno}: expected image_id<TAB>caption, found {len(fields)} fields"
             )
         image_id, caption = fields
+        if not image_id or any(ch in image_id for ch in _ID_SEPARATORS):
+            raise FormatError(f"line {lineno}: image id {image_id!r} is empty "
+                              "or contains a separator character")
         if image_id in seen:
             raise FormatError(f"line {lineno}: duplicate image id {image_id!r}")
         seen.add(image_id)
@@ -206,7 +208,7 @@ def save_index(index: ConceptGroupIndex, path: str) -> None:
         if "" in ids or len(set(ids)) != len(ids):
             raise ValueError(f"concept {cid}: empty or duplicate member id")
         for image_id in ids:
-            if any(ch in image_id for ch in "\t\n\r,"):
+            if any(ch in image_id for ch in _ID_SEPARATORS):
                 raise ValueError(f"image id {image_id!r} contains a separator character")
     with atomic_writer(path, "w") as fh:
         for cid in sorted(index.groups):

@@ -17,7 +17,6 @@ from .core import (
     head_forward,
     heuristic_picks,
     similarity_rows,
-    unit_rows,
 )
 from .corpus import ConceptGroupIndex
 from .scenario import Scenario, ScenarioTruth
@@ -183,19 +182,18 @@ def _score_batch(batch, state: ModelState, feature_map, truth: ScenarioTruth, st
     call of each batched op, and add the hits to each concept's count."""
     query_ids, support_ids, class_rows, cids, positions = zip(*batch)
     images = list(dict.fromkeys(i for q, s in zip(query_ids, support_ids) for i in (q, *s)))
-    try:
-        hat = unit_rows(np.stack([state.features[i] for i in images]), "batch")
-    except ValueError:
-        # Name the first concept of the batch that holds a zero feature row.
-        for query_id, supports, cid in zip(query_ids, support_ids, cids):
-            for image_id in (query_id, *supports):
-                unit_rows(state.features[image_id], f"concept {cid}")
-        raise
+    raw = np.stack([state.features[i] for i in images])
+    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     slot = {image_id: j for j, image_id in enumerate(images)}
-    query_hat = hat[[slot[i] for i in query_ids]]
-    # int-typed even when empty, so group_size=1 gives (Q, 0) supports and
-    # similarity_rows refuses them.
-    supports = np.array([[slot[i] for i in ids] for ids in support_ids], dtype=int)
+    # Column 0 holds each query's slot, the rest its supports'; group_size=1
+    # leaves int-typed (Q, 0) supports, which similarity_rows refuses.
+    slots = np.array([[slot[i] for i in (q, *s)] for q, s in zip(query_ids, support_ids)])
+    zero = (norms == 0.0).any(axis=(1, 2))[slots].any(axis=1)
+    if zero.any():
+        # Name the concept of the first query whose images hold a zero row.
+        raise ValueError(f"concept {cids[zero.argmax()]}: zero feature row")
+    hat = raw / norms
+    query_hat, supports = hat[slots[:, 0]], slots[:, 1:]
     w = state.classifier.weights[list(class_rows)]
     picks = {}
     if {"region_region", "heuristic"} & set(strategies):

@@ -9,8 +9,8 @@ prototype (optionally rotated to stress-test text guidance).
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable
 
@@ -439,6 +439,8 @@ def save_features_tsv(feature_sets: list[RegionFeatureSet], path: str) -> None:
 
 
 def load_features_tsv(path: str) -> list[RegionFeatureSet]:
+    """Read, in one pass, the layout save_features_tsv writes: each image's n
+    rows contiguous and numbered 0..n-1. An image's arrays are built when it ends."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         lines = utf8_lines(fh)
         header = next(lines, (1, ""))[1].rstrip("\n").split("\t")
@@ -455,53 +457,38 @@ def load_features_tsv(path: str) -> list[RegionFeatureSet]:
         if n < 1 or d < 1:
             raise FormatError(f"line 1: invalid header dimensions n={n}, d={d}")
         expected_fields = 3 + int(has_boxes) + int(has_areas)
-        size = os.fstat(fh.fileno()).st_size
-        rows: dict[str, dict] = {}
-        for lineno, line in lines:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != expected_fields:
-                raise FormatError(f"line {lineno}: expected {expected_fields} fields")
-            image_id = fields[0]
-            r = int(fields[1]) if fields[1].isdecimal() else n
-            if r >= n:
-                raise FormatError(f"line {lineno}: row index {fields[1]!r} is not in [0, {n})")
-            if image_id not in rows:
-                # Every image must give n rows of d values, each at least one
-                # byte of the file, so what is allocated never outgrows the file.
-                if (len(rows) + 1) * n * d > size:
-                    raise FormatError(f"line {lineno}: n={n}, d={d} do not fit the file")
-                rows[image_id] = {
-                    "features": np.zeros((n, d)),
-                    "boxes": np.zeros((n, 4)) if has_boxes else None,
-                    "areas": np.zeros(n) if has_areas else None,
-                    "seen": np.zeros(n, dtype=bool),
-                }
-            entry = rows[image_id]
-            if entry["seen"][r]:
-                raise FormatError(f"line {lineno}: duplicate row {r} of image {image_id!r}")
-            entry["seen"][r] = True
-            try:
-                values = [float(v) for v in fields[2].split()]
-                box = [float(v) for v in fields[3].split()] if has_boxes else [0.0] * 4
-                area = float(fields[-1]) if has_areas else 0.0
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from None
-            if len(values) != d:
-                raise FormatError(f"line {lineno}: expected {d} feature values")
-            if len(box) != 4:
-                raise FormatError(f"line {lineno}: expected 4 box values")
-            for key, value in (("features", values), ("boxes", box), ("areas", area)):
-                if entry[key] is not None:
-                    entry[key][r] = value
-    out = []
-    for image_id, entry in rows.items():
-        if not entry["seen"].all():
-            raise FormatError(f"image {image_id!r} has {entry['seen'].sum()} of its {n} rows")
-        out.append(RegionFeatureSet(image_id, entry["features"], entry["boxes"], entry["areas"]))
-    return out
+        records = ((lineno, line.rstrip("\n").split("\t"))
+                   for lineno, line in lines if line.rstrip("\n"))
+        out: dict[str, RegionFeatureSet] = {}
+        for image_id, group in itertools.groupby(records, key=lambda rec: rec[1][0]):
+            features, boxes, areas = [], [], []
+            for lineno, fields in group:
+                if len(fields) != expected_fields:
+                    raise FormatError(f"line {lineno}: expected {expected_fields} fields")
+                r = int(fields[1]) if fields[1].isdecimal() else n
+                if r >= n:
+                    raise FormatError(f"line {lineno}: row index {fields[1]!r} is not in [0, {n})")
+                if image_id in out:
+                    raise FormatError(f"line {lineno}: duplicate image id {image_id!r}")
+                if r != len(features):
+                    raise FormatError(f"line {lineno}: row {r} of image {image_id!r} "
+                                      f"is out of order, expected row {len(features)}")
+                try:
+                    features.append([float(v) for v in fields[2].split()])
+                    boxes.append([float(v) for v in fields[3].split()] if has_boxes else [0.0] * 4)
+                    areas.append(float(fields[-1]) if has_areas else 0.0)
+                except ValueError as exc:
+                    raise FormatError(f"line {lineno}: {exc}") from None
+                if len(features[-1]) != d:
+                    raise FormatError(f"line {lineno}: expected {d} feature values")
+                if len(boxes[-1]) != 4:
+                    raise FormatError(f"line {lineno}: expected 4 box values")
+            if len(features) != n:
+                raise FormatError(f"image {image_id!r} has {len(features)} of its {n} rows")
+            out[image_id] = RegionFeatureSet(image_id, np.array(features),
+                                             np.array(boxes) if has_boxes else None,
+                                             np.array(areas) if has_areas else None)
+    return list(out.values())
 
 
 def save_text_embeddings(table: TextEmbeddingTable, path: str) -> None:

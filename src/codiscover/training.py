@@ -382,10 +382,9 @@ def finite_diff_check(
     else:
         raise ValueError(f"unknown parameter selector {selector!r}")
 
-    sizes = [param.size for param, _ in pairs]
-    total = int(np.sum(sizes))
-    count = min(num_coords, total)
-    coords = rng.choice(total, size=count, replace=False)
+    cells = [(param, grad, flat_index) for param, grad in pairs
+             for flat_index in range(param.size)]
+    coords = rng.choice(len(cells), size=min(num_coords, len(cells)), replace=False)
 
     def numeric(param: np.ndarray, flat_index: int, step: float) -> float:
         original = param.flat[flat_index]
@@ -400,12 +399,8 @@ def finite_diff_check(
         return abs(a - b) / max(1e-12, abs(a) + abs(b))
 
     worst = 0.0
-    offsets = np.cumsum([0] + sizes)
     for coord in coords:
-        coord = int(coord)
-        which = int(np.searchsorted(offsets, coord, side="right")) - 1
-        param, grad = pairs[which]
-        flat_index = coord - int(offsets[which])
+        param, grad, flat_index = cells[coord]
         analytic = float(grad.flat[flat_index])
         step = eps
         err = rel_error(analytic, numeric(param, flat_index, step))

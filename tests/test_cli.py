@@ -270,6 +270,19 @@ def test_cli_build_index(tmp_path, capsys):
     assert index.terms == {0: "dog"}
 
 
+def test_cli_build_index_names_the_line_of_a_bad_image_id(tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("img1\ta dog\n\ta dog\n")
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text("dog\n")
+    out = tmp_path / "index.tsv"
+    assert main(["build-index", "--corpus", str(corpus), "--lexicon", str(lexicon),
+                 "--out", str(out)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        "error: line 2: image id '' is empty or contains a separator character\n")
+    assert not out.exists()
+
+
 def test_cli_train_eval_and_reports(tmp_path, tiny_config, capsys):
     train_out = tmp_path / "train"
     assert main(["train", "--config", tiny_config, "--out", str(train_out)]) == EXIT_OK

@@ -34,7 +34,7 @@ def test_tokenize_lowercases_and_strips_punctuation():
 def test_lexicon_normalizes_terms_and_assigns_dense_ids():
     lex = Lexicon(["Dog", "Fire-Truck", "traffic light"])
     assert lex.terms == ["dog", "fire truck", "traffic light"]
-    assert len(lex) == 3
+    assert len(lex.terms) == 3
     assert lex.term(1) == "fire truck"
     assert lex.max_phrase_len == 2
     assert lex.lookup(("fire", "truck")) == 1
@@ -85,6 +85,12 @@ def test_parse_corpus_reports_line_numbers(tmp_path):
         parse_corpus("img1\ta dog\nimg2\ta\tcat\n")
     with pytest.raises(FormatError, match="^line 2: not valid UTF-8$"):
         parse_corpus("img1\ta café\n".encode("utf-8") + b"img2\ta \xe9t\xe9\n")
+    # Ids that save_index refuses (empty, or holding a comma or an inner
+    # carriage return) are refused at their line.
+    for image_id in ("", "bad,id", "bad\rid"):
+        with pytest.raises(FormatError, match=re.escape(
+                f"line 2: image id {image_id!r} is empty or contains a separator character")):
+            parse_corpus(f"img1\ta dog\n{image_id}\ta cat\n")
     # A stream opened as UTF-8 text names the line too, also when the bad
     # byte lies past the first 8 KiB (400 lines of 25 bytes come before it).
     path = tmp_path / "corpus.tsv"

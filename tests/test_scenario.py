@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -506,18 +507,31 @@ def test_load_features_tsv_rejects_corruption(tmp_path):
         load_features_tsv(str(path))
     path.write_text("# CODF-TSV\tn=2\td=2\tboxes=0\tareas=0\nimg0\t0\t1.0 2.0\n"
                     "img0\t0\t3.0 4.0\n")
-    with pytest.raises(FormatError, match="line 3.*duplicate row 0 of image 'img0'"):
+    with pytest.raises(FormatError,
+                       match="^line 3: row 0 of image 'img0' is out of order, expected row 1$"):
         load_features_tsv(str(path))
     path.write_text("# CODF-TSV\tn=2\td=2\tboxes=0\tareas=0\nimg0\t0\t1.0 2.0 3.0\n")
     with pytest.raises(FormatError, match="line 2.*expected 2 feature values"):
         load_features_tsv(str(path))
     path.write_text("# CODF-TSV\tn=2\td=2\tboxes=0\tareas=0\nimg0\t1\t1.0 2.0\n")
-    with pytest.raises(FormatError, match="image 'img0' has 1 of its 2 rows"):
+    with pytest.raises(FormatError,
+                       match="^line 2: row 1 of image 'img0' is out of order, expected row 0$"):
         load_features_tsv(str(path))
-    # An n larger than the file can hold is refused before rows are allocated.
+    # An image's rows must be contiguous: one that comes back is refused.
+    path.write_text("# CODF-TSV\tn=1\td=2\tboxes=0\tareas=0\nimg0\t0\t1.0 2.0\n"
+                    "img1\t0\t1.0 2.0\nimg0\t0\t1.0 2.0\n")
+    with pytest.raises(FormatError, match="^line 4: duplicate image id 'img0'$"):
+        load_features_tsv(str(path))
+    # Rows are kept as they are read, so an n larger than the file holds
+    # allocates nothing of size n and is refused when the image ends.
     path.write_text("# CODF-TSV\tn=2147483647\td=2\tboxes=0\tareas=0\nimg0\t0\t1.0 2.0\n")
-    with pytest.raises(FormatError, match="line 2: n=2147483647, d=2 do not fit"):
-        load_features_tsv(str(path))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="^image 'img0' has 1 of its 2147483647 rows$"):
+            load_features_tsv(str(path))
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
     # Values that are not numbers, and a box of other than 4 values.
     header = "# CODF-TSV\tn=1\td=2\tboxes=1\tareas=1\n"
     for row, message in (("1.0 abc\t0 0 1 1\t1.0", "line 2: could not convert.*'abc'"),
