@@ -74,9 +74,12 @@ def _parse_int(raw: str) -> int:
 
 def _parse_float(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"expected a number, got {raw!r}") from None
+    if not np.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 _PARSER_BY_TYPE = {int: _parse_int, float: _parse_float, bool: _parse_bool, str: str}
@@ -94,15 +97,36 @@ def _field_parsers(cls) -> dict:
 _FIELD_PARSERS = {"scenario": _field_parsers(ScenarioConfig), "train": _field_parsers(TrainConfig)}
 
 
+def _parse_strategies(raw: str) -> tuple[str, ...]:
+    names = tuple(part.strip() for part in raw.split(",") if part.strip())
+    for name in names:
+        if name not in STRATEGIES:
+            raise ConfigError(f"unknown strategy {name!r}")
+        if names.count(name) > 1:
+            raise ConfigError(f"strategy {name!r} is named more than once")
+    if not names:
+        raise ConfigError("eval.strategies must name at least one strategy")
+    return names
+
+
+# The keys outside the sections: key -> (RunConfig field, parser).
+_RUN_KEYS = {
+    "corpus.min_freq": ("corpus_min_freq", _parse_int),
+    "eval.mode": ("eval_mode", str),
+    "eval.strategies": ("eval_strategies", _parse_strategies),
+    "seed": ("seed", _parse_int),
+}
+
+
 @dataclass
 class RunConfig:
     scenario: ScenarioConfig
     train: TrainConfig
-    corpus_min_freq: int
-    eval_mode: str
-    eval_strategies: tuple[str, ...]
-    seed: int
     eval_seed: int
+    corpus_min_freq: int = 1
+    eval_mode: str = "index"
+    eval_strategies: tuple[str, ...] = STRATEGIES
+    seed: int = 0
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -125,77 +149,53 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 def resolve_run_config(pairs: dict[str, str], seed_override: int | None = None) -> RunConfig:
     """Validate key/value pairs and derive per-stream seeds from the master seed."""
+    run = {name: getattr(RunConfig, name) for name, _ in _RUN_KEYS.values()}
     kwargs: dict[str, dict] = {section: {} for section in _FIELD_PARSERS}
-    corpus_min_freq = 1
-    eval_mode = "index"
-    eval_strategies = STRATEGIES
-    seed = 0
     for key, raw in pairs.items():
         if key in ("scenario.seed", "train.seed", "eval.seed"):
             raise ConfigError(f"{key} is derived from the master seed; set `seed` instead")
-        if key == "seed":
-            seed = _parse_int(raw)
-        elif key == "corpus.min_freq":
-            corpus_min_freq = _parse_int(raw)
-        elif key == "eval.mode":
-            if raw not in ("index", "box"):
-                raise ConfigError(f"eval.mode must be index or box, got {raw!r}")
-            eval_mode = raw
-        elif key == "eval.strategies":
-            names = tuple(part.strip() for part in raw.split(",") if part.strip())
-            for name in names:
-                if name not in STRATEGIES:
-                    raise ConfigError(f"unknown strategy {name!r}")
-            if not names:
-                raise ConfigError("eval.strategies must name at least one strategy")
-            eval_strategies = names
-        else:
-            section, _, name = key.partition(".")
-            parser = _FIELD_PARSERS.get(section, {}).get(name)
-            if parser is None:
-                raise ConfigError(f"unknown config key {key!r}")
-            kwargs[section][name] = parser(raw)
+        if key in _RUN_KEYS:
+            name, parser = _RUN_KEYS[key]
+            run[name] = parser(raw)
+            continue
+        section, _, name = key.partition(".")
+        parser = _FIELD_PARSERS.get(section, {}).get(name)
+        if parser is None:
+            raise ConfigError(f"unknown config key {key!r}")
+        kwargs[section][name] = parser(raw)
     if seed_override is not None:
-        seed = seed_override
-    if corpus_min_freq < 1:
+        run["seed"] = seed_override
+    if run["seed"] < 0:
+        raise ConfigError("seed must be >= 0")
+    if run["corpus_min_freq"] < 1:
         raise ConfigError("corpus.min_freq must be >= 1")
+    if run["eval_mode"] not in ("index", "box"):
+        raise ConfigError(f"eval.mode must be index or box, got {run['eval_mode']!r}")
 
     # Four streams are spawned and the first is reserved, so the derived seeds
     # stay those of every earlier run.
-    scenario_seed, train_seed, eval_seed = (
-        int(stream.generate_state(1)[0]) for stream in np.random.SeedSequence(seed).spawn(4)[1:])
+    streams = np.random.SeedSequence(run["seed"]).spawn(4)[1:]
+    scenario_seed, train_seed, eval_seed = (int(s.generate_state(1)[0]) for s in streams)
     try:
         scenario_config = ScenarioConfig(**kwargs["scenario"], seed=scenario_seed)
         train_config = TrainConfig(**kwargs["train"], seed=train_seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(
-        scenario=scenario_config,
-        train=train_config,
-        corpus_min_freq=corpus_min_freq,
-        eval_mode=eval_mode,
-        eval_strategies=eval_strategies,
-        seed=seed,
-        eval_seed=eval_seed,
-    )
+    return RunConfig(scenario_config, train_config, eval_seed, **run)
 
 
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(value)
     return str(value)
 
 
 def format_run_config(config: RunConfig) -> str:
     """Serialize the resolved config; re-parsing it reproduces the run."""
-    lines = [
-        f"corpus.min_freq = {config.corpus_min_freq}",
-        f"eval.mode = {config.eval_mode}",
-        f"eval.strategies = {','.join(config.eval_strategies)}",
-        f"seed = {config.seed}",
-    ]
+    lines = [f"{key} = {_format_value(getattr(config, name))}"
+             for key, (name, _) in _RUN_KEYS.items()]
     for section, parsers in _FIELD_PARSERS.items():
         obj = getattr(config, section)
         lines += [f"{section}.{name} = {_format_value(getattr(obj, name))}" for name in parsers]
@@ -208,8 +208,12 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _prepare_run(args) -> tuple:
+    """Resolve the config, write it to `--out` if the command has one, build the world."""
     pairs = parse_config_file(args.config) if args.config else {}
     config = resolve_run_config(pairs, seed_override=args.seed)
+    if hasattr(args, "out"):
+        os.makedirs(args.out, exist_ok=True)
+        _write_text(os.path.join(args.out, "config.txt"), format_run_config(config))
     scenario = generate_scenario(config.scenario)
     index = build_concept_index(scenario.records, scenario.lexicon, config.corpus_min_freq)
     return config, scenario, index
@@ -228,8 +232,6 @@ def cmd_build_index(args) -> int:
 
 def cmd_gen_synthetic(args) -> int:
     config, scenario, index = _prepare_run(args)
-    os.makedirs(args.out, exist_ok=True)
-    _write_text(os.path.join(args.out, "config.txt"), format_run_config(config))
     _write_text(
         os.path.join(args.out, "corpus.tsv"),
         "".join(f"{r.image_id}\t{r.caption}\n" for r in scenario.records),
@@ -255,8 +257,6 @@ def cmd_gen_synthetic(args) -> int:
 
 def cmd_train(args) -> int:
     config, scenario, index = _prepare_run(args)
-    os.makedirs(args.out, exist_ok=True)
-    _write_text(os.path.join(args.out, "config.txt"), format_run_config(config))
     state, metrics = run_training(index, scenario, config.train, eval_seed=config.eval_seed)
     write_metrics_csv(metrics, os.path.join(args.out, "metrics.csv"))
     save_checkpoint(state, os.path.join(args.out, "checkpoint.codc"))
@@ -277,8 +277,6 @@ def cmd_eval(args) -> int:
         group_size=config.train.group_size, seed=config.eval_seed,
         mode=config.eval_mode, text_guidance=config.train.text_guidance,
     )
-    os.makedirs(args.out, exist_ok=True)
-    _write_text(os.path.join(args.out, "config.txt"), format_run_config(config))
     write_report_json(report, os.path.join(args.out, "report.json"))
     write_report_csv(report, os.path.join(args.out, "report.csv"))
     for name in sorted(report.cover_rates):
@@ -293,8 +291,6 @@ def cmd_ablate(args) -> int:
         index, scenario, config.train, args.axis, values,
         strategies=("region_region",), eval_seed=config.eval_seed, mode=config.eval_mode,
     )
-    os.makedirs(args.out, exist_ok=True)
-    _write_text(os.path.join(args.out, "config.txt"), format_run_config(config))
     write_ablation_csv(rows, os.path.join(args.out, "ablate.csv"))
     for row in rows:
         rates = " ".join(f"{k}={v:.4f}" for k, v in sorted(row.cover_rates.items()))
@@ -332,10 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, needs_out: bool) -> None:
+    def add_run_command(name: str, func, help_text: str, needs_out: bool = True):
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="flat key=value config file")
         sp.add_argument("--seed", type=int, help="master seed (overrides the config file)")
-        sp.add_argument("--out", required=needs_out, help="output directory")
+        if needs_out:
+            sp.add_argument("--out", required=True, help="output directory")
+        sp.set_defaults(func=func)
+        return sp
 
     p = sub.add_parser("build-index", help="build a concept-group index from a corpus")
     p.add_argument("--corpus", required=True, help="TSV corpus: image_id<TAB>caption")
@@ -344,29 +344,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="index output path")
     p.set_defaults(func=cmd_build_index)
 
-    p = sub.add_parser("gen-synthetic", help="generate an oracle-labeled synthetic world")
-    add_common(p, needs_out=True)
+    p = add_run_command("gen-synthetic", cmd_gen_synthetic,
+                        "generate an oracle-labeled synthetic world")
     p.add_argument("--tsv", action="store_true", help="also write the debug TSV features")
-    p.set_defaults(func=cmd_gen_synthetic)
 
-    p = sub.add_parser("train", help="train the discovery head on a synthetic world")
-    add_common(p, needs_out=True)
-    p.set_defaults(func=cmd_train)
+    add_run_command("train", cmd_train, "train the discovery head on a synthetic world")
 
-    p = sub.add_parser("eval", help="score alignment strategies against oracle truth")
-    add_common(p, needs_out=True)
+    p = add_run_command("eval", cmd_eval, "score alignment strategies against oracle truth")
     p.add_argument("--checkpoint", required=True, help="CODC checkpoint to evaluate")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="train and compare variants along one axis")
-    add_common(p, needs_out=True)
+    p = add_run_command("ablate", cmd_ablate, "train and compare variants along one axis")
     p.add_argument("--axis", required=True, choices=("text_guidance", "group_size"))
-    p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("grad-check", help="verify analytic gradients by finite differences")
-    add_common(p, needs_out=False)
+    p = add_run_command("grad-check", cmd_grad_check,
+                        "verify analytic gradients by finite differences", needs_out=False)
     p.add_argument("--eps", type=float, default=1e-5, help="central-difference step")
-    p.set_defaults(func=cmd_grad_check)
 
     return parser
 

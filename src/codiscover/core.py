@@ -99,7 +99,7 @@ class OpenVocabClassifier:
         if self.weights.ndim != 2 or self.weights.shape[0] != len(self.concept_ids):
             raise ValueError("classifier weights must have one row per concept id")
         norms = np.linalg.norm(self.weights, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
+        if not np.all(np.abs(norms - 1.0) <= 1e-6):  # NaN fails too
             raise ValueError("classifier rows must be unit-normalized within 1e-6")
         self.row_of = {cid: i for i, cid in enumerate(self.concept_ids)}
         if len(self.row_of) != len(self.concept_ids):

@@ -468,4 +468,6 @@ def load_checkpoint(path: str) -> ModelState:
             if image_id in features:
                 raise FormatError(f"duplicate image id {image_id!r}")
             features[image_id] = read_f64_array(fh, n * d).reshape(n, d)
+            if not np.isfinite(features[image_id]).all():
+                raise FormatError(f"image {image_id!r}: non-finite feature values")
         return ModelState(head, classifier, features)

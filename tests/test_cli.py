@@ -1,14 +1,18 @@
 """End-to-end tests for the command-line interface and config plumbing."""
 
 import dataclasses
+import hashlib
 import json
 import re
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from codiscover import (
     ConfigError,
+    ScenarioConfig,
+    TrainConfig,
     build_concept_index,
     load_checkpoint,
     load_features,
@@ -122,6 +126,20 @@ def test_resolve_run_config_validates_keys_and_values():
         resolve_run_config({"eval.strategies": "region_region,psychic"})
     with pytest.raises(ConfigError, match="at least one"):
         resolve_run_config({"eval.strategies": " , "})
+    with pytest.raises(ConfigError, match="^strategy 'heuristic' is named more than once$"):
+        resolve_run_config({"eval.strategies": "heuristic,max_size,heuristic"})
+    float_keys = [f"{section}.{name}"
+                  for section, cls in (("scenario", ScenarioConfig), ("train", TrainConfig))
+                  for name, kind in get_type_hints(cls).items() if kind is float]
+    assert len(float_keys) == 9
+    for key in float_keys:
+        for raw in ("nan", "inf", "-inf", "-NaN"):
+            with pytest.raises(ConfigError, match=f"^expected a finite number, got {raw!r}$"):
+                resolve_run_config({key: raw})
+    for pairs, override in (({"seed": "-3"}, None), ({"seed": "3"}, -3), ({}, -1)):
+        with pytest.raises(ConfigError, match="^seed must be >= 0$"):
+            resolve_run_config(pairs, seed_override=override)
+    assert resolve_run_config({"seed": "-3"}, seed_override=0).seed == 0
 
 
 def test_field_parsers_reject_a_type_without_parser():
@@ -362,6 +380,25 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     missing = tmp_path / "missing.cfg"
     assert main(["train", "--config", str(missing),
                  "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    # grad-check writes nothing, so it takes no --out.
+    assert main(["grad-check", "--out", str(tmp_path / "g")]) == EXIT_USAGE
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("line, argv, message", [
+    ("seed = -3", [], "seed must be >= 0"),
+    ("seed = 5", ["--seed", "-3"], "seed must be >= 0"),
+    ("train.temperature = nan", [], "expected a finite number, got 'nan'"),
+    ("scenario.noise_sigma = nan", [], "expected a finite number, got 'nan'"),
+])
+def test_cli_refused_config_values_exit_2(tmp_path, capsys, line, argv, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"train.steps = 0\n{line}\n")
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(bad), "--out", str(out), *argv]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["scenario.orthogonalize", "train.train_head",
@@ -387,8 +424,16 @@ def test_cli_corrupt_checkpoint_exits_1(tmp_path, tiny_config, capsys):
     assert main(["train", "--config", tiny_config, "--out", str(train_out)]) == EXIT_OK
     blob = (train_out / "checkpoint.codc").read_bytes()
     huge_hidden = blob[:8] + (0x7FFFFFFF).to_bytes(4, "little") + blob[12:]
+    state = load_checkpoint(str(train_out / "checkpoint.codc"))
+    nan = np.array([np.nan], "<f8").tobytes()
+    # The first classifier weight follows the header, the head and the concept ids.
+    at = 32 + 8 * (state.head.w1.size + 2 * state.head.hidden + 1) \
+        + 4 * len(state.classifier.concept_ids)
+    last = list(state.features)[-1]
     for data, message in ((b"JUNKJUNKJUNK", "magic"), (huge_hidden, "unexpected end"),
-                          (blob + b"\0", "trailing bytes")):
+                          (blob + b"\0", "trailing bytes"),
+                          (blob[:-8] + nan, f"image {last!r}: non-finite feature values"),
+                          (blob[:at] + nan + blob[at + 8:], "unit-normalized")):
         corrupt = tmp_path / "corrupt.codc"
         corrupt.write_bytes(data)
         capsys.readouterr()
@@ -413,7 +458,8 @@ def test_cli_eval_checkpoint_of_another_world_exits_1(tmp_path, tiny_config, cap
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert "no features for" in err[0] and "member images" in err[0]
-    assert not (tmp_path / "e" / "report.json").exists()
+    # The resolved config is written before the work, and nothing after it.
+    assert [p.name for p in (tmp_path / "e").iterdir()] == ["config.txt"]
 
 
 def test_cli_invalid_scenario_config_exits_2(tmp_path, capsys):
@@ -422,3 +468,38 @@ def test_cli_invalid_scenario_config_exits_2(tmp_path, capsys):
     assert main(["gen-synthetic", "--config", str(bad),
                  "--out", str(tmp_path / "o")]) == EXIT_USAGE
     assert "config error" in capsys.readouterr().err
+
+
+# Digests of what the CLI writes for TINY_CONFIG. The checkpoint, metrics and
+# reports pass through BLAS matmuls and are compared run against run instead
+# (acceptance criterion 10). Every command writes the same resolved config.
+CONFIG_TXT_SHA256 = "d8e3a2da99c12e99d5ea5ceb8909bf14add59a9a84d2e9978c4e1297cd959a9f"
+WORLD_SHA256 = {
+    "config.txt": CONFIG_TXT_SHA256,
+    "corpus.tsv": "f7edb09c87a685bc2e18fc4c06be6de5e8c862427611d5bae8ac16986a9d35fc",
+    "features.codf": "b038fb16d1d2d7f507a07b4827c71788f012e31289421088ceea38b18ac837ec",
+    "features.tsv": "9d2076d0c2d63e8560ec55d84777ad6aff23dfbf235bf2eef468858ee43557d1",
+    "index.tsv": "972a3200b11dcd1a2f3f1769046839c8bb989a6228c14acd70fd9a77b5040a40",
+    "lexicon.txt": "8c86aceacf3531164975aac72d7091c8d1271f19d70253c25b6a6c495f607488",
+    "text_embeddings.codt": "9e84215c788778c671b4ebc4c92ac45648bada16c48ee7d6ea78e7c5eced6d04",
+    "truth.tsv": "01ea864c5388c596247984b6a34f72398a9329f6a5b900c1464d0bdc32648333",
+}
+
+
+def test_cli_artifact_bytes_are_pinned(tmp_path, tiny_config, capsys):
+    def digests(directory):
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(directory.iterdir())}
+
+    world, run, report, ablation = (tmp_path / name for name in ("w", "r", "e", "a"))
+    assert main(["gen-synthetic", "--config", tiny_config, "--out", str(world),
+                 "--tsv"]) == EXIT_OK
+    assert main(["train", "--config", tiny_config, "--out", str(run)]) == EXIT_OK
+    assert main(["eval", "--config", tiny_config, "--out", str(report),
+                 "--checkpoint", str(run / "checkpoint.codc")]) == EXIT_OK
+    assert main(["ablate", "--config", tiny_config, "--axis", "group_size",
+                 "--out", str(ablation)]) == EXIT_OK
+    capsys.readouterr()
+    assert digests(world) == WORLD_SHA256
+    for directory in (run, report, ablation):
+        assert digests(directory)["config.txt"] == CONFIG_TXT_SHA256, directory.name

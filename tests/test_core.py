@@ -339,6 +339,8 @@ def test_open_vocab_classifier_validation():
         OpenVocabClassifier(eye, [4, 7])
     with pytest.raises(ValueError, match="unit-normalized"):
         OpenVocabClassifier(2.0 * eye, [4, 7, 9])
+    with pytest.raises(ValueError, match="unit-normalized"):
+        OpenVocabClassifier(np.where(eye == 1.0, np.nan, eye), [4, 7, 9])
     with pytest.raises(ValueError, match="duplicate"):
         OpenVocabClassifier(eye, [4, 4, 9])
     table = TextEmbeddingTable({0: np.array([3.0, 4.0]), 1: np.array([0.0, 2.0])})

@@ -482,6 +482,19 @@ def test_checkpoint_rejects_corruption(tmp_path):
     trailing.write_bytes(blob.replace(second, first))
     with pytest.raises(FormatError, match=f"duplicate image id {first.decode()!r}"):
         load_checkpoint(str(trailing))
+    # The last feature value of the last image, then a classifier weight.
+    last = list(state.features)[-1]
+    nan = np.array([np.nan], "<f8").tobytes()
+    trailing.write_bytes(blob[:-8] + nan)
+    with pytest.raises(FormatError, match=f"^image {last!r}: non-finite feature values$"):
+        load_checkpoint(str(trailing))
+    head = state.head
+    at = 32 + 8 * (head.w1.size + head.b1.size + head.w2.size + 1) \
+        + 4 * len(state.classifier.concept_ids)
+    assert blob[at:at + 8] == state.classifier.weights[0, :1].astype("<f8").tobytes()
+    trailing.write_bytes(blob[:at] + nan + blob[at + 8:])
+    with pytest.raises(ValueError, match="unit-normalized"):
+        load_checkpoint(str(trailing))
 
 
 def test_save_checkpoint_rejects_inconsistent_features(tmp_path):
