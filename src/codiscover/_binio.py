@@ -21,9 +21,9 @@ _UNDECODED = re.compile("[\udc80-\udcff]")
 def utf8_lines(lines: Iterable[str], where: str = "line ",
                error: type[Exception] = FormatError) -> Iterator[tuple[int, str]]:
     """Number lines decoded with errors="surrogateescape" from 1; a line that
-    held a byte that is not UTF-8 raises `error` naming it."""
+    held a byte that is not UTF-8 (never an ASCII line) raises `error` naming it."""
     for lineno, line in enumerate(lines, start=1):
-        if _UNDECODED.search(line):
+        if not line.isascii() and _UNDECODED.search(line):
             raise error(f"{where}{lineno}: not valid UTF-8")
         yield lineno, line
 

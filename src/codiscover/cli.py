@@ -105,7 +105,7 @@ def _parse_strategies(raw: str) -> tuple[str, ...]:
         if names.count(name) > 1:
             raise ConfigError(f"strategy {name!r} is named more than once")
     if not names:
-        raise ConfigError("eval.strategies must name at least one strategy")
+        raise ConfigError("must name at least one strategy")
     return names
 
 
@@ -154,15 +154,15 @@ def resolve_run_config(pairs: dict[str, str], seed_override: int | None = None) 
     for key, raw in pairs.items():
         if key in ("scenario.seed", "train.seed", "eval.seed"):
             raise ConfigError(f"{key} is derived from the master seed; set `seed` instead")
-        if key in _RUN_KEYS:
-            name, parser = _RUN_KEYS[key]
-            run[name] = parser(raw)
-            continue
         section, _, name = key.partition(".")
-        parser = _FIELD_PARSERS.get(section, {}).get(name)
+        name, parser = _RUN_KEYS.get(key) or (name, _FIELD_PARSERS.get(section, {}).get(name))
         if parser is None:
             raise ConfigError(f"unknown config key {key!r}")
-        kwargs[section][name] = parser(raw)
+        values = run if key in _RUN_KEYS else kwargs[section]
+        try:
+            values[name] = parser(raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
     if seed_override is not None:
         run["seed"] = seed_override
     if run["seed"] < 0:

@@ -60,28 +60,24 @@ def iou(box_a, box_b) -> np.ndarray:
 
 
 def _covered(keys, regions, boxes, truth: ScenarioTruth, mode: str) -> np.ndarray:
-    """Which labels, given as (image_id, concept_id) keys with their picked
-    region indices (index mode) or (L, 4) boxes (box mode), match oracle
-    truth. A box needs IoU > 0.5 with some ground-truth box of its key; all
-    pairs are scored in one IoU."""
+    """Which labels, given as L (image_id, concept_id) keys with their picked
+    region indices regions (..., L) in index mode or boxes (..., L, 4) in box
+    mode, match oracle truth; leading axes hold several strategies' picks. A
+    box needs IoU > 0.5 with some ground-truth box of its key; the ground
+    truth is gathered once and all pairs are scored in one IoU."""
     if mode == "index":
-        return np.array([truth.is_true(i, int(r), c) for (i, c), r in zip(keys, regions)],
-                        dtype=bool)
+        regions = np.asarray(regions)
+        return np.array([truth.is_true(i, int(r), c) for picks in regions.reshape(-1, len(keys))
+                         for (i, c), r in zip(keys, picks)], dtype=bool).reshape(regions.shape)
     if mode != "box":
         raise ValueError(f"unknown cover mode {mode!r}")
     gt = [(k, g) for k, key in enumerate(keys) for g in truth.gt_boxes.get(key, [])]
     owner = np.array([k for k, _ in gt], dtype=int)
-    covered = np.zeros(len(keys), dtype=bool)
-    covered[owner[iou(boxes[owner], np.array([g for _, g in gt]).reshape(-1, 4)) > 0.5]] = True
+    gt_boxes = np.array([g for _, g in gt]).reshape(-1, 4)
+    *picks, pair = np.nonzero(iou(boxes[..., owner, :], gt_boxes) > 0.5)
+    covered = np.zeros(boxes.shape[:-1], dtype=bool)
+    covered[(*picks, owner[pair])] = True
     return covered
-
-
-def _stack_present(values: list, image_ids: list[str], what: str) -> np.ndarray:
-    """Stack per-image optional arrays (boxes, areas), all of which must be set."""
-    for image_id, value in zip(image_ids, values):
-        if value is None:
-            raise ValueError(f"image {image_id!r} carries no {what}")
-    return np.stack(values)
 
 
 def _sample_supports(pool: list[str], query_id: str, m: int,
@@ -134,12 +130,10 @@ def compare_strategies(
             f"the model has no features for {len(missing)} of the index's {len(member_ids)} "
             f"member images (e.g. {missing[0]!r}); was it trained on another world?"
         )
-    feature_map = scenario.feature_map()
     hits = {name: np.zeros(len(concepts), dtype=np.int64) for name in strategies}
     queries = _queries(state, index, concepts, group_size, np.random.default_rng(seed))
     while batch := list(itertools.islice(queries, _BATCH)):
-        _score_batch(batch, state, feature_map, scenario.truth, strategies, mode,
-                     text_guidance, hits)
+        _score_batch(batch, state, scenario, strategies, mode, text_guidance, hits)
 
     samples = sum(len(index.groups[cid]) for cid in concepts)
     counts = {name: hits[name].tolist() for name in strategies}
@@ -175,14 +169,14 @@ def _queries(state: ModelState, index: ConceptGroupIndex, concepts: list[int],
             yield query_id, _sample_supports(members, query_id, group_size - 1, rng), row, cid, k
 
 
-def _score_batch(batch, state: ModelState, feature_map, truth: ScenarioTruth, strategies,
-                 mode: str, text_guidance: bool, hits: dict[str, np.ndarray]) -> None:
+def _score_batch(batch, state: ModelState, scenario: Scenario, strategies, mode: str,
+                 text_guidance: bool, hits: dict[str, np.ndarray]) -> None:
     """Pick and score one region per strategy for a batch of (query id, support
     ids, classifier row, concept id, concept position) entries, through one
     call of each batched op, and add the hits to each concept's count."""
     query_ids, support_ids, class_rows, cids, positions = zip(*batch)
     images = list(dict.fromkeys(i for q, s in zip(query_ids, support_ids) for i in (q, *s)))
-    raw = np.stack([state.features[i] for i in images])
+    raw = state.block[[state.row_of[i] for i in images]]
     norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     slot = {image_id: j for j, image_id in enumerate(images)}
     # Column 0 holds each query's slot, the rest its supports'; group_size=1
@@ -205,17 +199,19 @@ def _score_batch(batch, state: ModelState, feature_map, truth: ScenarioTruth, st
             picks["heuristic"] = heuristic_picks(rows)
     if "region_word" in strategies:
         picks["region_word"] = baseline_region_word(query_hat, w)
+    world_rows = [scenario.row_of[i] for i in query_ids]
     if "max_size" in strategies:
-        picks["max_size"] = baseline_max_size(
-            _stack_present([feature_map[i].areas for i in query_ids], query_ids, "areas"))
-    boxes = (_stack_present([feature_map[i].boxes for i in query_ids], query_ids, "boxes")
-             if mode == "box" else None)
-    keys = list(zip(query_ids, cids))
+        picks["max_size"] = baseline_max_size(scenario.areas[world_rows])
+    regions = np.array(list(picks.values()))
+    boxes = None
+    if mode == "box":
+        if scenario.boxes is None:
+            raise ValueError(f"image {query_ids[0]!r} carries no boxes")
+        boxes = scenario.boxes[world_rows][np.arange(len(batch)), regions]
+    covered = _covered(list(zip(query_ids, cids)), regions, boxes, scenario.truth, mode)
     owners = np.array(positions)
-    for name, pick in picks.items():
-        picked = None if boxes is None else boxes[np.arange(len(batch)), pick]
-        covered = _covered(keys, pick, picked, truth, mode)
-        hits[name] += np.bincount(owners[covered], minlength=hits[name].size)
+    for name, hit in zip(picks, covered):
+        hits[name] += np.bincount(owners[hit], minlength=hits[name].size)
 
 
 def ablate(

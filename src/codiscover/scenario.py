@@ -9,6 +9,7 @@ prototype (optionally rotated to stress-test text guidance).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -48,40 +49,11 @@ class RegionFeatureSet:
     areas: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        features = self.features = np.asarray(self.features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
-            raise ValueError(f"image {self.image_id!r}: features must be a non-empty 2-D matrix")
-        if not np.isfinite(features).all():
-            raise ValueError(f"image {self.image_id!r}: non-finite feature values")
-        # A row's squares sum to zero exactly when its norm does (underflow included).
-        if ((features * features).sum(axis=1) == 0.0).any():
-            raise ValueError(f"image {self.image_id!r}: zero feature row")
-        n = features.shape[0]
-        boxes = self.boxes
-        if boxes is not None:
-            boxes = self.boxes = np.asarray(boxes, dtype=np.float64)
-            if boxes.shape != (n, 4):
-                raise ValueError(f"image {self.image_id!r}: boxes must have shape ({n}, 4)")
-            if not np.isfinite(boxes).all():
-                raise ValueError(f"image {self.image_id!r}: non-finite box values")
-            if (boxes[:, 2:] <= boxes[:, :2]).any():
-                raise ValueError(f"image {self.image_id!r}: degenerate box (x1<x2, y1<y2 required)")
-        if self.areas is not None:
-            areas = self.areas = np.asarray(self.areas, dtype=np.float64)
-            if areas.shape != (n,):
-                raise ValueError(f"image {self.image_id!r}: areas must have shape ({n},)")
-            if not np.isfinite(areas).all() or (areas <= 0.0).any():
-                raise ValueError(f"image {self.image_id!r}: areas must be positive finite")
-            if boxes is not None:
-                # Relative agreement to 1e-9; extents or their product may
-                # overflow to inf, which would pass the bound, so the product
-                # must also be finite.
-                with np.errstate(over="ignore"):
-                    extent = boxes[:, 2:] - boxes[:, :2]
-                    box_areas = extent[:, 0] * extent[:, 1]
-                if not (np.isfinite(box_areas).all()
-                        and (np.abs(areas - box_areas) <= 1e-9 * box_areas).all()):
-                    raise ValueError(f"image {self.image_id!r}: areas disagree with box extents")
+        self.features = np.asarray(self.features, dtype=np.float64)
+        self.boxes, self.areas = (None if a is None else np.asarray(a, dtype=np.float64)
+                                  for a in (self.boxes, self.areas))
+        _check_rows([self.image_id], self.features[None],
+                    *(None if a is None else a[None] for a in (self.boxes, self.areas)))
 
     @property
     def n(self) -> int:
@@ -90,6 +62,43 @@ class RegionFeatureSet:
     @property
     def d(self) -> int:
         return self.features.shape[1]
+
+
+def _check_rows(image_ids: list[str], features: np.ndarray, boxes: np.ndarray | None = None,
+                areas: np.ndarray | None = None) -> None:
+    """Check N images at once: features (N, n, d), boxes (N, n, 4) and areas
+    (N, n), the last two optional. Raises ValueError naming the first bad
+    image and the first check it fails."""
+    first = f"image {image_ids[0]!r}"
+    n = features.shape[1] if features.ndim == 3 and features.shape[2] else 0
+    if not n:
+        raise ValueError(f"{first}: features must be a non-empty 2-D matrix")
+    if boxes is not None and boxes.shape != (*features.shape[:2], 4):
+        raise ValueError(f"{first}: boxes must have shape ({n}, 4)")
+    if areas is not None and areas.shape != features.shape[:2]:
+        raise ValueError(f"{first}: areas must have shape ({n},)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A row's squares sum to zero exactly when its norm does (underflow
+        # included), in any order of addition.
+        bad = {"non-finite feature values": ~np.isfinite(features).all(axis=(1, 2)),
+               "zero feature row": (np.einsum("ijk,ijk->ij", features, features) == 0).any(1)}
+        if boxes is not None:
+            bad["non-finite box values"] = ~np.isfinite(boxes).all(axis=(1, 2))
+            bad["degenerate box (x1<x2, y1<y2 required)"] = \
+                (boxes[..., 2:] <= boxes[..., :2]).any(axis=(1, 2))
+        if areas is not None:
+            bad["areas must be positive finite"] = ~(np.isfinite(areas) & (areas > 0.0)).all(1)
+        if boxes is not None and areas is not None:
+            # Relative agreement to 1e-9; extents or their product may overflow
+            # to inf, which would pass the bound, so the product must be finite.
+            extent = boxes[..., 2:] - boxes[..., :2]
+            box_areas = extent[..., 0] * extent[..., 1]
+            agree = np.isfinite(box_areas) & (np.abs(areas - box_areas) <= 1e-9 * box_areas)
+            bad["areas disagree with box extents"] = ~agree.all(axis=1)
+    table = np.array(list(bad.values()))
+    if table.any():
+        image = table.any(axis=0).argmax()
+        raise ValueError(f"image {image_ids[image]!r}: {list(bad)[table[:, image].argmax()]}")
 
 
 @dataclass
@@ -194,11 +203,36 @@ class ScenarioConfig:
 
 @dataclass
 class Scenario:
+    """A synthetic world whose region features are blocks, checked once when
+    built, with row r for image_ids[r]: features (N, n, d), boxes (N, n, 4) or
+    None, areas (N, n). `feature_sets`, built on first use, holds one
+    RegionFeatureSet of views per row."""
+
     records: list[CaptionRecord]
-    feature_sets: list[RegionFeatureSet]
+    image_ids: list[str]
+    features: np.ndarray
+    boxes: np.ndarray | None
+    areas: np.ndarray
     text_table: TextEmbeddingTable
     truth: ScenarioTruth
     lexicon: Lexicon
+    row_of: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.row_of = {image_id: r for r, image_id in enumerate(self.image_ids)}
+        if not len(self.row_of) == len(self.image_ids) == len(self.features):
+            raise ValueError("a scenario needs one feature row per distinct image id")
+        _check_rows(self.image_ids, self.features, self.boxes, self.areas)
+
+    @functools.cached_property
+    def feature_sets(self) -> list[RegionFeatureSet]:
+        boxes = [None] * len(self.image_ids) if self.boxes is None else self.boxes
+        views = []
+        for row in zip(self.image_ids, self.features, boxes, self.areas):
+            view = object.__new__(RegionFeatureSet)  # the rows were checked at __post_init__
+            view.image_id, view.features, view.boxes, view.areas = row
+            views.append(view)
+        return views
 
     def feature_map(self) -> dict[str, RegionFeatureSet]:
         return {fs.image_id: fs for fs in self.feature_sets}
@@ -279,95 +313,87 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
 
     Returns:
         A Scenario bundling caption records (concepts filled), region feature
-        sets, the text embedding table, oracle truth, and the term lexicon.
+        blocks, the text embedding table, oracle truth, and the term lexicon.
     """
     rng = np.random.default_rng(config.seed)
     prototypes = _make_prototypes(config, rng)
     text = _make_text_embeddings(prototypes, config, rng)
     k, d, n = config.num_concepts, config.d, config.n
 
+    per_concept = config.images_per_concept
+    image_ids = [f"img_{c:03d}_{i:03d}" for c in range(k) for i in range(per_concept)]
+    features = np.empty((len(image_ids), n, d))
+    boxes = np.empty((len(image_ids), n, 4)) if config.with_boxes else None
+    areas = np.empty((len(image_ids), n))
     records: list[CaptionRecord] = []
-    feature_sets: list[RegionFeatureSet] = []
     true_pairs: dict[str, set[tuple[int, int]]] = {}
     gt_boxes: dict[tuple[str, int], list[np.ndarray]] = {}
 
-    for c in range(k):
-        for i in range(config.images_per_concept):
-            image_id = f"img_{c:03d}_{i:03d}"
-            concepts = _caption_concepts(c, config, rng)
-            counts = _instance_counts(len(concepts), config, rng)
+    rows = np.empty((n, d))  # every row is rewritten for each image
+    for row, image_id in enumerate(image_ids):
+        concepts = _caption_concepts(row // per_concept, config, rng)
+        counts = _instance_counts(len(concepts), config, rng)
 
-            rows = np.empty((n, d))
-            owner: list[int | None] = []
-            cursor = 0
-            for cc, count in zip(concepts, counts):
-                rows[cursor : cursor + count] = prototypes[cc] + (
-                    config.noise_sigma * rng.standard_normal((count, d))
-                )
-                owner.extend([cc] * count)
-                cursor += count
-            # Distractors copy a prototype the caption does not name: the r-th
-            # free concept id is r stepped past each smaller named id.
-            named = sorted(concepts)
-            free = k - len(named)
-            bases, noise = [], []
-            for _ in range(n - cursor):
-                if free:
-                    r = int(rng.integers(free))
-                    for cc in named:
-                        r += r >= cc
-                    bases.append(prototypes[r])
-                else:
-                    g = rng.standard_normal(d)
-                    bases.append(g / np.linalg.norm(g))
-                noise.append(rng.standard_normal(d))
-            rows[cursor:] = np.array(bases) + config.noise_sigma * np.array(noise)
-            owner.extend([None] * (n - cursor))
-
-            perm = rng.permutation(n)
-            rows = rows[perm]
-            owner = [owner[j] for j in perm.tolist()]
-            true_idx = [j for j in range(n) if owner[j] is not None]
-
-            target = rng.uniform(1.0, 2.0, size=n)
-            if rng.random() < config.max_size_bias:
-                cc = concepts[int(rng.integers(len(concepts)))]
-                cands = [j for j in true_idx if owner[j] == cc]
+        owner: list[int | None] = []
+        cursor = 0
+        for cc, count in zip(concepts, counts):
+            draws = rng.standard_normal((count, d))
+            rows[cursor : cursor + count] = prototypes[cc] + config.noise_sigma * draws
+            owner.extend([cc] * count)
+            cursor += count
+        # Distractors copy a prototype the caption does not name: the r-th
+        # free concept id is r stepped past each smaller named id.
+        named = sorted(concepts)
+        free = k - len(named)
+        bases, noise = [], []
+        for _ in range(n - cursor):
+            if free:
+                r = int(rng.integers(free))
+                for cc in named:
+                    r += r >= cc
+                bases.append(prototypes[r])
             else:
-                cands = [j for j in range(n) if owner[j] is None] or list(range(n))
-            boost = cands[int(rng.integers(len(cands)))]
-            target[boost] = target.max() * 1.5 + 1.0
+                g = rng.standard_normal(d)
+                bases.append(g / np.linalg.norm(g))
+            noise.append(rng.standard_normal(d))
+        rows[cursor:] = np.array(bases) + config.noise_sigma * np.array(noise)
+        owner.extend([None] * (n - cursor))
 
-            if config.with_boxes:
-                aspect = rng.uniform(0.5, 2.0, size=n)
-                x1 = rng.uniform(0.0, 100.0, size=n)
-                y1 = rng.uniform(0.0, 100.0, size=n)
-                width = np.sqrt(target * aspect)
-                height = target / width
-                boxes = np.stack([x1, y1, x1 + width, y1 + height], axis=1)
-                areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-            else:
-                boxes = None
-                areas = target
+        perm = rng.permutation(n)
+        np.take(rows, perm, axis=0, out=features[row])
+        owner = [owner[j] for j in perm.tolist()]
+        true_idx = [j for j in range(n) if owner[j] is not None]
 
-            feature_sets.append(RegionFeatureSet(image_id, rows, boxes, areas))
-            true_pairs[image_id] = {(j, owner[j]) for j in true_idx}
-            if boxes is not None:
-                for cc in concepts:
-                    gt_boxes[(image_id, cc)] = [
-                        boxes[j].copy() for j in true_idx if owner[j] == cc
-                    ]
+        target = rng.uniform(1.0, 2.0, size=n)
+        if rng.random() < config.max_size_bias:
+            cc = concepts[int(rng.integers(len(concepts)))]
+            cands = [j for j in true_idx if owner[j] == cc]
+        else:
+            cands = [j for j in range(n) if owner[j] is None] or list(range(n))
+        boost = cands[int(rng.integers(len(cands)))]
+        target[boost] = target.max() * 1.5 + 1.0
 
-            terms = [concept_term(cc) for cc in concepts]
-            if len(terms) == 1:
-                caption = f"a photo of a {terms[0]}"
-            else:
-                caption = f"a photo of a {terms[0]} and a {terms[1]}"
-            records.append(CaptionRecord(image_id, caption, list(concepts)))
+        if boxes is not None:
+            aspect = rng.uniform(0.5, 2.0, size=n)
+            x1 = rng.uniform(0.0, 100.0, size=n)
+            y1 = rng.uniform(0.0, 100.0, size=n)
+            width = np.sqrt(target * aspect)
+            height = target / width
+            box = np.stack([x1, y1, x1 + width, y1 + height], axis=1, out=boxes[row])
+            areas[row] = (box[:, 2] - box[:, 0]) * (box[:, 3] - box[:, 1])
+            for cc in concepts:
+                gt_boxes[(image_id, cc)] = [box[j].copy() for j in true_idx if owner[j] == cc]
+        else:
+            areas[row] = target
+        true_pairs[image_id] = {(j, owner[j]) for j in true_idx}
+
+        caption = "a photo of a " + " and a ".join(concept_term(cc) for cc in concepts)
+        records.append(CaptionRecord(image_id, caption, list(concepts)))
 
     table = TextEmbeddingTable({c: text[c].copy() for c in range(k)})
     lexicon = Lexicon([concept_term(c) for c in range(k)])
-    return Scenario(records, feature_sets, table, ScenarioTruth(true_pairs, gt_boxes), lexicon)
+    return Scenario(records, image_ids, features, boxes, areas, table,
+                    ScenarioTruth(true_pairs, gt_boxes), lexicon)
 
 
 def _feature_layout(feature_sets: list[RegionFeatureSet]) -> tuple[int, int, bool, bool]:

@@ -11,7 +11,8 @@ and backward, are the batched ops of `core`, which evaluation shares;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -82,9 +83,20 @@ class TrainConfig:
 
 @dataclass
 class ModelState:
+    """Head, frozen classifier, and the learnable features of image_ids[r] in
+    block[r]. `features` maps an image id to a view of its row, which can be
+    edited in place but not rebound."""
+
     head: DiscoveryHead
     classifier: OpenVocabClassifier
-    features: dict[str, np.ndarray]
+    image_ids: list[str]
+    block: np.ndarray
+    row_of: dict[str, int] = field(init=False, repr=False)
+    features: MappingProxyType = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.row_of = {image_id: r for r, image_id in enumerate(self.image_ids)}
+        self.features = MappingProxyType(dict(zip(self.image_ids, self.block)))
 
 
 @dataclass
@@ -96,14 +108,15 @@ class BatchLoss:
 
 @dataclass
 class GradientBundle:
-    """Per-parameter arrays shaped like the head and the feature store: the
-    gradients of a batch, or the SGD velocity threaded through the steps."""
+    """Per-parameter arrays shaped like the head and the features: the
+    gradients of a batch, with `features` by batch image id, or the SGD
+    velocity threaded through the steps, with `features` shaped like the block."""
 
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    features: dict[str, np.ndarray]
+    features: dict[str, np.ndarray] | np.ndarray
 
 
 _HEAD_PARAMS = ("w1", "b1", "w2", "b2")
@@ -121,21 +134,18 @@ class MetricRow:
 def init_model(scenario, index: ConceptGroupIndex, config: TrainConfig,
                rng: np.random.Generator | None = None) -> ModelState:
     """Build the initial model: fresh head, frozen classifier over the index's
-    retained concepts, and a learnable copy of the scenario's region features."""
+    retained concepts, and a learnable copy of the scenario's feature block."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
     concept_ids = index.concept_ids()
     if not concept_ids:
         raise ValueError("index retains no concepts")
     classifier = OpenVocabClassifier.from_table(scenario.text_table, concept_ids)
-    n = scenario.feature_sets[0].n
     head = DiscoveryHead.initialize(
-        m=config.group_size - 1, n=n, hidden=config.hidden, rng=rng,
+        m=config.group_size - 1, n=scenario.features.shape[1], hidden=config.hidden, rng=rng,
         sorted_rows=config.sorted_rows,
     )
-    features = {fs.image_id: fs.features.astype(np.float64, copy=True)
-                for fs in scenario.feature_sets}
-    return ModelState(head, classifier, features)
+    return ModelState(head, classifier, list(scenario.image_ids), scenario.features.copy())
 
 
 def caption_proxies(scenario) -> dict[str, np.ndarray]:
@@ -210,7 +220,7 @@ def caption_batch_loss(
 
     batch_ids = list(dict.fromkeys(i for group in mini_groups for i in group.image_ids))
     slot = {image_id: u for u, image_id in enumerate(batch_ids)}
-    raw = np.stack([state.features[image_id] for image_id in batch_ids])
+    raw = state.block[[state.row_of[image_id] for image_id in batch_ids]]
     norms = np.linalg.norm(raw, axis=2, keepdims=True)
     zero = np.flatnonzero(np.any(norms == 0.0, axis=(1, 2)))
     if zero.size:
@@ -277,27 +287,29 @@ def sgd_step(
 ) -> GradientBundle:
     """In-place SGD with momentum: v = momentum*v + g; param -= lr*v.
 
-    Updates the head and the features of the batch's images; the classifier
-    stays frozen. Feature velocities live per image and update lazily when
-    that image receives a gradient. Returns the velocity state to thread
-    through subsequent steps.
+    Updates the head and, in one gather, update and scatter, the feature rows
+    of the batch's images; the classifier stays frozen. A feature velocity row
+    changes only when its image receives a gradient. Returns the velocity state
+    to thread through subsequent steps.
     """
     if velocity is None:
         velocity = GradientBundle(*(np.zeros_like(getattr(state.head, name))
-                                    for name in _HEAD_PARAMS), {})
-    updates = [(f"head parameter {name}", getattr(state.head, name),
-                getattr(velocity, name), getattr(grads, name)) for name in _HEAD_PARAMS]
-    for image_id, grad in grads.features.items():
-        if image_id not in velocity.features:
-            velocity.features[image_id] = np.zeros_like(grad)
-        updates.append((f"features for image {image_id!r}", state.features[image_id],
-                        velocity.features[image_id], grad))
-    for what, param, vel, grad in updates:
+                                    for name in _HEAD_PARAMS), np.zeros(state.block.shape))
+    for name in _HEAD_PARAMS:
+        param, vel = getattr(state.head, name), getattr(velocity, name)
         vel *= momentum
-        vel += grad
+        vel += getattr(grads, name)
         param -= lr * vel
         if not np.all(np.isfinite(param)):
-            raise ValueError(f"non-finite {what} after update")
+            raise ValueError(f"non-finite head parameter {name} after update")
+    image_ids = list(grads.features)
+    rows = [state.row_of[image_id] for image_id in image_ids]
+    grad = np.array(list(grads.features.values())).reshape(len(rows), *state.block.shape[1:])
+    velocity.features[rows] = vel = momentum * velocity.features[rows] + grad
+    state.block[rows] = param = state.block[rows] - lr * vel
+    bad = ~np.isfinite(param).all(axis=(1, 2))
+    if bad.any():
+        raise ValueError(f"non-finite features for image {image_ids[bad.argmax()]!r} after update")
     return velocity
 
 
@@ -425,14 +437,10 @@ def write_metrics_csv(metrics: list[MetricRow], path: str) -> None:
 
 
 def save_checkpoint(state: ModelState, path: str) -> None:
-    """Binary CODC container holding head, classifier, and feature store."""
+    """Binary CODC container holding head, classifier, and feature block."""
     head = state.head
     k, d = state.classifier.weights.shape
-    image_ids = list(state.features)
-    n = state.features[image_ids[0]].shape[0] if image_ids else 0
-    for image_id in image_ids:
-        if state.features[image_id].shape != (n, d):
-            raise ValueError(f"image {image_id!r}: inconsistent feature shape")
+    n = state.block.shape[1]
     # Bits 0-1 are always set, so checkpoints keep their bytes, and ignored on
     # load, where files of older writers may have them clear.
     flags = 3 | (int(head.sorted_rows) << 2)
@@ -445,10 +453,10 @@ def save_checkpoint(state: ModelState, path: str) -> None:
         for cid in state.classifier.concept_ids:
             write_u32(fh, cid)
         write_f64_array(fh, state.classifier.weights)
-        write_u32(fh, len(image_ids))
-        for image_id in image_ids:
+        write_u32(fh, len(state.image_ids))
+        for image_id, features in zip(state.image_ids, state.block):
             write_str(fh, image_id)
-            write_f64_array(fh, state.features[image_id])
+            write_f64_array(fh, features)
 
 
 def load_checkpoint(path: str) -> ModelState:
@@ -467,7 +475,9 @@ def load_checkpoint(path: str) -> ModelState:
             image_id = read_str(fh)
             if image_id in features:
                 raise FormatError(f"duplicate image id {image_id!r}")
-            features[image_id] = read_f64_array(fh, n * d).reshape(n, d)
-            if not np.isfinite(features[image_id]).all():
-                raise FormatError(f"image {image_id!r}: non-finite feature values")
-        return ModelState(head, classifier, features)
+            features[image_id] = read_f64_array(fh, n * d)
+        block = np.array(list(features.values())).reshape(len(features), n, d)
+        bad = ~np.isfinite(block).all(axis=(1, 2))
+        if bad.any():
+            raise FormatError(f"image {list(features)[bad.argmax()]!r}: non-finite feature values")
+        return ModelState(head, classifier, list(features), block)

@@ -106,7 +106,7 @@ def test_resolve_run_config_validates_keys_and_values():
         resolve_run_config({"scenario.shape": "round"})
     with pytest.raises(ConfigError, match="unknown config key"):
         resolve_run_config({"volume": "11"})
-    with pytest.raises(ConfigError, match="expected an integer"):
+    with pytest.raises(ConfigError, match="^train.steps: expected an integer, got 'many'$"):
         resolve_run_config({"train.steps": "many"})
     with pytest.raises(ConfigError, match="expected a boolean"):
         resolve_run_config({"train.sorted_rows": "sideways"})
@@ -124,9 +124,10 @@ def test_resolve_run_config_validates_keys_and_values():
         resolve_run_config({"eval.mode": "voxel"})
     with pytest.raises(ConfigError, match="unknown strategy"):
         resolve_run_config({"eval.strategies": "region_region,psychic"})
-    with pytest.raises(ConfigError, match="at least one"):
+    with pytest.raises(ConfigError, match="^eval.strategies: must name at least one strategy$"):
         resolve_run_config({"eval.strategies": " , "})
-    with pytest.raises(ConfigError, match="^strategy 'heuristic' is named more than once$"):
+    with pytest.raises(ConfigError,
+                       match="^eval.strategies: strategy 'heuristic' is named more than once$"):
         resolve_run_config({"eval.strategies": "heuristic,max_size,heuristic"})
     float_keys = [f"{section}.{name}"
                   for section, cls in (("scenario", ScenarioConfig), ("train", TrainConfig))
@@ -134,7 +135,8 @@ def test_resolve_run_config_validates_keys_and_values():
     assert len(float_keys) == 9
     for key in float_keys:
         for raw in ("nan", "inf", "-inf", "-NaN"):
-            with pytest.raises(ConfigError, match=f"^expected a finite number, got {raw!r}$"):
+            with pytest.raises(ConfigError,
+                               match=f"^{key}: expected a finite number, got {raw!r}$"):
                 resolve_run_config({key: raw})
     for pairs, override in (({"seed": "-3"}, None), ({"seed": "3"}, -3), ({}, -1)):
         with pytest.raises(ConfigError, match="^seed must be >= 0$"):
@@ -397,7 +399,11 @@ def test_cli_refused_config_values_exit_2(tmp_path, capsys, line, argv, message)
     bad.write_text(f"train.steps = 0\n{line}\n")
     out = tmp_path / "o"
     assert main(["train", "--config", str(bad), "--out", str(out), *argv]) == EXIT_USAGE
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    # A value its key's parser refuses is reported under the key; the seed's
+    # sign is checked after parsing, so its message stands alone.
+    key = line.partition(" = ")[0]
+    expected = message if key == "seed" else f"{key}: {message}"
+    assert capsys.readouterr().err == f"config error: {expected}\n"
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Tests for the synthetic scenario generator and feature/text codecs."""
 
+import dataclasses
 import hashlib
 import re
 import tracemalloc
@@ -317,6 +318,59 @@ def test_generate_scenario_is_deterministic_per_seed():
         assert np.array_equal(fa.areas, fb.areas)
     c = generate_scenario(ScenarioConfig(**{**config.__dict__, "seed": 13}))
     assert not np.array_equal(a.feature_sets[0].features, c.feature_sets[0].features)
+
+
+def test_generate_scenario_builds_its_blocks_in_place():
+    # Every image's arrays are views of the world's blocks, and generation
+    # holds little beyond the blocks at its peak: building per-image arrays
+    # and stacking them would add a second copy of the features.
+    config = ScenarioConfig(num_concepts=20, d=64, n=16, images_per_concept=20,
+                            with_boxes=True, multi_concept_rate=0.3, seed=5)
+    tracemalloc.start()
+    try:
+        scenario = generate_scenario(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blocks = (scenario.features, scenario.boxes, scenario.areas)
+    assert scenario.features.shape == (400, 16, 64)
+    for r, fs in enumerate(scenario.feature_sets):
+        assert scenario.row_of[fs.image_id] == r
+        for view, block in zip((fs.features, fs.boxes, fs.areas), blocks):
+            assert np.shares_memory(view, block)
+    assert peak <= 1.25 * sum(block.nbytes for block in blocks) + 512 * 1024
+
+
+def test_scenario_names_the_first_bad_image_and_its_first_failed_check():
+    config = ScenarioConfig(num_concepts=2, d=4, n=5, images_per_concept=3,
+                            distractor_count=2, with_boxes=True, seed=1)
+    scenario = generate_scenario(config)
+    ids = scenario.image_ids
+
+    def refused(features=scenario.features, boxes=scenario.boxes, areas=scenario.areas):
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(scenario, features=features.copy(), boxes=boxes.copy(),
+                                areas=areas.copy())
+        return str(info.value)
+
+    zero_then_nan = scenario.features.copy()
+    zero_then_nan[1, 2] = 0.0
+    zero_then_nan[3, 0, 1] = np.nan
+    zero_then_nan[3, 4] = 0.0
+    assert refused(features=zero_then_nan) == f"image {ids[1]!r}: zero feature row"
+    zero_then_nan[1, 2] = 1.0
+    assert refused(features=zero_then_nan) == f"image {ids[3]!r}: non-finite feature values"
+    flipped = scenario.boxes.copy()
+    flipped[4, 1, [0, 2]] = flipped[4, 1, [2, 0]]
+    assert refused(boxes=flipped) == \
+        f"image {ids[4]!r}: degenerate box (x1<x2, y1<y2 required)"
+    areas = scenario.areas.copy()
+    areas[2, 3] *= 1.5
+    assert refused(areas=areas) == f"image {ids[2]!r}: areas disagree with box extents"
+    areas[0, 0] = -1.0
+    assert refused(areas=areas) == f"image {ids[0]!r}: areas must be positive finite"
+    with pytest.raises(ValueError, match="one feature row per distinct image id"):
+        dataclasses.replace(scenario, image_ids=[ids[0]] * len(ids))
 
 
 def _world_digest(scenario: Scenario) -> str:

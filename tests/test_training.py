@@ -1,6 +1,8 @@
 """Tests for the training loop, analytic gradients, and persistence."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +99,27 @@ def test_init_model_builds_consistent_state():
     image_id = scenario.feature_sets[0].image_id
     state.features[image_id][0, 0] += 100.0
     assert scenario.feature_sets[0].features[0, 0] != state.features[image_id][0, 0]
+
+
+def test_init_model_copies_the_world_block_once():
+    # The model's features are views of its own block, which is one copy of
+    # the world's: per-image copies stacked into a block would double the peak.
+    scenario = generate_scenario(ScenarioConfig(num_concepts=20, d=64, n=16,
+                                                images_per_concept=20, seed=5))
+    index = build_concept_index(scenario.records, scenario.lexicon, 1)
+    config = TrainConfig(group_size=3, hidden=16)
+    tracemalloc.start()
+    try:
+        state = init_model(scenario, index, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.image_ids == scenario.image_ids
+    assert not np.shares_memory(state.block, scenario.features)
+    for image_id, features in state.features.items():
+        assert np.shares_memory(features, state.block)
+        assert np.array_equal(features, scenario.feature_sets[state.row_of[image_id]].features)
+    assert peak <= 1.1 * state.block.nbytes
 
 
 def test_init_model_rejects_empty_index():
@@ -294,10 +317,11 @@ def test_sgd_step_momentum_arithmetic():
     # [DERIVED] v1 = g1 = 1, p1 = p0 - lr*1.
     assert np.allclose(state.head.w2, w2_0 - lr, atol=1e-15)
     assert np.allclose(state.features[image_id], f_0 - lr, atol=1e-15)
-    # The velocity has the head's shapes and a row only for the image that
-    # has received a gradient.
+    # The velocity has the head's shapes and one dense feature block shaped
+    # like the model's, whose rows for images without a gradient stay zero.
     assert velocity.w1.shape == state.head.w1.shape
-    assert list(velocity.features) == [image_id]
+    assert velocity.features.shape == state.block.shape
+    assert not np.delete(velocity.features, state.row_of[image_id], axis=0).any()
     velocity = sgd_step(state, bundle(2.0), lr, momentum, velocity)
     # [DERIVED] v2 = 0.5*1 + 2 = 2.5, p2 = p1 - lr*2.5.
     assert np.allclose(state.head.w2, w2_0 - lr - lr * 2.5, atol=1e-15)
@@ -323,6 +347,27 @@ def test_sgd_step_rejects_non_finite_updates():
 
 
 # ------------------------------------------------------------- training loop
+
+
+def test_trained_state_is_pinned():
+    # 50 steps of a criterion-7-shaped run: sorted rows, K=8, B=4. The digest
+    # pins the trained head and features bit for bit, so a change to the
+    # step's arithmetic, such as the order of a sum or of the feature update,
+    # moves it.
+    scenario = generate_scenario(ScenarioConfig(
+        num_concepts=50, d=32, n=16, images_per_concept=25, distractor_count=4,
+        noise_sigma=0.05, multi_concept_rate=0.3, misaligned_text_degrees=50.0, seed=3))
+    index = build_concept_index(scenario.records, scenario.lexicon, 1)
+    config = TrainConfig(group_size=8, mini_groups_per_batch=4, steps=50, seed=7,
+                         sorted_rows=True, hidden=128, eval_interval=0)
+    state, _ = run_training(index, scenario, config)
+    h = hashlib.sha256()
+    for arr in (state.head.w1, state.head.b1, state.head.w2, state.head.b2):
+        h.update(arr.tobytes())
+    for fs in scenario.feature_sets:
+        h.update(fs.image_id.encode())
+        h.update(state.features[fs.image_id].tobytes())
+    assert h.hexdigest() == "cf94c8168a99fa238138c8f13e84f6ef466354588be6b94518a43f9ef179362b"
 
 
 def test_run_training_metric_schedule_and_determinism():
@@ -497,13 +542,22 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_checkpoint(str(trailing))
 
 
-def test_save_checkpoint_rejects_inconsistent_features(tmp_path):
+def test_model_features_are_block_rows_that_cannot_be_rebound(tmp_path):
+    # No image can take another shape: the mapping refuses a rebinding, and an
+    # edit through an image's view is an edit of the block that save_checkpoint
+    # writes.
     scenario, index, config = small_setup()
     state = init_model(scenario, index, config)
-    image_id = next(iter(state.features))
-    state.features[image_id] = np.ones((2, 2))
-    with pytest.raises(ValueError, match="inconsistent feature shape"):
-        save_checkpoint(state, str(tmp_path / "checkpoint.codc"))
+    image_id = list(state.features)[1]
+    with pytest.raises(TypeError):
+        state.features[image_id] = np.ones((2, 2))
+    state.features[image_id][0, 0] = 7.0
+    assert state.block[state.row_of[image_id], 0, 0] == 7.0
+    path = str(tmp_path / "checkpoint.codc")
+    save_checkpoint(state, path)
+    loaded = load_checkpoint(path)
+    assert loaded.image_ids == state.image_ids
+    assert np.array_equal(loaded.block, state.block)
 
 
 # ------------------------------------------- equivalence with the loop oracle
