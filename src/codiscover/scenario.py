@@ -101,6 +101,26 @@ def _check_rows(image_ids: list[str], features: np.ndarray, boxes: np.ndarray | 
         raise ValueError(f"image {image_ids[image]!r}: {list(bad)[table[:, image].argmax()]}")
 
 
+def _row_views(image_ids: list[str], *blocks: np.ndarray | None) -> list[RegionFeatureSet]:
+    """RegionFeatureSets of views of the rows of blocks _check_rows passed."""
+    views = []
+    for row in zip(image_ids, *(itertools.repeat(None) if b is None else b for b in blocks)):
+        view = object.__new__(RegionFeatureSet)
+        view.image_id, view.features, view.boxes, view.areas = row
+        views.append(view)
+    return views
+
+
+def _stacked_views(images: dict[str, tuple]) -> list[RegionFeatureSet]:
+    """Stack each image's (features, boxes or None, areas or None) into
+    blocks, check them once and return their row views."""
+    if not images:
+        return []
+    blocks = [None if rows[0] is None else np.stack(rows) for rows in zip(*images.values())]
+    _check_rows(list(images), *blocks)
+    return _row_views(list(images), *blocks)
+
+
 @dataclass
 class TextEmbeddingTable:
     """Concept id -> d-vector text embedding. `rule_tag` names the one
@@ -226,13 +246,7 @@ class Scenario:
 
     @functools.cached_property
     def feature_sets(self) -> list[RegionFeatureSet]:
-        boxes = [None] * len(self.image_ids) if self.boxes is None else self.boxes
-        views = []
-        for row in zip(self.image_ids, self.features, boxes, self.areas):
-            view = object.__new__(RegionFeatureSet)  # the rows were checked at __post_init__
-            view.image_id, view.features, view.boxes, view.areas = row
-            views.append(view)
-        return views
+        return _row_views(self.image_ids, self.features, self.boxes, self.areas)
 
     def feature_map(self) -> dict[str, RegionFeatureSet]:
         return {fs.image_id: fs for fs in self.feature_sets}
@@ -428,21 +442,22 @@ def save_features(feature_sets: list[RegionFeatureSet], path: str) -> None:
 
 
 def load_features(path: str) -> list[RegionFeatureSet]:
-    """Read a CODF container, validating shapes and finiteness per image."""
+    """Read a CODF container into blocks; after the last record, one check of
+    shapes and values names the first bad image. Returns views of the rows."""
     with read_container(path, FEATURE_MAGIC, _FORMAT_VERSION) as fh:
         count, n, d, flags = (read_u32(fh) for _ in range(4))
         if n < 1 or d < 1:
             raise FormatError(f"invalid header dimensions n={n}, d={d}")
-        out: dict[str, RegionFeatureSet] = {}
+        images: dict[str, tuple] = {}
         for _ in range(count):
             image_id = read_str(fh)
-            if image_id in out:
+            if image_id in images:
                 raise FormatError(f"duplicate image id {image_id!r}")
             features = read_f64_array(fh, n * d).reshape(n, d)
             boxes = read_f64_array(fh, n * 4).reshape(n, 4) if flags & _FLAG_BOXES else None
             areas = read_f64_array(fh, n) if flags & _FLAG_AREAS else None
-            out[image_id] = RegionFeatureSet(image_id, features, boxes, areas)
-        return list(out.values())
+            images[image_id] = (features, boxes, areas)
+    return _stacked_views(images)
 
 
 def save_features_tsv(feature_sets: list[RegionFeatureSet], path: str) -> None:
@@ -454,19 +469,15 @@ def save_features_tsv(feature_sets: list[RegionFeatureSet], path: str) -> None:
     with atomic_writer(path, "w") as fh:
         fh.write(f"# CODF-TSV\tn={n}\td={d}\tboxes={int(has_boxes)}\tareas={int(has_areas)}\n")
         for fs in feature_sets:
-            for r in range(n):
-                fields = [fs.image_id, str(r),
-                          " ".join(repr(float(v)) for v in fs.features[r])]
-                if has_boxes:
-                    fields.append(" ".join(repr(float(v)) for v in fs.boxes[r]))
-                if has_areas:
-                    fields.append(repr(float(fs.areas[r])))
-                fh.write("\t".join(fields) + "\n")
+            columns = [[" ".join(map(repr, row)) for row in a.reshape(n, -1).tolist()]
+                       for a in (fs.features, fs.boxes, fs.areas) if a is not None]
+            fh.writelines("\t".join((fs.image_id, str(r), *fields)) + "\n"
+                          for r, fields in enumerate(zip(*columns)))
 
 
 def load_features_tsv(path: str) -> list[RegionFeatureSet]:
     """Read, in one pass, the layout save_features_tsv writes: each image's n
-    rows contiguous and numbered 0..n-1. An image's arrays are built when it ends."""
+    rows contiguous and numbered 0..n-1. Blocks and checks as load_features."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         lines = utf8_lines(fh)
         header = next(lines, (1, ""))[1].rstrip("\n").split("\t")
@@ -485,7 +496,7 @@ def load_features_tsv(path: str) -> list[RegionFeatureSet]:
         expected_fields = 3 + int(has_boxes) + int(has_areas)
         records = ((lineno, line.rstrip("\n").split("\t"))
                    for lineno, line in lines if line.rstrip("\n"))
-        out: dict[str, RegionFeatureSet] = {}
+        images: dict[str, tuple] = {}
         for image_id, group in itertools.groupby(records, key=lambda rec: rec[1][0]):
             features, boxes, areas = [], [], []
             for lineno, fields in group:
@@ -494,14 +505,14 @@ def load_features_tsv(path: str) -> list[RegionFeatureSet]:
                 r = int(fields[1]) if fields[1].isdecimal() else n
                 if r >= n:
                     raise FormatError(f"line {lineno}: row index {fields[1]!r} is not in [0, {n})")
-                if image_id in out:
+                if image_id in images:
                     raise FormatError(f"line {lineno}: duplicate image id {image_id!r}")
                 if r != len(features):
                     raise FormatError(f"line {lineno}: row {r} of image {image_id!r} "
                                       f"is out of order, expected row {len(features)}")
                 try:
-                    features.append([float(v) for v in fields[2].split()])
-                    boxes.append([float(v) for v in fields[3].split()] if has_boxes else [0.0] * 4)
+                    features.append(list(map(float, fields[2].split())))
+                    boxes.append(list(map(float, fields[3].split())) if has_boxes else [0.0] * 4)
                     areas.append(float(fields[-1]) if has_areas else 0.0)
                 except ValueError as exc:
                     raise FormatError(f"line {lineno}: {exc}") from None
@@ -511,10 +522,9 @@ def load_features_tsv(path: str) -> list[RegionFeatureSet]:
                     raise FormatError(f"line {lineno}: expected 4 box values")
             if len(features) != n:
                 raise FormatError(f"image {image_id!r} has {len(features)} of its {n} rows")
-            out[image_id] = RegionFeatureSet(image_id, np.array(features),
-                                             np.array(boxes) if has_boxes else None,
-                                             np.array(areas) if has_areas else None)
-    return list(out.values())
+            images[image_id] = (np.array(features), np.array(boxes) if has_boxes else None,
+                                np.array(areas) if has_areas else None)
+    return _stacked_views(images)
 
 
 def save_text_embeddings(table: TextEmbeddingTable, path: str) -> None:
@@ -539,6 +549,8 @@ def save_text_embeddings(table: TextEmbeddingTable, path: str) -> None:
 def load_text_embeddings(path: str) -> TextEmbeddingTable:
     with read_container(path, TEXT_MAGIC, _FORMAT_VERSION) as fh:
         count, d = read_u32(fh), read_u32(fh)
+        if d < 1:
+            raise FormatError(f"invalid header dimension d={d}")
         rule_tag = read_str(fh)
         if rule_tag != TextEmbeddingTable.rule_tag:
             raise FormatError(f"unknown caption-proxy rule {rule_tag!r}")

@@ -377,10 +377,10 @@ def finite_diff_check(
 
     Returns:
         Max over sampled coordinates of |analytic - numeric| /
-        max(1e-12, |analytic| + |numeric|). Coordinates whose error looks like
-        a ReLU kink straddle are retried with eps/8 (twice), keeping the best
-        estimate; a genuinely wrong analytic gradient does not improve under a
-        smaller step.
+        max(1e-12, |analytic| + |numeric|). A coordinate at or above 1e-4 is
+        retried with eps/8 and eps/64 (a step straddling a ReLU kink), then
+        with eps*8 capped at 1e-3 (rounding on a tiny gradient), keeping the
+        best estimate; a wrong analytic gradient improves under neither.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError("eps must be in [1e-7, 1e-3]")
@@ -414,13 +414,11 @@ def finite_diff_check(
     for coord in coords:
         param, grad, flat_index = cells[coord]
         analytic = float(grad.flat[flat_index])
-        step = eps
-        err = rel_error(analytic, numeric(param, flat_index, step))
-        retries = 0
-        while err >= 1e-4 and retries < 2:
-            step /= 8.0
+        err = rel_error(analytic, numeric(param, flat_index, eps))
+        for step in (eps / 8.0, eps / 64.0, min(eps * 8.0, 1e-3)):
+            if err < 1e-4:
+                break
             err = min(err, rel_error(analytic, numeric(param, flat_index, step)))
-            retries += 1
         worst = max(worst, err)
     return worst
 

@@ -360,6 +360,18 @@ def test_cli_grad_check_passes(tmp_path, tiny_config, capsys):
     assert "gradient check passed" in printed
 
 
+def test_cli_grad_check_passes_sorted_k8(tmp_path, capsys):
+    # The default world with sorted rows and K=8: one w1 coordinate has an
+    # analytic gradient of 2.6e-8, where the default step's rounding read
+    # 1.148e-04 and only a larger step agrees (3.2e-05).
+    path = tmp_path / "k8.cfg"
+    path.write_text("train.sorted_rows = true\ntrain.group_size = 8\n")
+    assert main(["grad-check", "--config", str(path)]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert "w1: max_rel_err=3.204e-05" in printed
+    assert "gradient check passed" in printed
+
+
 def test_cli_grad_check_rejects_bad_eps(tiny_config, capsys):
     assert main(["grad-check", "--config", tiny_config, "--eps", "0.5"]) == EXIT_RUNTIME
     assert "eps" in capsys.readouterr().err

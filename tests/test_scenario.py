@@ -446,14 +446,102 @@ def test_feature_codec_binary_round_trip_is_exact(tmp_path):
 def test_feature_codec_tsv_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(1)
     sets = _random_feature_sets(rng, with_boxes=True)
+    # Values where repr switches notation or keeps a sign: the exponent
+    # boundaries, the smallest subnormal, negative zero and the largest float.
+    edge = [1e16, 9.999e-05, 1e-05, 5e-324, -0.0, 1.7976931348623157e308]
+    sets[1].features.flat[:len(edge)] = edge
     path = tmp_path / "features.tsv"
     save_features_tsv(sets, str(path))
     loaded = load_features_tsv(str(path))
     for orig, back in zip(sets, loaded):
         assert orig.image_id == back.image_id
-        assert np.array_equal(orig.features, back.features)
-        assert np.array_equal(orig.boxes, back.boxes)
-        assert np.array_equal(orig.areas, back.areas)
+        for want, got in ((orig.features, back.features), (orig.boxes, back.boxes),
+                          (orig.areas, back.areas)):
+            assert want.tobytes() == got.tobytes()
+    # Every row, edge values included, is written value by value with repr.
+    expected = ["# CODF-TSV\tn=4\td=5\tboxes=1\tareas=1\n"]
+    for fs in sets:
+        for r in range(fs.n):
+            expected.append("\t".join([fs.image_id, str(r),
+                                       " ".join(repr(float(v)) for v in fs.features[r]),
+                                       " ".join(repr(float(v)) for v in fs.boxes[r]),
+                                       repr(float(fs.areas[r]))]) + "\n")
+    assert path.read_bytes() == "".join(expected).encode()
+    assert "img1\t0\t1e+16 9.999e-05 1e-05 5e-324 -0.0\t" in expected[5]
+    assert expected[6].startswith("img1\t1\t1.7976931348623157e+308 ")
+
+
+def _save_both(sets, tmp_path):
+    codf, tsv = tmp_path / "features.codf", tmp_path / "features.tsv"
+    save_features(sets, str(codf))
+    save_features_tsv(sets, str(tsv))
+    return codf, tsv
+
+
+def test_feature_loaders_return_rows_of_one_block(tmp_path):
+    rng = np.random.default_rng(6)
+    for with_boxes in (False, True):
+        sets = _random_feature_sets(rng, with_boxes=with_boxes)
+        for path, load in zip(_save_both(sets, tmp_path), (load_features, load_features_tsv)):
+            first, *_, last = load(str(path))
+            # Rows of one block do not overlap, so each is checked against
+            # the block that the first set's row is a view of.
+            for name in ("features", "boxes", "areas") if with_boxes else ("features", "areas"):
+                block = getattr(first, name).base
+                assert block.shape[0] == len(sets)
+                assert np.shares_memory(block, getattr(last, name))
+            if not with_boxes:
+                assert first.boxes is None and last.boxes is None
+
+
+def test_feature_loaders_hold_little_beyond_the_blocks(tmp_path):
+    # A cli-sized world: building the blocks from per-image arrays stays
+    # within 2.5x the blocks, where keeping every row as Python floats until
+    # the end of the file would hold several times more.
+    scenario = generate_scenario(ScenarioConfig(num_concepts=60, images_per_concept=10,
+                                                d=32, n=16, distractor_count=4,
+                                                with_boxes=True, seed=8))
+    paths = _save_both(scenario.feature_sets, tmp_path)
+    blocks = sum(a.nbytes for a in (scenario.features, scenario.boxes, scenario.areas))
+    for path, load in zip(paths, (load_features, load_features_tsv)):
+        tracemalloc.start()
+        try:
+            loaded = load(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [fs.image_id for fs in loaded] == scenario.image_ids
+        for name in ("features", "boxes", "areas"):
+            got = np.stack([getattr(fs, name) for fs in loaded])
+            assert got.tobytes() == getattr(scenario, name).tobytes()
+        assert peak <= 2.5 * blocks + (1 << 20), (load.__name__, peak / blocks)
+
+
+def test_feature_loaders_name_the_first_bad_image(tmp_path):
+    rng = np.random.default_rng(7)
+    sets = _random_feature_sets(rng, count=3, with_boxes=True)
+    codf, tsv = _save_both(sets, tmp_path)
+    value = sets[1].features[2, 3]
+    blob = codf.read_bytes()
+    assert blob.count(value.tobytes()) == 1
+    codf.write_bytes(blob.replace(value.tobytes(), np.float64(np.nan).tobytes()))
+    text = tsv.read_text()
+    assert text.count(repr(float(value))) == 1
+    tsv.write_text(text.replace(repr(float(value)), "nan"))
+    for path, load in ((codf, load_features), (tsv, load_features_tsv)):
+        with pytest.raises(ValueError, match="^image 'img1': non-finite feature values$"):
+            load(str(path))
+
+
+def test_feature_loaders_read_a_file_of_no_images(tmp_path):
+    import struct
+
+    path = tmp_path / "empty.codf"
+    path.write_bytes(b"CODF" + struct.pack("<5I", 1, 0, 4, 5, 3))
+    assert load_features(str(path)) == []
+    path = tmp_path / "empty.tsv"
+    path.write_text("# CODF-TSV\tn=4\td=5\tboxes=1\tareas=1\n")
+    assert load_features_tsv(str(path)) == []
 
 
 def test_save_features_validates_inputs(tmp_path):
@@ -642,6 +730,12 @@ def test_text_embedding_codec_errors(tmp_path):
         bad.write_bytes(data)
         with pytest.raises(FormatError, match=message):
             load_text_embeddings(str(bad))
+    # A zero dimension is refused as CODF refuses it, before any record.
+    zero_d = bytearray(blob)
+    zero_d[12:16] = (0).to_bytes(4, "little")
+    bad.write_bytes(bytes(zero_d))
+    with pytest.raises(FormatError, match="^invalid header dimension d=0$"):
+        load_text_embeddings(str(bad))
     # Two records for one concept id: the header says 2, both are concept 0.
     save_text_embeddings(TextEmbeddingTable({0: np.ones(3), 1: np.ones(3)}), str(path))
     blob = path.read_bytes()

@@ -283,6 +283,45 @@ def test_finite_diff_check_flags_a_wrong_gradient(monkeypatch):
     assert err > 1e-2
 
 
+@pytest.mark.parametrize("sorted_rows", [False, True])
+def test_finite_diff_check_flags_one_w1_entry_off_by_a_thousandth(monkeypatch, sorted_rows):
+    # The retries, smaller and larger steps alike, must not absorb a small
+    # error in one entry: scaled by 1.001, its relative error is about 5e-4.
+    import codiscover.training as training_module
+
+    scenario, index, config = small_setup(sorted_rows=sorted_rows)
+    state = init_model(scenario, index, config)
+    groups, caption_vectors = make_batch(scenario, index, config)
+    real = training_module.caption_batch_loss
+    entry = np.argmax(np.abs(real(state, groups, caption_vectors, config)[1].w1))
+
+    def scaled(*args, **kwargs):
+        loss, grads = real(*args, **kwargs)
+        grads.w1.flat[entry] *= 1.001
+        return loss, grads
+
+    monkeypatch.setattr(training_module, "caption_batch_loss", scaled)
+    err = finite_diff_check(state, groups, caption_vectors, config, "w1",
+                            num_coords=state.head.w1.size, rng=np.random.default_rng(0))
+    assert 3e-4 < err < 1e-3
+
+
+def test_finite_diff_check_flags_a_dropped_similarity_path(monkeypatch):
+    # A region feature reaches the prototype directly and through the
+    # similarity matrix; a backward that loses the second path must fail.
+    import codiscover.training as training_module
+
+    scenario, index, config = small_setup()
+    state = init_model(scenario, index, config)
+    groups, caption_vectors = make_batch(scenario, index, config)
+    real = training_module.similarity_backward
+    monkeypatch.setattr(training_module, "similarity_backward",
+                        lambda *args: tuple(np.zeros_like(g) for g in real(*args)))
+    err = finite_diff_check(state, groups, caption_vectors, config, "features",
+                            rng=np.random.default_rng(0))
+    assert err > 1e-2
+
+
 def test_finite_diff_check_validates_arguments():
     scenario, index, config = small_setup()
     state = init_model(scenario, index, config)
