@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import re
 import struct
@@ -28,15 +29,19 @@ def utf8_lines(lines: Iterable[str], where: str = "line ",
         yield lineno, line
 
 
+def _expect(fh: BinaryIO, count: int) -> None:
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if count > left:
+        raise FormatError(f"unexpected end of file (wanted {count} bytes, {left} left)")
+
+
 def _take(fh: BinaryIO, count: int) -> bytes:
     # read() allocates the requested size up front. A request larger than a
     # read buffer is first checked against the bytes left in the file, so a
     # corrupt header dimension fails here instead of exhausting memory.
     # Smaller requests skip the check, whose system calls cost more than the read.
     if count > io.DEFAULT_BUFFER_SIZE:
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if count > left:
-            raise FormatError(f"unexpected end of file (wanted {count} bytes, {left} left)")
+        _expect(fh, count)
     data = fh.read(count)
     if len(data) != count:
         raise FormatError(f"unexpected end of file (wanted {count} bytes, got {len(data)})")
@@ -72,6 +77,25 @@ def write_f64_array(fh: BinaryIO, values: np.ndarray) -> None:
 
 def read_f64_array(fh: BinaryIO, count: int) -> np.ndarray:
     return np.frombuffer(_take(fh, 8 * count), dtype="<f8").astype(np.float64)
+
+
+def read_records(fh: BinaryIO, count: int, shapes: list[tuple | None], read_id=read_str,
+                 what: str = "image id") -> tuple[list, list[np.ndarray | None]]:
+    """Read `count` records, each an id (a string, or what read_id reads) then
+    float64 arrays of `shapes` (None for an absent one), straight into blocks
+    (count, *shape), allocated once the file can hold `count` of the shortest
+    records. A repeated id is refused."""
+    _expect(fh, count * (4 + sum(8 * math.prod(shape) for shape in shapes if shape)))
+    blocks = [None if shape is None else np.empty((count, *shape)) for shape in shapes]
+    ids: dict = {}
+    for r in range(count):
+        record_id = read_id(fh)
+        if record_id in ids:
+            raise FormatError(f"duplicate {what} {record_id!r}")
+        ids[record_id] = None
+        for row in [block[r] for block in blocks if block is not None]:
+            row[...] = np.frombuffer(_take(fh, row.nbytes), "<f8").reshape(row.shape)
+    return list(ids), blocks
 
 
 @contextlib.contextmanager

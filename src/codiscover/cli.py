@@ -242,11 +242,11 @@ def cmd_gen_synthetic(args) -> int:
     )
     save_features(scenario.feature_sets, os.path.join(args.out, "features.codf"))
     save_text_embeddings(scenario.text_table, os.path.join(args.out, "text_embeddings.codt"))
-    truth_lines = []
-    for image_id in sorted(scenario.truth.true_pairs):
-        for region, cid in sorted(scenario.truth.true_pairs[image_id], key=lambda t: (t[1], t[0])):
-            truth_lines.append(f"{image_id}\t{cid}\t{region}\n")
-    _write_text(os.path.join(args.out, "truth.tsv"), "".join(truth_lines))
+    rows, regions = np.nonzero(scenario.owner >= 0)
+    truth = sorted(zip([scenario.image_ids[r] for r in rows.tolist()],
+                       scenario.owner[rows, regions].tolist(), regions.tolist()))
+    _write_text(os.path.join(args.out, "truth.tsv"),
+                "".join(f"{image_id}\t{c}\t{j}\n" for image_id, c, j in truth))
     if args.tsv:
         save_features_tsv(scenario.feature_sets, os.path.join(args.out, "features.tsv"))
     save_index(index, os.path.join(args.out, "index.tsv"))

@@ -19,7 +19,7 @@ from .core import (
     similarity_rows,
 )
 from .corpus import ConceptGroupIndex
-from .scenario import Scenario, ScenarioTruth
+from .scenario import Scenario
 from .training import ModelState, TrainConfig, run_training
 
 STRATEGIES = ("region_region", "region_word", "max_size", "heuristic")
@@ -59,24 +59,22 @@ def iou(box_a, box_b) -> np.ndarray:
     return inter / (area_a + area_b - inter)
 
 
-def _covered(keys, regions, boxes, truth: ScenarioTruth, mode: str) -> np.ndarray:
-    """Which labels, given as L (image_id, concept_id) keys with their picked
-    region indices regions (..., L) in index mode or boxes (..., L, 4) in box
-    mode, match oracle truth; leading axes hold several strategies' picks. A
-    box needs IoU > 0.5 with some ground-truth box of its key; the ground
-    truth is gathered once and all pairs are scored in one IoU."""
+def _covered(owner: np.ndarray, boxes: np.ndarray | None, concepts: np.ndarray,
+             regions: np.ndarray, mode: str) -> np.ndarray:
+    """Which picked regions (..., Q) of Q queries, with owner rows (Q, n), box
+    rows (Q, n, 4) or None and query concepts (Q,), cover their concept;
+    leading axes hold several strategies' picks. In index mode the picked
+    region must instantiate the concept. In box mode its box needs IoU > 0.5
+    with a true box of the concept in the query image: every such box is
+    gathered once and scored against the picks in one IoU."""
     if mode == "index":
-        regions = np.asarray(regions)
-        return np.array([truth.is_true(i, int(r), c) for picks in regions.reshape(-1, len(keys))
-                         for (i, c), r in zip(keys, picks)], dtype=bool).reshape(regions.shape)
+        return owner[np.arange(len(concepts)), regions] == concepts
     if mode != "box":
         raise ValueError(f"unknown cover mode {mode!r}")
-    gt = [(k, g) for k, key in enumerate(keys) for g in truth.gt_boxes.get(key, [])]
-    owner = np.array([k for k, _ in gt], dtype=int)
-    gt_boxes = np.array([g for _, g in gt]).reshape(-1, 4)
-    *picks, pair = np.nonzero(iou(boxes[..., owner, :], gt_boxes) > 0.5)
-    covered = np.zeros(boxes.shape[:-1], dtype=bool)
-    covered[(*picks, owner[pair])] = True
+    q, j = np.nonzero(owner == concepts[:, None])
+    *picks, pair = np.nonzero(iou(boxes[q, regions[..., q]], boxes[q, j]) > 0.5)
+    covered = np.zeros(regions.shape, dtype=bool)
+    covered[(*picks, q[pair])] = True
     return covered
 
 
@@ -202,13 +200,11 @@ def _score_batch(batch, state: ModelState, scenario: Scenario, strategies, mode:
     world_rows = [scenario.row_of[i] for i in query_ids]
     if "max_size" in strategies:
         picks["max_size"] = baseline_max_size(scenario.areas[world_rows])
-    regions = np.array(list(picks.values()))
-    boxes = None
-    if mode == "box":
-        if scenario.boxes is None:
-            raise ValueError(f"image {query_ids[0]!r} carries no boxes")
-        boxes = scenario.boxes[world_rows][np.arange(len(batch)), regions]
-    covered = _covered(list(zip(query_ids, cids)), regions, boxes, scenario.truth, mode)
+    if mode == "box" and scenario.boxes is None:
+        raise ValueError(f"image {query_ids[0]!r} carries no boxes")
+    boxes = scenario.boxes[world_rows] if mode == "box" else None
+    covered = _covered(scenario.owner[world_rows], boxes, np.array(cids),
+                       np.array(list(picks.values())), mode)
     owners = np.array(positions)
     for name, hit in zip(picks, covered):
         hits[name] += np.bincount(owners[hit], minlength=hits[name].size)

@@ -20,7 +20,7 @@ import numpy as np
 from ._binio import (
     atomic_writer,
     read_container,
-    read_f64_array,
+    read_records,
     read_str,
     read_u32,
     utf8_lines,
@@ -66,17 +66,16 @@ class RegionFeatureSet:
 
 def _check_rows(image_ids: list[str], features: np.ndarray, boxes: np.ndarray | None = None,
                 areas: np.ndarray | None = None) -> None:
-    """Check N images at once: features (N, n, d), boxes (N, n, 4) and areas
-    (N, n), the last two optional. Raises ValueError naming the first bad
-    image and the first check it fails."""
-    first = f"image {image_ids[0]!r}"
+    """Check N >= 0 images at once: features (N, n, d), boxes (N, n, 4) and
+    areas (N, n), the last two optional. Raises ValueError naming the first
+    bad image and the first check it fails."""
     n = features.shape[1] if features.ndim == 3 and features.shape[2] else 0
     if not n:
-        raise ValueError(f"{first}: features must be a non-empty 2-D matrix")
+        raise ValueError(f"image {image_ids[0]!r}: features must be a non-empty 2-D matrix")
     if boxes is not None and boxes.shape != (*features.shape[:2], 4):
-        raise ValueError(f"{first}: boxes must have shape ({n}, 4)")
+        raise ValueError(f"image {image_ids[0]!r}: boxes must have shape ({n}, 4)")
     if areas is not None and areas.shape != features.shape[:2]:
-        raise ValueError(f"{first}: areas must have shape ({n},)")
+        raise ValueError(f"image {image_ids[0]!r}: areas must have shape ({n},)")
     with np.errstate(over="ignore", invalid="ignore"):
         # A row's squares sum to zero exactly when its norm does (underflow
         # included), in any order of addition.
@@ -168,13 +167,10 @@ class TextEmbeddingTable:
 
 @dataclass
 class ScenarioTruth:
-    """Oracle labels: which region indices instantiate which concept."""
+    """Oracle labels per image, as Scenario.truth derives them from `owner`."""
 
     true_pairs: dict[str, set[tuple[int, int]]]
-    gt_boxes: dict[tuple[str, int], list[np.ndarray]] = field(default_factory=dict)
-
-    def is_true(self, image_id: str, region_index: int, concept_id: int) -> bool:
-        return (region_index, concept_id) in self.true_pairs.get(image_id, set())
+    gt_boxes: dict[tuple[str, int], list[np.ndarray]]
 
 
 @dataclass
@@ -225,16 +221,17 @@ class ScenarioConfig:
 class Scenario:
     """A synthetic world whose region features are blocks, checked once when
     built, with row r for image_ids[r]: features (N, n, d), boxes (N, n, 4) or
-    None, areas (N, n). `feature_sets`, built on first use, holds one
-    RegionFeatureSet of views per row."""
+    None, areas (N, n), and owner (N, n), the concept id each region
+    instantiates or -1 for a distractor. `feature_sets`, built on first use,
+    holds one RegionFeatureSet of views per row."""
 
     records: list[CaptionRecord]
     image_ids: list[str]
     features: np.ndarray
     boxes: np.ndarray | None
     areas: np.ndarray
+    owner: np.ndarray
     text_table: TextEmbeddingTable
-    truth: ScenarioTruth
     lexicon: Lexicon
     row_of: dict[str, int] = field(init=False, repr=False)
 
@@ -243,10 +240,26 @@ class Scenario:
         if not len(self.row_of) == len(self.image_ids) == len(self.features):
             raise ValueError("a scenario needs one feature row per distinct image id")
         _check_rows(self.image_ids, self.features, self.boxes, self.areas)
+        shape = self.features.shape[:2]
+        if not (np.issubdtype(self.owner.dtype, np.integer) and self.owner.shape == shape
+                and (self.owner >= -1).all()):
+            raise ValueError(f"owner must be an integer block of shape {shape} with values >= -1")
 
     @functools.cached_property
     def feature_sets(self) -> list[RegionFeatureSet]:
         return _row_views(self.image_ids, self.features, self.boxes, self.areas)
+
+    @functools.cached_property
+    def truth(self) -> ScenarioTruth:
+        """Per image, its (region, concept) pairs; in box worlds, per (image,
+        concept), the true boxes as rows of `boxes` in ascending region order."""
+        rows, regions = np.nonzero(self.owner >= 0)
+        true_pairs, gt_boxes = {image_id: set() for image_id in self.image_ids}, {}
+        for r, j, c in zip(rows.tolist(), regions.tolist(), self.owner[rows, regions].tolist()):
+            true_pairs[self.image_ids[r]].add((j, c))
+            if self.boxes is not None:
+                gt_boxes.setdefault((self.image_ids[r], c), []).append(self.boxes[r, j])
+        return ScenarioTruth(true_pairs, gt_boxes)
 
     def feature_map(self) -> dict[str, RegionFeatureSet]:
         return {fs.image_id: fs for fs in self.feature_sets}
@@ -327,7 +340,8 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
 
     Returns:
         A Scenario bundling caption records (concepts filled), region feature
-        blocks, the text embedding table, oracle truth, and the term lexicon.
+        blocks, the region-ownership block, the text embedding table, and the
+        term lexicon.
     """
     rng = np.random.default_rng(config.seed)
     prototypes = _make_prototypes(config, rng)
@@ -339,21 +353,18 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     features = np.empty((len(image_ids), n, d))
     boxes = np.empty((len(image_ids), n, 4)) if config.with_boxes else None
     areas = np.empty((len(image_ids), n))
+    owner = np.empty((len(image_ids), n), dtype=np.int64)
     records: list[CaptionRecord] = []
-    true_pairs: dict[str, set[tuple[int, int]]] = {}
-    gt_boxes: dict[tuple[str, int], list[np.ndarray]] = {}
 
     rows = np.empty((n, d))  # every row is rewritten for each image
     for row, image_id in enumerate(image_ids):
         concepts = _caption_concepts(row // per_concept, config, rng)
         counts = _instance_counts(len(concepts), config, rng)
 
-        owner: list[int | None] = []
         cursor = 0
         for cc, count in zip(concepts, counts):
             draws = rng.standard_normal((count, d))
             rows[cursor : cursor + count] = prototypes[cc] + config.noise_sigma * draws
-            owner.extend([cc] * count)
             cursor += count
         # Distractors copy a prototype the caption does not name: the r-th
         # free concept id is r stepped past each smaller named id.
@@ -371,21 +382,19 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
                 bases.append(g / np.linalg.norm(g))
             noise.append(rng.standard_normal(d))
         rows[cursor:] = np.array(bases) + config.noise_sigma * np.array(noise)
-        owner.extend([None] * (n - cursor))
 
         perm = rng.permutation(n)
         np.take(rows, perm, axis=0, out=features[row])
-        owner = [owner[j] for j in perm.tolist()]
-        true_idx = [j for j in range(n) if owner[j] is not None]
+        owner[row] = np.repeat([*concepts, -1], [*counts, n - cursor])[perm]
 
         target = rng.uniform(1.0, 2.0, size=n)
+        # The largest region is one of a named concept's instances, or a
+        # distractor; config validation leaves every image at least one.
         if rng.random() < config.max_size_bias:
-            cc = concepts[int(rng.integers(len(concepts)))]
-            cands = [j for j in true_idx if owner[j] == cc]
+            cands = np.flatnonzero(owner[row] == concepts[int(rng.integers(len(concepts)))])
         else:
-            cands = [j for j in range(n) if owner[j] is None] or list(range(n))
-        boost = cands[int(rng.integers(len(cands)))]
-        target[boost] = target.max() * 1.5 + 1.0
+            cands = np.flatnonzero(owner[row] < 0)
+        target[cands[int(rng.integers(len(cands)))]] = target.max() * 1.5 + 1.0
 
         if boxes is not None:
             aspect = rng.uniform(0.5, 2.0, size=n)
@@ -395,19 +404,15 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
             height = target / width
             box = np.stack([x1, y1, x1 + width, y1 + height], axis=1, out=boxes[row])
             areas[row] = (box[:, 2] - box[:, 0]) * (box[:, 3] - box[:, 1])
-            for cc in concepts:
-                gt_boxes[(image_id, cc)] = [box[j].copy() for j in true_idx if owner[j] == cc]
         else:
             areas[row] = target
-        true_pairs[image_id] = {(j, owner[j]) for j in true_idx}
 
         caption = "a photo of a " + " and a ".join(concept_term(cc) for cc in concepts)
         records.append(CaptionRecord(image_id, caption, list(concepts)))
 
     table = TextEmbeddingTable({c: text[c].copy() for c in range(k)})
     lexicon = Lexicon([concept_term(c) for c in range(k)])
-    return Scenario(records, image_ids, features, boxes, areas, table,
-                    ScenarioTruth(true_pairs, gt_boxes), lexicon)
+    return Scenario(records, image_ids, features, boxes, areas, owner, table, lexicon)
 
 
 def _feature_layout(feature_sets: list[RegionFeatureSet]) -> tuple[int, int, bool, bool]:
@@ -442,22 +447,19 @@ def save_features(feature_sets: list[RegionFeatureSet], path: str) -> None:
 
 
 def load_features(path: str) -> list[RegionFeatureSet]:
-    """Read a CODF container into blocks; after the last record, one check of
-    shapes and values names the first bad image. Returns views of the rows."""
+    """Read a CODF container straight into blocks sized by its header, once
+    the file is long enough to hold that many records; after the last record,
+    one check of shapes and values names the first bad image. Returns views
+    of the rows."""
     with read_container(path, FEATURE_MAGIC, _FORMAT_VERSION) as fh:
         count, n, d, flags = (read_u32(fh) for _ in range(4))
         if n < 1 or d < 1:
             raise FormatError(f"invalid header dimensions n={n}, d={d}")
-        images: dict[str, tuple] = {}
-        for _ in range(count):
-            image_id = read_str(fh)
-            if image_id in images:
-                raise FormatError(f"duplicate image id {image_id!r}")
-            features = read_f64_array(fh, n * d).reshape(n, d)
-            boxes = read_f64_array(fh, n * 4).reshape(n, 4) if flags & _FLAG_BOXES else None
-            areas = read_f64_array(fh, n) if flags & _FLAG_AREAS else None
-            images[image_id] = (features, boxes, areas)
-    return _stacked_views(images)
+        image_ids, blocks = read_records(
+            fh, count, [(n, d), (n, 4) if flags & _FLAG_BOXES else None,
+                        (n,) if flags & _FLAG_AREAS else None])
+    _check_rows(image_ids, *blocks)
+    return _row_views(image_ids, *blocks)
 
 
 def save_features_tsv(feature_sets: list[RegionFeatureSet], path: str) -> None:
@@ -554,10 +556,5 @@ def load_text_embeddings(path: str) -> TextEmbeddingTable:
         rule_tag = read_str(fh)
         if rule_tag != TextEmbeddingTable.rule_tag:
             raise FormatError(f"unknown caption-proxy rule {rule_tag!r}")
-        embeddings = {}
-        for _ in range(count):
-            cid = read_u32(fh)
-            if cid in embeddings:
-                raise FormatError(f"duplicate concept id {cid}")
-            embeddings[cid] = read_f64_array(fh, d)
-        return TextEmbeddingTable(embeddings)
+        cids, (vectors,) = read_records(fh, count, [(d,)], read_u32, "concept id")
+        return TextEmbeddingTable(dict(zip(cids, vectors)))

@@ -20,7 +20,7 @@ from ._binio import (
     atomic_writer,
     read_container,
     read_f64_array,
-    read_str,
+    read_records,
     read_u32,
     write_f64_array,
     write_str,
@@ -468,14 +468,8 @@ def load_checkpoint(path: str) -> ModelState:
         concept_ids = [read_u32(fh) for _ in range(k)]
         weights = read_f64_array(fh, k * d).reshape(k, d)
         classifier = OpenVocabClassifier(weights, concept_ids)
-        features: dict[str, np.ndarray] = {}
-        for _ in range(read_u32(fh)):
-            image_id = read_str(fh)
-            if image_id in features:
-                raise FormatError(f"duplicate image id {image_id!r}")
-            features[image_id] = read_f64_array(fh, n * d)
-        block = np.array(list(features.values())).reshape(len(features), n, d)
+        image_ids, (block,) = read_records(fh, read_u32(fh), [(n, d)])
         bad = ~np.isfinite(block).all(axis=(1, 2))
         if bad.any():
-            raise FormatError(f"image {list(features)[bad.argmax()]!r}: non-finite feature values")
-        return ModelState(head, classifier, list(features), block)
+            raise FormatError(f"image {image_ids[bad.argmax()]!r}: non-finite feature values")
+        return ModelState(head, classifier, image_ids, block)

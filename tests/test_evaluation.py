@@ -9,7 +9,6 @@ import pytest
 from codiscover import (
     EvalReport,
     ScenarioConfig,
-    ScenarioTruth,
     TrainConfig,
     ablate,
     build_concept_index,
@@ -72,35 +71,59 @@ def test_iou_hand_cases():
 
 
 def test_covered_index_mode():
-    truth = ScenarioTruth({"a": {(0, 1), (2, 1)}, "b": {(1, 2)}})
-    keys = [("a", 1), ("a", 1), ("b", 2), ("b", 1)]
+    # Image a owns concept 1 at regions 0 and 2, image b concept 2 at region 1.
+    a, b = [1, -1, 1], [-1, 2, -1]
+    owner = np.array([a, a, b, b])
+    concepts = np.array([1, 1, 2, 1])
     # Hit; miss (region 1 is not true for 1); hit; miss (wrong concept).
-    covered = _covered(keys, [0, 1, 1, 1], None, truth, "index")
+    covered = _covered(owner, None, concepts, np.array([0, 1, 1, 1]), "index")
     assert covered.tolist() == [True, False, True, False]
+    # A leading axis holds a second strategy's picks.
+    regions = np.array([[0, 1, 1, 1], [2, 0, 0, 1]])
+    assert _covered(owner, None, concepts, regions, "index").tolist() == \
+        [[True, False, True, False], [True, True, False, False]]
     with pytest.raises(ValueError, match="unknown cover mode"):
-        _covered(keys, [0, 1, 1, 1], None, truth, "pixel")
+        _covered(owner, None, concepts, np.array([0, 1, 1, 1]), "pixel")
 
 
 def test_covered_box_mode():
-    gt = {("a", 1): [np.array([0.0, 0.0, 2.0, 2.0])],
-          ("b", 1): [np.array([20.0, 20.0, 22.0, 22.0]), np.array([0.0, 0.0, 2.0, 2.0])]}
-    truth = ScenarioTruth({"a": {(0, 1)}}, gt_boxes=gt)
     exact = [0.0, 0.0, 2.0, 2.0]
-    near = [0.1, 0.0, 2.0, 2.0]  # IoU 0.95 with the ground truth
+    near = [0.1, 0.0, 2.0, 2.0]  # IoU 0.95 with exact
     far = [10.0, 10.0, 12.0, 12.0]
+    # Image a: one true box of concept 1 and a near distractor; image b: two
+    # true boxes of concept 1; image c: a true box and a degenerate distractor.
+    images = {"a": ([1, -1, -1], [exact, near, far]),
+              "b": ([1, 1, -1], [[20.0, 20.0, 22.0, 22.0], exact, far]),
+              "c": ([1, -1, -1], [exact, [2.0, 0.0, 1.0, 1.0], far])}
 
-    def covered(keys, boxes):
-        return _covered(keys, [0] * len(keys), np.array(boxes), truth, "box").tolist()
+    def covered(queries, picks):
+        owner, boxes = zip(*(images[image] for image, _ in queries))
+        concepts = np.array([c for _, c in queries])
+        return _covered(np.array(owner), np.array(boxes), concepts, np.array(picks),
+                        "box").tolist()
 
-    assert covered([("a", 1), ("a", 1)], [exact, near]) == [True, True]
-    assert covered([("a", 1)], [far]) == [False]
-    assert covered([("a", 9)], [exact]) == [False]  # no gt boxes
-    # The best of an image's ground-truth boxes counts, whichever it is.
-    assert covered([("b", 1), ("a", 1), ("a", 1), ("a", 9)],
-                   [exact, far, exact, exact]) == [True, False, True, False]
+    assert covered([("a", 1), ("a", 1)], [0, 1]) == [True, True]
+    assert covered([("a", 1)], [2]) == [False]
+    assert covered([("a", 9)], [0]) == [False]  # no true box
+    # The best of an image's true boxes counts, whichever it is.
+    assert covered([("b", 1), ("a", 1), ("a", 1), ("a", 9)], [1, 2, 0, 0]) == \
+        [True, False, True, False]
+    # A distractor region whose box overlaps a true box covers in box mode.
+    assert covered([("a", 1), ("a", 1)], [[1, 0], [2, 1]]) == [[True, True], [False, True]]
     # A bad box is named on one line by its index among the boxes scored.
     with pytest.raises(ValueError, match=r"^degenerate box 1: \(2\.0, 0\.0, 1\.0, 1\.0\)$"):
-        covered([("a", 1), ("a", 1)], [exact, [2.0, 0.0, 1.0, 1.0]])
+        covered([("a", 1), ("c", 1)], [0, 1])
+
+
+def test_no_library_path_builds_the_truth_view():
+    # Generation, scoring and training read the owner block; the per-image
+    # truth tables are built only when something asks for them.
+    scenario, index = small_world(with_boxes=True, multi_concept_rate=0.3)
+    assert "truth" not in scenario.__dict__
+    config = TrainConfig(group_size=3, hidden=16, steps=3, eval_interval=2)
+    state, _ = run_training(index, scenario, config, eval_seed=1)
+    compare_strategies(state, scenario, index, STRATEGIES, group_size=3, mode="box")
+    assert "truth" not in scenario.__dict__
 
 
 # --------------------------------------------------------- support sampling
@@ -216,7 +239,7 @@ def test_compare_strategies_label_matches_manual_pipeline():
     query = unit_rows(state.features[query_id], "query")
     _, rows = similarity_rows(query[None], np.stack([query] * 2)[None], guide)
     p = head_forward(rows, state.head).p[0]
-    manual_hit = scenario.truth.is_true(query_id, int(np.argmax(p)), cid)
+    manual_hit = (int(np.argmax(p)), cid) in scenario.truth.true_pairs[query_id]
 
     report = compare_strategies(state, scenario, solo, ("region_region",),
                                 group_size=3, seed=6)
@@ -263,7 +286,7 @@ def _replay_per_query(state, scenario, index, strategies, group_size, seed, mode
                 else:
                     idx = int(baseline_max_size(fs.areas[None])[0])
                 if mode == "index":
-                    hit = scenario.truth.is_true(query_id, idx, cid)
+                    hit = (idx, cid) in scenario.truth.true_pairs[query_id]
                 else:
                     hit = any(iou(fs.boxes[idx], g) > 0.5
                               for g in scenario.truth.gt_boxes.get((query_id, cid), []))
@@ -386,7 +409,8 @@ def test_compare_strategies_rejects_features_of_another_world():
     gone = index.groups[index.concept_ids()[0]][0]
     keep = [r for r, image_id in enumerate(scenario.image_ids) if image_id != gone]
     without = dataclasses.replace(scenario, image_ids=[scenario.image_ids[r] for r in keep],
-                                  features=scenario.features[keep], areas=scenario.areas[keep])
+                                  features=scenario.features[keep], areas=scenario.areas[keep],
+                                  owner=scenario.owner[keep])
     state = init_model(without, index, config)
     with pytest.raises(ValueError, match=f"no features for 1 of .*{gone}"):
         compare_strategies(state, scenario, index, ("max_size",), group_size=3)

@@ -133,13 +133,57 @@ def test_text_embedding_table_rejects_bad_vectors():
         TextEmbeddingTable({0: np.array([np.inf, 1.0])})
 
 
+def _hand_owned(owner, with_boxes=False):
+    """A generated two-image world, n=3, with the ownership block replaced."""
+    scenario = generate_scenario(ScenarioConfig(num_concepts=2, d=4, n=3, images_per_concept=1,
+                                                distractor_count=1, with_boxes=with_boxes))
+    return dataclasses.replace(scenario, owner=np.array(owner))
+
+
 def test_scenario_truth_helpers():
-    truth = ScenarioTruth({"img": {(0, 3), (2, 3), (1, 4)}})
-    assert truth.is_true("img", 1, 4)
-    assert truth.is_true("img", 0, 3) and truth.is_true("img", 2, 3)
-    assert not truth.is_true("img", 1, 3)
-    assert not truth.is_true("img", 0, 9)
-    assert not truth.is_true("other", 0, 3)
+    scenario = _hand_owned([[3, 4, 3], [-1, -1, -1]], with_boxes=True)
+    img, other = scenario.image_ids
+    assert isinstance(scenario.truth, ScenarioTruth)
+    pairs = scenario.truth.true_pairs
+    assert (1, 4) in pairs[img]
+    assert (0, 3) in pairs[img] and (2, 3) in pairs[img]
+    assert (1, 3) not in pairs[img]
+    assert (0, 9) not in pairs[img]
+    assert pairs[other] == set()
+    assert "other" not in pairs
+    # True boxes are the block's rows, in ascending region order.
+    assert set(scenario.truth.gt_boxes) == {(img, 3), (img, 4)}
+    first, third = scenario.truth.gt_boxes[(img, 3)]
+    assert np.shares_memory(first, scenario.boxes)
+    assert first.tolist() == scenario.boxes[0, 0].tolist()
+    assert third.tolist() == scenario.boxes[0, 2].tolist()
+    assert _hand_owned([[3, 4, 3], [-1, -1, -1]]).truth.gt_boxes == {}
+
+
+def test_scenario_refuses_a_bad_owner_block():
+    for owner in ([[0, -1, 1]], [[0.0, -1.0, 1.0], [1.0, 1.0, -1.0]], [[0, -2, 1], [1, 1, -1]]):
+        with pytest.raises(ValueError, match=r"^owner must be an integer block of shape "
+                                             r"\(2, 3\) with values >= -1$"):
+            _hand_owned(owner)
+
+
+def test_truth_view_agrees_with_the_owner_block():
+    scenario = generate_scenario(ScenarioConfig(num_concepts=6, d=8, n=8, images_per_concept=5,
+                                                distractor_count=2, multi_concept_rate=0.3,
+                                                with_boxes=True, seed=9))
+    owner, truth = scenario.owner, scenario.truth
+    assert owner.shape == scenario.features.shape[:2] and (owner < 0).any()
+    assert any(len(record.concepts) == 2 for record in scenario.records)
+    assert list(truth.true_pairs) == scenario.image_ids
+    for r, image_id in enumerate(scenario.image_ids):
+        pairs = truth.true_pairs[image_id]
+        assert all(owner[r, j] == c for j, c in pairs)
+        assert {(j, int(owner[r, j])) for j in np.flatnonzero(owner[r] >= 0)} == pairs
+        assert {c for _, c in pairs} == set(scenario.records[r].concepts)
+        for c in scenario.records[r].concepts:
+            assert np.array_equal(np.array(truth.gt_boxes[(image_id, c)]),
+                                  scenario.boxes[r][owner[r] == c])
+    assert len(truth.gt_boxes) == sum(len(record.concepts) for record in scenario.records)
 
 
 def test_scenario_config_validation():
@@ -515,6 +559,9 @@ def test_feature_loaders_hold_little_beyond_the_blocks(tmp_path):
             got = np.stack([getattr(fs, name) for fs in loaded])
             assert got.tobytes() == getattr(scenario, name).tobytes()
         assert peak <= 2.5 * blocks + (1 << 20), (load.__name__, peak / blocks)
+        if load is load_features:
+            # CODF records are read straight into blocks sized by the header.
+            assert peak <= 1.25 * blocks + (1 << 20), peak / blocks
 
 
 def test_feature_loaders_name_the_first_bad_image(tmp_path):
@@ -630,6 +677,22 @@ def test_load_features_rejects_zero_header_dims(tmp_path):
     path.write_bytes(b"CODF" + struct.pack("<5I", 1, 0, 0, 5, 0))
     with pytest.raises(FormatError, match="header dimensions"):
         load_features(str(path))
+
+
+def test_load_features_refuses_a_count_the_file_cannot_hold(tmp_path):
+    import struct
+
+    # Blocks are sized by the header's count only once the file is long
+    # enough to hold that many records of the shortest kind.
+    path = tmp_path / "huge.codf"
+    path.write_bytes(b"CODF" + struct.pack("<5I", 1, 2**32 - 1, 1, 1, 0) + b"\0" * 12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="unexpected end of file"):
+            load_features(str(path))
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_load_features_tsv_rejects_corruption(tmp_path):
