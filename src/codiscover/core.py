@@ -179,13 +179,19 @@ class HeadPass(NamedTuple):
     logits: np.ndarray  # (Q, n)
     p: np.ndarray  # (Q, n) softmax over each query's proposals
     # (Q, n, m, n) flat index into the rows of each entry of net's sorted
-    # blocks; None unsorted
+    # blocks; None unsorted or when head_forward was given the sorted blocks
     perm: np.ndarray | None
 
 
-def head_forward(rows: np.ndarray, head: DiscoveryHead) -> HeadPass:
-    """Run the MLP + softmax over (Q, n, m*n) similarity rows, each support
-    block of each row sorted descending first when head.sorted_rows."""
+def sorted_blocks(rows: np.ndarray) -> np.ndarray:
+    """(Q, n, m*n) similarity rows as (Q, n, m, n) support blocks sorted descending (values)."""
+    return -np.sort(-rows.reshape(*rows.shape[:2], -1, rows.shape[1]), axis=-1)
+
+
+def head_forward(rows: np.ndarray, head: DiscoveryHead,
+                 blocks: np.ndarray | None = None) -> HeadPass:
+    """Run the MLP + softmax over (Q, n, m*n) similarity rows, each support block of each row
+    sorted descending first when head.sorted_rows, or taken from blocks = sorted_blocks(rows)."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 3:
         raise ValueError(f"similarity rows of shape {rows.shape} are not (Q, n, m*n)")
@@ -198,10 +204,12 @@ def head_forward(rows: np.ndarray, head: DiscoveryHead) -> HeadPass:
     if head.sorted_rows:
         if width % n != 0:
             raise ValueError("row width is not a multiple of the proposal count")
-        perm = np.argsort(-rows.reshape(-1, n), axis=1)
-        perm += np.arange(0, rows.size, n)[:, None]
-        rows = rows.reshape(-1)[perm]
-        perm = perm.reshape(q, n, width // n, n)
+        if blocks is None:
+            perm = np.argsort(-rows.reshape(-1, n), axis=1)
+            perm += np.arange(0, rows.size, n)[:, None]
+            blocks = rows.reshape(-1)[perm]
+            perm = perm.reshape(q, n, width // n, n)
+        rows = blocks
     net = rows.reshape(q * n, width)
     hidden = np.maximum(net @ head.w1.T + head.b1, 0.0)
     logits = (hidden @ head.w2 + head.b2[0]).reshape(q, n)
@@ -253,12 +261,12 @@ def image_text_loss(
     return float((softplus(-diag).sum() + softplus(logits).sum() - softplus(diag).sum()) / b)
 
 
-def heuristic_picks(rows: np.ndarray) -> np.ndarray:
-    """Training-free baseline over (Q, n, m*n) similarity rows: per query
-    region take the max similarity within each support image, average those
-    maxima over supports, and return each query's argmax region."""
-    q, n, _ = rows.shape
-    return np.argmax(rows.reshape(q, n, -1, n).max(axis=3).mean(axis=2), axis=1)
+def heuristic_picks(rows: np.ndarray, blocks: np.ndarray | None = None) -> np.ndarray:
+    """Training-free baseline over (Q, n, m*n) finite similarity rows: per query region average
+    over supports the max similarity within each support image (column 0 of blocks =
+    sorted_blocks(rows)) and return each query's argmax region, the lowest on a tie."""
+    blocks = sorted_blocks(rows) if blocks is None else blocks
+    return np.argmax(blocks[..., 0].mean(axis=2), axis=1)
 
 
 def baseline_region_word(query_hat: np.ndarray, w_c: np.ndarray) -> np.ndarray:

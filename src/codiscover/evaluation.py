@@ -17,6 +17,7 @@ from .core import (
     head_forward,
     heuristic_picks,
     similarity_rows,
+    sorted_blocks,
 )
 from .corpus import ConceptGroupIndex
 from .scenario import Scenario
@@ -52,11 +53,9 @@ def iou(box_a, box_b) -> np.ndarray:
         if bad.size:
             x1, y1, x2, y2 = box.reshape(-1, 4)[bad[0]].tolist()
             raise ValueError(f"degenerate box {bad[0]}: ({x1}, {y1}, {x2}, {y2})")
-    overlap = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])
-    inter = np.prod(np.maximum(overlap, 0.0), axis=-1)
-    area_a = np.prod(a[..., 2:] - a[..., :2], axis=-1)
-    area_b = np.prod(b[..., 2:] - b[..., :2], axis=-1)
-    return inter / (area_a + area_b - inter)
+    wh = np.maximum(np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2]), 0.0)
+    ext_a, ext_b, inter = a[..., 2:] - a[..., :2], b[..., 2:] - b[..., :2], wh[..., 0] * wh[..., 1]
+    return inter / (ext_a[..., 0] * ext_a[..., 1] + ext_b[..., 0] * ext_b[..., 1] - inter)
 
 
 def _covered(owner: np.ndarray, boxes: np.ndarray | None, concepts: np.ndarray,
@@ -133,12 +132,14 @@ def compare_strategies(
     while batch := list(itertools.islice(queries, _BATCH)):
         _score_batch(batch, state, scenario, strategies, mode, text_guidance, hits)
 
-    samples = sum(len(index.groups[cid]) for cid in concepts)
+    sizes = [len(index.groups[cid]) for cid in concepts]
+    samples = sum(sizes)
     counts = {name: hits[name].tolist() for name in strategies}
     rates = {name: sum(counts[name]) / samples for name in strategies}
+    cells = {}  # concepts of equal (hits, group size) share one (rate, count) tuple
     per_concept = {
-        name: {cid: (count / len(index.groups[cid]), len(index.groups[cid]))
-               for cid, count in zip(concepts, counts[name])}
+        name: {cid: cells.setdefault((hit, size), (hit / size, size))
+               for cid, hit, size in zip(concepts, counts[name], sizes)}
         for name in strategies
     }
     echo = {
@@ -191,10 +192,11 @@ def _score_batch(batch, state: ModelState, scenario: Scenario, strategies, mode:
     if {"region_region", "heuristic"} & set(strategies):
         _, rows = similarity_rows(query_hat, hat[supports],
                                   concept_guide(w, text_guidance)[:, None, :])
+        blocks = sorted_blocks(rows)  # for an unsorted head too: cheaper than a block max
         if "region_region" in strategies:
-            picks["region_region"] = head_forward(rows, state.head).p.argmax(axis=1)
+            picks["region_region"] = head_forward(rows, state.head, blocks).p.argmax(axis=1)
         if "heuristic" in strategies:
-            picks["heuristic"] = heuristic_picks(rows)
+            picks["heuristic"] = heuristic_picks(rows, blocks)
     if "region_word" in strategies:
         picks["region_word"] = baseline_region_word(query_hat, w)
     world_rows = [scenario.row_of[i] for i in query_ids]

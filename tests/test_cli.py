@@ -488,9 +488,11 @@ def test_cli_invalid_scenario_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-# Digests of what the CLI writes for TINY_CONFIG. The checkpoint, metrics and
-# reports pass through BLAS matmuls and are compared run against run instead
-# (acceptance criterion 10). Every command writes the same resolved config.
+# Digests of what the CLI writes for TINY_CONFIG. The checkpoint and metrics
+# pass through BLAS matmuls and are compared run against run instead
+# (acceptance criterion 10). The eval reports hold hit counts over sample
+# counts, which move only when a pick does. Every command writes the same
+# resolved config.
 CONFIG_TXT_SHA256 = "d8e3a2da99c12e99d5ea5ceb8909bf14add59a9a84d2e9978c4e1297cd959a9f"
 WORLD_SHA256 = {
     "config.txt": CONFIG_TXT_SHA256,
@@ -501,6 +503,11 @@ WORLD_SHA256 = {
     "lexicon.txt": "8c86aceacf3531164975aac72d7091c8d1271f19d70253c25b6a6c495f607488",
     "text_embeddings.codt": "9e84215c788778c671b4ebc4c92ac45648bada16c48ee7d6ea78e7c5eced6d04",
     "truth.tsv": "01ea864c5388c596247984b6a34f72398a9329f6a5b900c1464d0bdc32648333",
+}
+REPORT_SHA256 = {
+    "config.txt": CONFIG_TXT_SHA256,
+    "report.csv": "368495f9edcbb19f38ff493ee58f29cc8d18f6227d2b46b81e3fd06457bc6dea",
+    "report.json": "6632cfbe1041eec97c96f7e7c5f7d94c696b9032b2208e5825aaa9e7190b0593",
 }
 
 
@@ -519,5 +526,6 @@ def test_cli_artifact_bytes_are_pinned(tmp_path, tiny_config, capsys):
                  "--out", str(ablation)]) == EXIT_OK
     capsys.readouterr()
     assert digests(world) == WORLD_SHA256
+    assert digests(report) == REPORT_SHA256
     for directory in (run, report, ablation):
         assert digests(directory)["config.txt"] == CONFIG_TXT_SHA256, directory.name

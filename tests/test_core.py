@@ -26,6 +26,7 @@ from codiscover.core import (
     sigmoid,
     similarity_backward,
     softplus,
+    sorted_blocks,
 )
 
 
@@ -434,6 +435,46 @@ def test_heuristic_picks_hand_case_and_ties():
     assert np.array_equal(heuristic_picks(values), [0, 1])
     tie = np.array([[[1.0, 0.0], [1.0, 0.0]]])
     assert np.array_equal(heuristic_picks(tie), [0])  # lowest index wins ties
+
+
+def test_heuristic_from_sorted_blocks_matches_brute_force_with_ties():
+    # Small integer similarities make exact ties between regions common; the
+    # lowest index must win, from rows or from the shared sorted blocks.
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        q, n, m = (int(v) for v in rng.integers(1, 6, size=3))
+        rows = rng.integers(-2, 3, size=(q, n, m * n)).astype(np.float64)
+        blocks = sorted_blocks(rows)
+        assert np.array_equal(blocks, -np.sort(-rows.reshape(q, n, m, n), axis=3))
+        want = []
+        for query in rows:
+            best, best_score = 0, -math.inf
+            for i in range(n):
+                score = sum(max(query[i, k * n:(k + 1) * n]) for k in range(m)) / m
+                if score > best_score:
+                    best, best_score = i, score
+            want.append(best)
+        assert np.array_equal(heuristic_picks(rows), want)
+        assert np.array_equal(heuristic_picks(rows, blocks), want)
+    # Regions 1 and 2 tie on the mean of their support maxima (2.0).
+    tie = np.array([[[0.0, 1.0, 0.0, 1.0, 0.0, 0.0],
+                     [3.0, 1.0, 0.0, 1.0, 0.0, 0.0],
+                     [0.0, 2.0, 0.0, 0.0, 0.0, 2.0]]])
+    assert np.array_equal(heuristic_picks(tie, sorted_blocks(tie)), [1])
+
+
+def test_head_forward_reads_given_sorted_blocks():
+    # A sorted head given the blocks skips argsort, gather and perm and gives
+    # the training path's pass byte for byte; an unsorted head ignores them.
+    rng = np.random.default_rng(13)
+    rows = np.round(rng.standard_normal((6, 4, 12)), 1)
+    for sorted_rows in (True, False):
+        head = DiscoveryHead.initialize(m=3, n=4, hidden=8, rng=rng, sorted_rows=sorted_rows)
+        full, given = head_forward(rows, head), head_forward(rows, head, sorted_blocks(rows))
+        assert given.perm is None
+        assert (full.perm is not None) == sorted_rows
+        for a, b in zip(full[:4], given[:4]):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_baseline_region_word_picks_most_aligned_region():

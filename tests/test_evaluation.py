@@ -370,6 +370,63 @@ def test_compare_strategies_calls_the_forward_and_iou_once_per_batch(monkeypatch
     assert calls == {"head_forward": 4, "iou": 4}
 
 
+def test_compare_strategies_sorted_head_builds_no_perm(monkeypatch):
+    # Eval hands the sorted head its values-only blocks; the p it gets equals,
+    # byte for byte, the p of the training path's argsort, gather and perm.
+    import codiscover.evaluation as evaluation
+    from codiscover import head_forward
+
+    scenario, index = small_world(with_boxes=True, num_concepts=20, noise_sigma=0.3)
+    config = TrainConfig(group_size=4, hidden=16, steps=0, sorted_rows=True)
+    state = init_model(scenario, index, config)
+    passes = []
+
+    def recorded(*args, _original=evaluation.head_forward):
+        passes.append((args[0], _original(*args)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(evaluation, "head_forward", recorded)
+    compare_strategies(state, scenario, index, STRATEGIES, group_size=4, seed=1, mode="box")
+    assert len(passes) == 4
+    for rows, fwd in passes:
+        assert fwd.perm is None
+        training = head_forward(rows, state.head)
+        assert training.perm is not None
+        assert fwd.p.tobytes() == training.p.tobytes()
+        assert fwd.net.tobytes() == training.net.tobytes()
+
+
+def test_compare_strategies_reports_share_their_per_concept_cells():
+    # A kept report holds one (rate, count) tuple per distinct (hits, group
+    # size), not one per concept and strategy.
+    import tracemalloc
+
+    scenario = generate_scenario(ScenarioConfig(
+        num_concepts=200, d=32, n=16, images_per_concept=6, distractor_count=4,
+        noise_sigma=0.05, with_boxes=True, seed=1))
+    index = build_concept_index(scenario.records, scenario.lexicon, 1)
+    config = TrainConfig(group_size=4, sorted_rows=True, hidden=128, steps=0)
+    state = init_model(scenario, index, config)
+
+    def run(seed):
+        return compare_strategies(state, scenario, index, STRATEGIES, group_size=4, seed=seed,
+                                  mode="box")
+
+    run(0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reports = [run(seed) for seed in range(10)]
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    for report in reports:
+        cells = [cell for by in report.per_concept.values() for cell in by.values()]
+        assert len(cells) == 200 * len(STRATEGIES)
+        assert len({id(cell) for cell in cells}) == len(set(cells))
+    assert live <= 10 * 60e3
+
+
 @pytest.mark.parametrize("num_concepts,images_per_concept", [(200, 6), (1, 300)])
 def test_compare_strategies_peak_memory_is_bounded(num_concepts, images_per_concept):
     # The batches cap the pass's working set, whatever a concept's group size.
