@@ -40,6 +40,7 @@ class Lexicon:
     def __init__(self, terms: Iterable[str]):
         self.terms: list[str] = []
         self._id_by_tokens: dict[tuple[str, ...], int] = {}
+        self.first_tokens: set[str] = set()  # the tokens that start a term
         self.max_phrase_len = 0
         for raw in terms:
             tokens = tuple(tokenize(raw))
@@ -48,6 +49,7 @@ class Lexicon:
             if tokens in self._id_by_tokens:
                 raise ValueError(f"duplicate lexicon term {' '.join(tokens)!r}")
             self._id_by_tokens[tokens] = len(self.terms)
+            self.first_tokens.add(tokens[0])
             self.terms.append(" ".join(tokens))
             self.max_phrase_len = max(self.max_phrase_len, len(tokens))
         if not self.terms:
@@ -147,6 +149,7 @@ def extract_concepts(caption: str, lexicon: Lexicon) -> list[int]:
 
     Tokens are scanned greedily longest-match-first; multi-word terms match
     only when contiguous. Duplicates are dropped, keeping first occurrence.
+    A position whose token starts no term is stepped over without a lookup.
     """
     tokens = tokenize(caption)
     found: list[int] = []
@@ -154,7 +157,10 @@ def extract_concepts(caption: str, lexicon: Lexicon) -> list[int]:
     i = 0
     while i < len(tokens):
         step = 1
-        for length in range(min(lexicon.max_phrase_len, len(tokens) - i), 0, -1):
+        longest = min(lexicon.max_phrase_len, len(tokens) - i)
+        if tokens[i] not in lexicon.first_tokens:
+            longest = 0
+        for length in range(longest, 0, -1):
             cid = lexicon.lookup(tuple(tokens[i : i + length]))
             if cid is not None:
                 if cid not in seen:

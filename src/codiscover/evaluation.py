@@ -53,6 +53,11 @@ def iou(box_a, box_b) -> np.ndarray:
         if bad.size:
             x1, y1, x2, y2 = box.reshape(-1, 4)[bad[0]].tolist()
             raise ValueError(f"degenerate box {bad[0]}: ({x1}, {y1}, {x2}, {y2})")
+    return _iou(a, b)
+
+
+def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """iou's arithmetic, for float64 boxes already known to be well formed."""
     wh = np.maximum(np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2]), 0.0)
     ext_a, ext_b, inter = a[..., 2:] - a[..., :2], b[..., 2:] - b[..., :2], wh[..., 0] * wh[..., 1]
     return inter / (ext_a[..., 0] * ext_a[..., 1] + ext_b[..., 0] * ext_b[..., 1] - inter)
@@ -71,7 +76,8 @@ def _covered(owner: np.ndarray, boxes: np.ndarray | None, concepts: np.ndarray,
     if mode != "box":
         raise ValueError(f"unknown cover mode {mode!r}")
     q, j = np.nonzero(owner == concepts[:, None])
-    *picks, pair = np.nonzero(iou(boxes[q, regions[..., q]], boxes[q, j]) > 0.5)
+    # Rows of the world's box block, which Scenario checked when it was built.
+    *picks, pair = np.nonzero(_iou(boxes[q, regions[..., q]], boxes[q, j]) > 0.5)
     covered = np.zeros(regions.shape, dtype=bool)
     covered[(*picks, q[pair])] = True
     return covered

@@ -280,11 +280,10 @@ def _make_prototypes(config: ScenarioConfig, rng: np.random.Generator) -> np.nda
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def _make_text_embeddings(
-    prototypes: np.ndarray, config: ScenarioConfig, rng: np.random.Generator
-) -> np.ndarray:
+def _make_text_embeddings(prototypes: np.ndarray, config: ScenarioConfig,
+                          rng: np.random.Generator) -> np.ndarray:
     if config.misaligned_text_degrees == 0.0:
-        return prototypes.copy()
+        return prototypes
     theta = math.radians(config.misaligned_text_degrees)
     out = np.empty_like(prototypes)
     for c in range(prototypes.shape[0]):
@@ -302,41 +301,32 @@ def _partner(concept_id: int, num_concepts: int) -> int | None:
     return other if 0 <= other != concept_id else None
 
 
-def _caption_concepts(
-    concept_id: int, config: ScenarioConfig, rng: np.random.Generator
-) -> list[int]:
+def _caption(concept_id: int, config: ScenarioConfig,
+             rng: np.random.Generator) -> tuple[list[int], list[int]]:
+    """A caption's concept ids and each one's instance count."""
     concepts = [concept_id]
     if config.multi_concept_rate > 0.0 and rng.random() < config.multi_concept_rate:
         if config.second_concept == "partner":
             other = _partner(concept_id, config.num_concepts)
         elif config.num_concepts > 1:
             other = int(rng.integers(config.num_concepts - 1))
-            if other >= concept_id:
-                other += 1
+            other += other >= concept_id
         else:
             other = None
         if other is not None:
             concepts.append(other)
-    return concepts
-
-
-def _instance_counts(
-    num_caption_concepts: int, config: ScenarioConfig, rng: np.random.Generator
-) -> list[int]:
-    budget = config.n - config.distractor_count
-    counts = []
-    for j in range(num_caption_concepts):
-        still_needed = num_caption_concepts - j - 1
-        hi = min(config.instances_max, budget - still_needed)
-        lo = min(config.instances_min, hi)
-        counts.append(int(rng.integers(lo, hi + 1)))
+    budget, counts = config.n - config.distractor_count, []
+    for j in range(len(concepts)):
+        hi = min(config.instances_max, budget - (len(concepts) - j - 1))
+        counts.append(int(rng.integers(min(config.instances_min, hi), hi + 1)))
         budget -= counts[-1]
-    return counts
+    return concepts, counts
 
 
 def generate_scenario(config: ScenarioConfig) -> Scenario:
-    """Generate an oracle-labeled synthetic world from a generator seeded
-    with config.seed.
+    """Generate an oracle-labeled synthetic world from a generator seeded with
+    config.seed. The per-image loop makes the draws; the draw-free arithmetic
+    (largest region, box corners, areas) runs once over the blocks after it.
 
     Returns:
         A Scenario bundling caption records (concepts filled), region feature
@@ -352,65 +342,75 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     image_ids = [f"img_{c:03d}_{i:03d}" for c in range(k) for i in range(per_concept)]
     features = np.empty((len(image_ids), n, d))
     boxes = np.empty((len(image_ids), n, 4)) if config.with_boxes else None
-    areas = np.empty((len(image_ids), n))
+    areas = np.empty((len(image_ids), n))  # size targets until boxes are built
     owner = np.empty((len(image_ids), n), dtype=np.int64)
+    # Per image, its largest region's owner label and rank among that label's
+    # regions in region order.
+    largest = np.empty((len(image_ids), 2), dtype=np.int64)
     records: list[CaptionRecord] = []
 
-    rows = np.empty((n, d))  # every row is rewritten for each image
+    # One image's regions before the permutation, caption instances first:
+    # noise, bases, and prototype ids that become owner labels.
+    noise, bases, labels = np.empty((n, d)), np.empty((n, d)), np.empty(n, dtype=np.int64)
     for row, image_id in enumerate(image_ids):
-        concepts = _caption_concepts(row // per_concept, config, rng)
-        counts = _instance_counts(len(concepts), config, rng)
-
+        concepts, counts = _caption(row // per_concept, config, rng)
         cursor = 0
         for cc, count in zip(concepts, counts):
-            draws = rng.standard_normal((count, d))
-            rows[cursor : cursor + count] = prototypes[cc] + config.noise_sigma * draws
+            rng.standard_normal(out=noise[cursor : cursor + count])
+            labels[cursor : cursor + count] = cc
             cursor += count
-        # Distractors copy a prototype the caption does not name: the r-th
-        # free concept id is r stepped past each smaller named id.
+        # Distractors copy a prototype the caption does not name (the r-th
+        # free concept id is r stepped past each smaller named id), or with
+        # none free, a random direction.
         named = sorted(concepts)
         free = k - len(named)
-        bases, noise = [], []
-        for _ in range(n - cursor):
+        for j in range(cursor, n):
             if free:
                 r = int(rng.integers(free))
                 for cc in named:
                     r += r >= cc
-                bases.append(prototypes[r])
+                labels[j] = r
             else:
-                g = rng.standard_normal(d)
-                bases.append(g / np.linalg.norm(g))
-            noise.append(rng.standard_normal(d))
-        rows[cursor:] = np.array(bases) + config.noise_sigma * np.array(noise)
+                base = rng.standard_normal(out=bases[j])
+                base /= np.linalg.norm(base)
+            rng.standard_normal(out=noise[j])
+        gathered = n if free else cursor
+        prototypes.take(labels[:gathered], axis=0, out=bases[:gathered])
+        labels[cursor:] = -1
+        noise *= config.noise_sigma
+        noise += bases
 
         perm = rng.permutation(n)
-        np.take(rows, perm, axis=0, out=features[row])
-        owner[row] = np.repeat([*concepts, -1], [*counts, n - cursor])[perm]
-
-        target = rng.uniform(1.0, 2.0, size=n)
+        noise.take(perm, axis=0, out=features[row])
+        labels.take(perm, out=owner[row])
+        areas[row] = rng.uniform(1.0, 2.0, size=n)
         # The largest region is one of a named concept's instances, or a
         # distractor; config validation leaves every image at least one.
         if rng.random() < config.max_size_bias:
-            cands = np.flatnonzero(owner[row] == concepts[int(rng.integers(len(concepts)))])
+            c = int(rng.integers(len(concepts)))
+            largest[row] = concepts[c], rng.integers(counts[c])
         else:
-            cands = np.flatnonzero(owner[row] < 0)
-        target[cands[int(rng.integers(len(cands)))]] = target.max() * 1.5 + 1.0
-
+            largest[row] = -1, rng.integers(n - cursor)
         if boxes is not None:
-            aspect = rng.uniform(0.5, 2.0, size=n)
-            x1 = rng.uniform(0.0, 100.0, size=n)
-            y1 = rng.uniform(0.0, 100.0, size=n)
-            width = np.sqrt(target * aspect)
-            height = target / width
-            box = np.stack([x1, y1, x1 + width, y1 + height], axis=1, out=boxes[row])
-            areas[row] = (box[:, 2] - box[:, 0]) * (box[:, 3] - box[:, 1])
-        else:
-            areas[row] = target
+            # Aspect ratios wait in the x2 column until the corners are built.
+            boxes[row, :, 2] = rng.uniform(0.5, 2.0, size=n)
+            boxes[row, :, 0] = rng.uniform(0.0, 100.0, size=n)
+            boxes[row, :, 1] = rng.uniform(0.0, 100.0, size=n)
 
         caption = "a photo of a " + " and a ".join(concept_term(cc) for cc in concepts)
-        records.append(CaptionRecord(image_id, caption, list(concepts)))
+        records.append(CaptionRecord(image_id, caption, concepts))
 
-    table = TextEmbeddingTable({c: text[c].copy() for c in range(k)})
+    # A label's rank-th region is where its running count first exceeds rank.
+    seen = np.cumsum(owner == largest[:, :1], axis=1) > largest[:, 1:]
+    areas[np.arange(len(image_ids)), seen.argmax(axis=1)] = areas.max(axis=1) * 1.5 + 1.0
+    if boxes is not None:
+        x1, y1, x2, y2 = np.moveaxis(boxes, 2, 0)
+        np.sqrt(np.multiply(x2, areas, out=x2), out=x2)  # width
+        np.add(np.divide(areas, x2, out=y2), y1, out=y2)  # y1 + height
+        x2 += x1
+        np.multiply(x2 - x1, y2 - y1, out=areas)
+
+    table = TextEmbeddingTable(dict(enumerate(text)))  # rows of one block
     lexicon = Lexicon([concept_term(c) for c in range(k)])
     return Scenario(records, image_ids, features, boxes, areas, owner, table, lexicon)
 

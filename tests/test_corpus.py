@@ -114,6 +114,37 @@ def test_extract_concepts_prefers_longest_match():
     assert found == [1, 0, 2]
 
 
+def test_extract_concepts_matches_a_three_word_term_over_its_inner_terms():
+    lex = Lexicon(["dog", "stand", "hot dog stand", "night"])
+    assert lex.first_tokens == {"dog", "stand", "hot", "night"}
+
+    def every_position(caption):
+        # The scan with a lookup at every position and length.
+        tokens, found, i = tokenize(caption), [], 0
+        while i < len(tokens):
+            step = 1
+            for length in range(min(lex.max_phrase_len, len(tokens) - i), 0, -1):
+                cid = lex.lookup(tuple(tokens[i : i + length]))
+                if cid is not None:
+                    found += [cid] if cid not in found else []
+                    step = length
+                    break
+            i += step
+        return found
+
+    cases = {
+        "a hot dog stand at night": [2, 3],
+        "a dog by the stand, then a hot dog stand": [0, 1, 2],
+        "hot dog stand dog stand": [2, 0, 1],
+        "a hot dog and a stand": [0, 1],
+        "hot hot dog stand": [2],
+        "hot dog": [0],
+        "nothing here": [],
+    }
+    for caption, expected in cases.items():
+        assert extract_concepts(caption, lex) == every_position(caption) == expected, caption
+
+
 def test_extract_concepts_dedupes_keeping_first_occurrence():
     lex = Lexicon(["dog", "cat"])
     assert extract_concepts("a dog, a cat, and another dog", lex) == [0, 1]

@@ -110,9 +110,11 @@ def test_covered_box_mode():
         [True, False, True, False]
     # A distractor region whose box overlaps a true box covers in box mode.
     assert covered([("a", 1), ("a", 1)], [[1, 0], [2, 1]]) == [[True, True], [False, True]]
-    # A bad box is named on one line by its index among the boxes scored.
+    # _covered scores the boxes as given: they are rows of the world's block,
+    # which the Scenario checked when it was built. Public iou, given the same
+    # pick and true boxes, names the bad one on one line by its index.
     with pytest.raises(ValueError, match=r"^degenerate box 1: \(2\.0, 0\.0, 1\.0, 1\.0\)$"):
-        covered([("a", 1), ("c", 1)], [0, 1])
+        iou([exact, images["c"][1][1]], [exact, exact])
 
 
 def test_no_library_path_builds_the_truth_view():
@@ -359,7 +361,10 @@ def test_compare_strategies_calls_the_forward_and_iou_once_per_batch(monkeypatch
     assert sum(len(index.groups[c]) for c in index.concept_ids()) == 100
     config = TrainConfig(group_size=4, hidden=16, steps=0)
     state = init_model(scenario, index, config)
-    calls = {"head_forward": 0, "iou": 0}
+    # Box mode scores each batch with iou's arithmetic, `_iou`, and never
+    # re-checks boxes that are rows of the world's block, which the Scenario
+    # checked when it was built.
+    calls = {"head_forward": 0, "_iou": 0, "iou": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(evaluation, name)):
             calls[_name] += 1
@@ -367,7 +372,7 @@ def test_compare_strategies_calls_the_forward_and_iou_once_per_batch(monkeypatch
         monkeypatch.setattr(evaluation, name, counted)
     compare_strategies(state, scenario, index, STRATEGIES, group_size=4, seed=1, mode="box")
     # 100 queries make batches of 32, 32, 32 and 4.
-    assert calls == {"head_forward": 4, "iou": 4}
+    assert calls == {"head_forward": 4, "_iou": 4, "iou": 0}
 
 
 def test_compare_strategies_sorted_head_builds_no_perm(monkeypatch):

@@ -385,6 +385,24 @@ def test_generate_scenario_builds_its_blocks_in_place():
     assert peak <= 1.25 * sum(block.nbytes for block in blocks) + 512 * 1024
 
 
+def test_generate_scenario_peak_memory_stays_at_the_old_generators():
+    # Eval-wide's peak_rss_mb is set while its second world is generated, so
+    # generation must not grow. The bound is this test's reading (numpy 2.4.6,
+    # CPython 3.11.7) under the generator that did its arithmetic inside the
+    # per-image loop: 14,642,204 bytes. Moving that arithmetic after the loop
+    # adds no (N, n, d) temporary.
+    config = ScenarioConfig(num_concepts=400, d=32, n=16, images_per_concept=6,
+                            distractor_count=4, noise_sigma=0.05, with_boxes=True)
+    generate_scenario(config)  # one-time allocations stay out of the count
+    tracemalloc.start()
+    try:
+        generate_scenario(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14_642_204, peak
+
+
 def test_scenario_names_the_first_bad_image_and_its_first_failed_check():
     config = ScenarioConfig(num_concepts=2, d=4, n=5, images_per_concept=3,
                             distractor_count=2, with_boxes=True, seed=1)
@@ -457,7 +475,15 @@ def _world_digest(scenario: Scenario) -> str:
     # Text rotated away from the prototypes draws extra directions first.
     (dict(misaligned_text_degrees=35.0, max_size_bias=0.8),
      "61e504ac00b3602d52589c70344a42faff0be02696f98129438763777f747ba1"),
-], ids=["boxes", "partner-odd", "every-concept-named", "rotated-text"])
+    # Boxes, two named concepts per caption, and the largest region always one
+    # of a named concept's instances.
+    (dict(with_boxes=True, multi_concept_rate=1.0, max_size_bias=1.0),
+     "ddca2643bfc854d72e25e38feea193cc051cf4e0967f7b51190b91be8d4884f9"),
+    # Boxes, and the largest region always a distractor.
+    (dict(with_boxes=True, max_size_bias=0.0),
+     "9aaf47e2c9134249c7989781bbe215d1473f95a031e008421bd059b7b37b2539"),
+], ids=["boxes", "partner-odd", "every-concept-named", "rotated-text", "largest-named",
+        "largest-distractor"])
 def test_generate_scenario_worlds_are_pinned(overrides, digest):
     # A world is defined by the generator's draw order: changing any rng call,
     # its arguments or their order changes every later value. A restructured
