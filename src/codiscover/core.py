@@ -98,8 +98,9 @@ class OpenVocabClassifier:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.weights.ndim != 2 or self.weights.shape[0] != len(self.concept_ids):
             raise ValueError("classifier weights must have one row per concept id")
-        norms = np.linalg.norm(self.weights, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-6):  # NaN fails too
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail below
+            norms = np.linalg.norm(self.weights, axis=1)
+        if not np.all(np.abs(norms - 1.0) <= 1e-6):
             raise ValueError("classifier rows must be unit-normalized within 1e-6")
         self.row_of = {cid: i for i, cid in enumerate(self.concept_ids)}
         if len(self.row_of) != len(self.concept_ids):

@@ -27,7 +27,7 @@ def tokenize(text: str) -> list[str]:
     return text.lower().translate(_PUNCT_TABLE).split()
 
 
-@dataclass
+@dataclass(slots=True)
 class CaptionRecord:
     image_id: str
     caption: str

@@ -127,7 +127,7 @@ def compare_strategies(
     if not concepts:
         raise ValueError("the index holds no concepts to evaluate")
     member_ids = dict.fromkeys(i for cid in concepts for i in index.groups[cid])
-    missing = [i for i in member_ids if i not in state.features]
+    missing = [i for i in member_ids if i not in state.row_of]
     if missing:
         raise ValueError(
             f"the model has no features for {len(missing)} of the index's {len(member_ids)} "

@@ -64,11 +64,16 @@ class RegionFeatureSet:
         return self.features.shape[1]
 
 
+# Images per chunk of _check_rows' value checks, so that no temporary grows
+# with the number of images (a chunk's masks are 128 KB at n=16, d=32).
+_CHECK_CHUNK = 256
+
+
 def _check_rows(image_ids: list[str], features: np.ndarray, boxes: np.ndarray | None = None,
                 areas: np.ndarray | None = None) -> None:
-    """Check N >= 0 images at once: features (N, n, d), boxes (N, n, 4) and
-    areas (N, n), the last two optional. Raises ValueError naming the first
-    bad image and the first check it fails."""
+    """Check N >= 0 images: features (N, n, d), boxes (N, n, 4) and areas
+    (N, n), the last two optional; the values _CHECK_CHUNK images at a time.
+    Raises ValueError naming the first bad image and the first check it fails."""
     n = features.shape[1] if features.ndim == 3 and features.shape[2] else 0
     if not n:
         raise ValueError(f"image {image_ids[0]!r}: features must be a non-empty 2-D matrix")
@@ -76,6 +81,15 @@ def _check_rows(image_ids: list[str], features: np.ndarray, boxes: np.ndarray | 
         raise ValueError(f"image {image_ids[0]!r}: boxes must have shape ({n}, 4)")
     if areas is not None and areas.shape != features.shape[:2]:
         raise ValueError(f"image {image_ids[0]!r}: areas must have shape ({n},)")
+    for start in range(0, len(features), _CHECK_CHUNK):
+        chunk = slice(start, start + _CHECK_CHUNK)
+        _check_values(image_ids[chunk], features[chunk],
+                      *(None if a is None else a[chunk] for a in (boxes, areas)))
+
+
+def _check_values(image_ids: list[str], features: np.ndarray, boxes: np.ndarray | None,
+                  areas: np.ndarray | None) -> None:
+    """_check_rows' value checks over blocks of the shapes it checked."""
     with np.errstate(over="ignore", invalid="ignore"):
         # A row's squares sum to zero exactly when its norm does (underflow
         # included), in any order of addition.
@@ -131,8 +145,11 @@ class TextEmbeddingTable:
     def __post_init__(self) -> None:
         for cid, vec in self.embeddings.items():
             vec = np.asarray(vec, dtype=np.float64)
-            if vec.ndim != 1 or not np.all(np.isfinite(vec)) or np.linalg.norm(vec) == 0.0:
-                raise ValueError(f"concept {cid}: embedding must be a finite nonzero vector")
+            # Non-finite values give a non-finite norm; finite ones may overflow to one.
+            with np.errstate(over="ignore"):
+                if vec.ndim != 1 or not 0.0 < np.linalg.norm(vec) < np.inf:
+                    raise ValueError(f"concept {cid}: embedding must be a finite nonzero "
+                                     "vector with a finite norm")
             self.embeddings[cid] = vec
 
     def vector(self, concept_id: int) -> np.ndarray:
@@ -485,7 +502,11 @@ def load_features_tsv(path: str) -> list[RegionFeatureSet]:
         header = next(lines, (1, ""))[1].rstrip("\n").split("\t")
         if not header or header[0] != "# CODF-TSV":
             raise FormatError("missing CODF-TSV header")
-        opts = dict(part.partition("=")[::2] for part in header[1:])
+        opts = {}
+        for key, _, value in (part.partition("=") for part in header[1:]):
+            if key in opts:
+                raise FormatError(f"line 1: the header repeats its {key}= field")
+            opts[key] = value
         try:
             n, d = int(opts["n"]), int(opts["d"])
             has_boxes, has_areas = opts["boxes"] == "1", opts["areas"] == "1"
@@ -493,6 +514,10 @@ def load_features_tsv(path: str) -> list[RegionFeatureSet]:
             raise FormatError(f"line 1: the header has no {exc.args[0]}= field") from None
         except ValueError:
             raise FormatError("line 1: the header's n= and d= must be integers") from None
+        for key in ("boxes", "areas"):
+            if opts[key] not in ("0", "1"):
+                raise FormatError(f"line 1: the header's {key}= must be 0 or 1, "
+                                  f"not {opts[key]!r}")
         if n < 1 or d < 1:
             raise FormatError(f"line 1: invalid header dimensions n={n}, d={d}")
         expected_fields = 3 + int(has_boxes) + int(has_areas)

@@ -11,6 +11,7 @@ and backward, are the batched ops of `core`, which evaluation shares;
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -84,19 +85,22 @@ class TrainConfig:
 @dataclass
 class ModelState:
     """Head, frozen classifier, and the learnable features of image_ids[r] in
-    block[r]. `features` maps an image id to a view of its row, which can be
-    edited in place but not rebound."""
+    block[r]. `features`, built on first read, maps an image id to a view of
+    its row, which can be edited in place but not rebound; no library path
+    reads it."""
 
     head: DiscoveryHead
     classifier: OpenVocabClassifier
     image_ids: list[str]
     block: np.ndarray
     row_of: dict[str, int] = field(init=False, repr=False)
-    features: MappingProxyType = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.row_of = {image_id: r for r, image_id in enumerate(self.image_ids)}
-        self.features = MappingProxyType(dict(zip(self.image_ids, self.block)))
+
+    @functools.cached_property
+    def features(self) -> MappingProxyType:
+        return MappingProxyType(dict(zip(self.image_ids, self.block)))
 
 
 @dataclass
@@ -390,7 +394,8 @@ def finite_diff_check(
     if selector in _HEAD_PARAMS:
         pairs = [(getattr(state.head, selector), getattr(grads, selector))]
     elif selector == "features":
-        pairs = [(state.features[i], grads.features[i]) for i in sorted(grads.features)]
+        pairs = [(state.block[state.row_of[i]], grads.features[i])
+                 for i in sorted(grads.features)]
     else:
         raise ValueError(f"unknown parameter selector {selector!r}")
 

@@ -3,12 +3,16 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from typing import get_type_hints
 
 import numpy as np
 import pytest
 
+import codiscover
 from codiscover import (
     ConfigError,
     ScenarioConfig,
@@ -460,6 +464,29 @@ def test_cli_corrupt_checkpoint_exits_1(tmp_path, tiny_config, capsys):
         assert code == EXIT_RUNTIME
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and message in err[0], err
+
+
+def test_cli_checkpoint_weight_whose_norm_overflows_is_one_stderr_line(tmp_path, tiny_config):
+    # A classifier weight of 1e200 squares to inf in its row's norm. In a
+    # process with the default warning filters, the refusal is all of stderr.
+    train_out = tmp_path / "train"
+    assert main(["train", "--config", tiny_config, "--out", str(train_out)]) == EXIT_OK
+    state = load_checkpoint(str(train_out / "checkpoint.codc"))
+    at = 32 + 8 * (state.head.w1.size + 2 * state.head.hidden + 1) \
+        + 4 * len(state.classifier.concept_ids)
+    blob = (train_out / "checkpoint.codc").read_bytes()
+    huge = tmp_path / "huge.codc"
+    huge.write_bytes(blob[:at] + np.array([1e200], "<f8").tobytes() + blob[at + 8:])
+    src = os.path.dirname(os.path.dirname(codiscover.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "codiscover", "eval", "--config", tiny_config,
+         "--out", str(tmp_path / "e"), "--checkpoint", str(huge)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_RUNTIME
+    assert proc.stderr.splitlines() == \
+        ["error: classifier rows must be unit-normalized within 1e-6"], proc.stderr
 
 
 def test_cli_eval_checkpoint_of_another_world_exits_1(tmp_path, tiny_config, capsys):

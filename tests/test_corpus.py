@@ -107,6 +107,16 @@ def test_parse_corpus_rejects_duplicate_image_ids():
         parse_corpus("img1\ta dog\nimg1\ta cat\n")
 
 
+def test_caption_records_are_slotted():
+    # A world holds one record per image, so a record carries no __dict__.
+    record = parse_corpus("img1\ta dog\n")[0]
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    record.concepts.append(3)
+    assert record == CaptionRecord("img1", "a dog", [3])
+
+
 def test_extract_concepts_prefers_longest_match():
     lex = Lexicon(["truck", "fire truck", "dog"])
     # "fire truck" must win over its own suffix "truck" at the same position.

@@ -24,8 +24,9 @@ from codiscover import (
     save_features_tsv,
     save_text_embeddings,
 )
+from codiscover import scenario as scenario_module
 from codiscover.evaluation import iou
-from codiscover.scenario import concept_term
+from codiscover.scenario import _check_rows, concept_term
 
 
 def _random_feature_sets(rng, count=3, n=4, d=5, with_boxes=False):
@@ -435,6 +436,63 @@ def test_scenario_names_the_first_bad_image_and_its_first_failed_check():
         dataclasses.replace(scenario, image_ids=[ids[0]] * len(ids))
 
 
+def test_check_rows_names_the_first_bad_image_past_the_first_chunk(monkeypatch):
+    # Values are checked two images at a time here: nine images make four
+    # full chunks and one of a single image.
+    monkeypatch.setattr(scenario_module, "_CHECK_CHUNK", 2)
+    scenario = generate_scenario(ScenarioConfig(num_concepts=3, d=4, n=5, images_per_concept=3,
+                                                distractor_count=2, with_boxes=True, seed=4))
+    ids, features, boxes, areas = (scenario.image_ids, scenario.features.copy(),
+                                   scenario.boxes.copy(), scenario.areas.copy())
+
+    def message():
+        with pytest.raises(ValueError) as info:
+            _check_rows(ids, features, boxes, areas)
+        return str(info.value)
+
+    # Image 5 is the second of the third chunk, and fails two checks; image 7,
+    # in the next chunk, fails a check listed earlier than image 5's second.
+    features[5, 1, 2] = np.nan
+    boxes[5, 0, [0, 2]] = boxes[5, 0, [2, 0]]
+    features[7, 3] = 0.0
+    assert message() == f"image {ids[5]!r}: non-finite feature values"
+    features[5] = scenario.features[5]
+    assert message() == f"image {ids[5]!r}: degenerate box (x1<x2, y1<y2 required)"
+    boxes[5] = scenario.boxes[5]
+    assert message() == f"image {ids[7]!r}: zero feature row"
+    features[7] = scenario.features[7]
+    areas[8, 0] = -1.0
+    assert message() == f"image {ids[8]!r}: areas must be positive finite"
+    areas[8] = scenario.areas[8]
+    _check_rows(ids, features, boxes, areas)
+    # A block of no images passes, as it did unchunked.
+    _check_rows([], features[:0], boxes[:0], areas[:0])
+
+
+def test_check_rows_messages_do_not_depend_on_the_chunk(monkeypatch):
+    # Seeded corruptions of one to three cells each: every chunk size names
+    # the same image and check as one chunk holding every image.
+    scenario = generate_scenario(ScenarioConfig(num_concepts=4, d=3, n=4, images_per_concept=4,
+                                                distractor_count=1, with_boxes=True, seed=6))
+    rng = np.random.default_rng(11)
+    count = len(scenario.image_ids)
+    for _ in range(40):
+        blocks = [scenario.features.copy(), scenario.boxes.copy(), scenario.areas.copy()]
+        for _ in range(int(rng.integers(1, 4))):
+            block = blocks[int(rng.integers(3))]
+            cell = tuple(int(rng.integers(size)) for size in block.shape)
+            block[cell] = rng.choice([np.nan, np.inf, 0.0, -1.0, 1e300])
+        messages = set()
+        for chunk in (1, 2, 3, count, count + 1):
+            monkeypatch.setattr(scenario_module, "_CHECK_CHUNK", chunk)
+            try:
+                _check_rows(scenario.image_ids, *blocks)
+                messages.add(None)
+            except ValueError as exc:
+                messages.add(str(exc))
+        assert len(messages) == 1, messages
+
+
 def _world_digest(scenario: Scenario) -> str:
     """sha256 of everything a world holds, as little-endian float64 bytes."""
     h = hashlib.sha256()
@@ -772,6 +830,14 @@ def test_load_features_tsv_rejects_corruption(tmp_path):
                          ("1.0 2.0\t1\t1.0", "line 2: expected 4 box values")):
         path.write_text(f"{header}img0\t0\t{row}\n")
         with pytest.raises(FormatError, match=message):
+            load_features_tsv(str(path))
+    # Flags other than 0 and 1, and a key given twice, are refused on line 1.
+    for fields, message in (
+            ("n=1\td=2\tboxes=true\tareas=0", "the header's boxes= must be 0 or 1, not 'true'"),
+            ("n=1\td=2\tboxes=0\tareas=", "the header's areas= must be 0 or 1, not ''"),
+            ("n=1\td=2\tboxes=0\tn=2\tareas=0", "the header repeats its n= field")):
+        path.write_text(f"# CODF-TSV\t{fields}\nimg0\t0\t1.0 2.0\n")
+        with pytest.raises(FormatError, match=f"^line 1: {re.escape(message)}$"):
             load_features_tsv(str(path))
     for line, data in ((1, b"# CODF-TSV\tn=1\xff\n"), (2, header.encode() + b"\xff\n")):
         path.write_bytes(data)

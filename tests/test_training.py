@@ -14,6 +14,7 @@ from codiscover import (
     TrainConfig,
     build_concept_index,
     caption_batch_loss,
+    compare_strategies,
     finite_diff_check,
     generate_scenario,
     head_forward,
@@ -597,6 +598,24 @@ def test_model_features_are_block_rows_that_cannot_be_rebound(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.image_ids == state.image_ids
     assert np.array_equal(loaded.block, state.block)
+
+
+def test_library_paths_leave_the_feature_mapping_unbuilt(tmp_path):
+    # Evaluation and the features gradient check read block rows by row_of;
+    # the mapping is built on first read, and its views then write through.
+    scenario, index, config = small_setup()
+    path = str(tmp_path / "checkpoint.codc")
+    save_checkpoint(init_model(scenario, index, config), path)
+    groups, captions = make_batch(scenario, index, config)
+    for state in (init_model(scenario, index, config), load_checkpoint(path)):
+        compare_strategies(state, scenario, index, group_size=config.group_size, seed=3)
+        assert finite_diff_check(state, groups, captions, config, "features",
+                                 num_coords=8) < 1e-4
+        assert "features" not in vars(state)
+        image_id = state.image_ids[2]
+        state.features[image_id][1, 0] = 5.0
+        assert state.block[2, 1, 0] == 5.0
+        assert state.features is state.features
 
 
 # ------------------------------------------- equivalence with the loop oracle
