@@ -116,10 +116,10 @@ def read_container(path: str, magic: bytes, version: int) -> Iterator[BinaryIO]:
 
 @contextlib.contextmanager
 def atomic_writer(path: str, mode: str = "wb") -> Iterator:
-    """Write to a temp file next to `path` and rename into place on success."""
+    """Write to a temp file next to `path` (text as UTF-8) and rename it into place on success."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     finally:

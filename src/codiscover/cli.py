@@ -287,10 +287,8 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     config, scenario, index = _prepare_run(args)
     values = (True, False) if args.axis == "text_guidance" else (2, 4, 8)
-    rows = ablate(
-        index, scenario, config.train, args.axis, values,
-        strategies=("region_region",), eval_seed=config.eval_seed, mode=config.eval_mode,
-    )
+    rows = ablate(index, scenario, config.train, args.axis, values,
+                  eval_seed=config.eval_seed, mode=config.eval_mode)
     write_ablation_csv(rows, os.path.join(args.out, "ablate.csv"))
     for row in rows:
         rates = " ".join(f"{k}={v:.4f}" for k, v in sorted(row.cover_rates.items()))

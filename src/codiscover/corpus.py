@@ -233,7 +233,7 @@ def load_index(path: str) -> ConceptGroupIndex:
             fields = line.split("\t")
             if len(fields) != 4:
                 raise FormatError(f"line {lineno}: expected 4 tab-separated fields")
-            if not (fields[0].isdecimal() and fields[2].isdecimal()):
+            if not all(f.isascii() and f.isdecimal() for f in (fields[0], fields[2])):
                 raise FormatError(f"line {lineno}: concept id and frequency must be integers")
             cid = int(fields[0])
             if cid in groups:

@@ -224,12 +224,11 @@ def ablate(
     base_config: TrainConfig,
     axis: str,
     values,
-    strategies=("region_region",),
     eval_seed: int = 0,
     mode: str = "index",
 ) -> list[AblationRow]:
     """Train one variant per axis value with a shared seed and report final
-    cover rates side by side. Axes: text_guidance (bool) or group_size (int)."""
+    region_region cover rates side by side. Axes: text_guidance (bool) or group_size (int)."""
     if axis not in ("text_guidance", "group_size"):
         raise ValueError(f"unknown ablation axis {axis!r}")
     rows = []
@@ -237,7 +236,7 @@ def ablate(
         config = dataclasses.replace(base_config, **{axis: value})
         state, _ = run_training(index, scenario, config, eval_seed=eval_seed)
         report = compare_strategies(
-            state, scenario, index, strategies, group_size=config.group_size,
+            state, scenario, index, ("region_region",), group_size=config.group_size,
             seed=eval_seed, mode=mode, text_guidance=config.text_guidance,
         )
         rows.append(AblationRow(axis, value, dict(report.cover_rates)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable
 
@@ -122,16 +123,6 @@ def _row_views(image_ids: list[str], *blocks: np.ndarray | None) -> list[RegionF
         view.image_id, view.features, view.boxes, view.areas = row
         views.append(view)
     return views
-
-
-def _stacked_views(images: dict[str, tuple]) -> list[RegionFeatureSet]:
-    """Stack each image's (features, boxes or None, areas or None) into
-    blocks, check them once and return their row views."""
-    if not images:
-        return []
-    blocks = [None if rows[0] is None else np.stack(rows) for rows in zip(*images.values())]
-    _check_rows(list(images), *blocks)
-    return _row_views(list(images), *blocks)
 
 
 @dataclass
@@ -433,12 +424,17 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
 
 
 def _feature_layout(feature_sets: list[RegionFeatureSet]) -> tuple[int, int, bool, bool]:
-    """(n, d, has_boxes, has_areas), which every saved feature set must share."""
+    """(n, d, has_boxes, has_areas), which every saved feature set must share.
+    A repeated image id is refused here, before any file exists, as the loaders refuse it."""
     if not feature_sets:
         raise ValueError("no feature sets to save")
     first = feature_sets[0]
     layout = (first.n, first.d, first.boxes is not None, first.areas is not None)
+    seen = set()
     for fs in feature_sets:
+        if fs.image_id in seen:
+            raise ValueError(f"duplicate image id {fs.image_id!r}")
+        seen.add(fs.image_id)
         if (fs.n, fs.d) != layout[:2]:
             raise ValueError(f"image {fs.image_id!r}: inconsistent shape")
         if (fs.boxes is not None, fs.areas is not None) != layout[2:]:
@@ -479,6 +475,11 @@ def load_features(path: str) -> list[RegionFeatureSet]:
     return _row_views(image_ids, *blocks)
 
 
+# The one header line save_features_tsv writes, dimensions with no leading zero.
+_TSV_HEADER = re.compile(
+    r"# CODF-TSV\tn=([1-9][0-9]*)\td=([1-9][0-9]*)\tboxes=([01])\tareas=([01])\n?")
+
+
 def save_features_tsv(feature_sets: list[RegionFeatureSet], path: str) -> None:
     """Equivalent debug TSV format; floats use repr so round-trips are exact."""
     n, d, has_boxes, has_areas = _feature_layout(feature_sets)
@@ -495,48 +496,33 @@ def save_features_tsv(feature_sets: list[RegionFeatureSet], path: str) -> None:
 
 
 def load_features_tsv(path: str) -> list[RegionFeatureSet]:
-    """Read, in one pass, the layout save_features_tsv writes: each image's n
-    rows contiguous and numbered 0..n-1. Blocks and checks as load_features."""
+    """Read, in one pass, the lines save_features_tsv writes: its one header,
+    then each image's n rows together, labelled 0..n-1 in order, with values
+    in ASCII. Blocks and checks as load_features."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         lines = utf8_lines(fh)
-        header = next(lines, (1, ""))[1].rstrip("\n").split("\t")
-        if not header or header[0] != "# CODF-TSV":
-            raise FormatError("missing CODF-TSV header")
-        opts = {}
-        for key, _, value in (part.partition("=") for part in header[1:]):
-            if key in opts:
-                raise FormatError(f"line 1: the header repeats its {key}= field")
-            opts[key] = value
-        try:
-            n, d = int(opts["n"]), int(opts["d"])
-            has_boxes, has_areas = opts["boxes"] == "1", opts["areas"] == "1"
-        except KeyError as exc:
-            raise FormatError(f"line 1: the header has no {exc.args[0]}= field") from None
-        except ValueError:
-            raise FormatError("line 1: the header's n= and d= must be integers") from None
-        for key in ("boxes", "areas"):
-            if opts[key] not in ("0", "1"):
-                raise FormatError(f"line 1: the header's {key}= must be 0 or 1, "
-                                  f"not {opts[key]!r}")
-        if n < 1 or d < 1:
-            raise FormatError(f"line 1: invalid header dimensions n={n}, d={d}")
-        expected_fields = 3 + int(has_boxes) + int(has_areas)
+        header = _TSV_HEADER.fullmatch(next(lines, (1, ""))[1])
+        if header is None:
+            raise FormatError("line 1: expected the header '# CODF-TSV\\tn=N\\td=D\\tboxes=0|1"
+                              "\\tareas=0|1' (N, D >= 1, no leading zeros)")
+        n, d, has_boxes, has_areas = map(int, header.groups())
+        shapes = [(n, d), (n, 4) if has_boxes else None, (n,) if has_areas else None]
+        expected_fields = 3 + has_boxes + has_areas
         records = ((lineno, line.rstrip("\n").split("\t"))
                    for lineno, line in lines if line.rstrip("\n"))
-        images: dict[str, tuple] = {}
+        image_ids, columns = {}, ([], [], [])
         for image_id, group in itertools.groupby(records, key=lambda rec: rec[1][0]):
-            features, boxes, areas = [], [], []
+            features, boxes, areas = rows = ([], [], [])
             for lineno, fields in group:
                 if len(fields) != expected_fields:
                     raise FormatError(f"line {lineno}: expected {expected_fields} fields")
-                r = int(fields[1]) if fields[1].isdecimal() else n
-                if r >= n:
-                    raise FormatError(f"line {lineno}: row index {fields[1]!r} is not in [0, {n})")
-                if image_id in images:
-                    raise FormatError(f"line {lineno}: duplicate image id {image_id!r}")
-                if r != len(features):
-                    raise FormatError(f"line {lineno}: row {r} of image {image_id!r} "
-                                      f"is out of order, expected row {len(features)}")
+                k = len(features)
+                if k >= n or fields[1] != str(k):
+                    raise FormatError(f"line {lineno}: image {image_id!r} needs row labels "
+                                      f"0..{n - 1} in order; row {k} is labelled {fields[1]!r}")
+                numbers = "\t".join(fields[2:])
+                if "_" in numbers or not numbers.isascii():
+                    raise FormatError(f"line {lineno}: values must be ASCII and hold no '_'")
                 try:
                     features.append(list(map(float, fields[2].split())))
                     boxes.append(list(map(float, fields[3].split())) if has_boxes else [0.0] * 4)
@@ -547,11 +533,18 @@ def load_features_tsv(path: str) -> list[RegionFeatureSet]:
                     raise FormatError(f"line {lineno}: expected {d} feature values")
                 if len(boxes[-1]) != 4:
                     raise FormatError(f"line {lineno}: expected 4 box values")
+            if image_id in image_ids:
+                raise FormatError(f"line {lineno}: duplicate image id {image_id!r}")
             if len(features) != n:
                 raise FormatError(f"image {image_id!r} has {len(features)} of its {n} rows")
-            images[image_id] = (np.array(features), np.array(boxes) if has_boxes else None,
-                                np.array(areas) if has_areas else None)
-    return _stacked_views(images)
+            image_ids[image_id] = None
+            for column, values, shape in zip(columns, rows, shapes):
+                if shape:
+                    column.append(np.array(values))
+    blocks = [np.array(column).reshape(-1, *shape) if shape else None
+              for column, shape in zip(columns, shapes)]
+    _check_rows(list(image_ids), *blocks)
+    return _row_views(list(image_ids), *blocks)
 
 
 def save_text_embeddings(table: TextEmbeddingTable, path: str) -> None:

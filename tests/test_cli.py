@@ -307,6 +307,24 @@ def test_cli_build_index_names_the_line_of_a_bad_image_id(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_build_index_writes_utf8_under_an_ascii_locale(tmp_path):
+    # Text artifacts are UTF-8 whatever the locale, as the loaders read them.
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("img\u00e9\ta dog\nimg2\tthe dog\n", encoding="utf-8")
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text("dog\n")
+    out = tmp_path / "index.tsv"
+    src = os.path.dirname(os.path.dirname(codiscover.__file__))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "codiscover", "build-index", "--corpus", str(corpus),
+         "--lexicon", str(lexicon), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert load_index(str(out)).groups == {0: ["img\u00e9", "img2"]}
+
+
 def test_cli_train_eval_and_reports(tmp_path, tiny_config, capsys):
     train_out = tmp_path / "train"
     assert main(["train", "--config", tiny_config, "--out", str(train_out)]) == EXIT_OK

@@ -297,6 +297,17 @@ def test_save_index_rejects_separator_characters(tmp_path):
         assert not path.exists()
 
 
+def test_load_index_reads_only_ascii_digits(tmp_path):
+    # str.isdecimal and int() take U+0661 (Arabic-Indic one) as 1; save_index
+    # writes ASCII, so such a line is not one it wrote.
+    path = tmp_path / "index.tsv"
+    for line in ("\u0661\tdog\t1\timg1\n", "1\tdog\t\u0661\timg1\n"):
+        path.write_text(line, encoding="utf-8")
+        with pytest.raises(FormatError,
+                           match="^line 1: concept id and frequency must be integers$"):
+            load_index(str(path))
+
+
 def test_load_index_rejects_malformed_lines(tmp_path):
     path = tmp_path / "index.tsv"
     path.write_text("0\tdog\t1\n")

@@ -694,6 +694,16 @@ def test_save_features_validates_inputs(tmp_path):
     assert not (tmp_path / "x.tsv").exists()
 
 
+def test_feature_savers_refuse_a_repeated_image_id(tmp_path):
+    # Both loaders refuse a repeated id, so neither saver writes one.
+    rng = np.random.default_rng(9)
+    (fs,) = _random_feature_sets(rng, count=1)
+    for save, name in ((save_features, "x.codf"), (save_features_tsv, "x.tsv")):
+        with pytest.raises(ValueError, match="^duplicate image id 'img0'$"):
+            save([fs, fs], str(tmp_path / name))
+        assert not (tmp_path / name).exists()
+
+
 def test_save_features_tsv_rejects_separators_in_image_ids(tmp_path):
     rng = np.random.default_rng(5)
     path = tmp_path / "x.tsv"
@@ -779,6 +789,10 @@ def test_load_features_refuses_a_count_the_file_cannot_hold(tmp_path):
         tracemalloc.stop()
 
 
+TSV_HEADER_MESSAGE = ("line 1: expected the header '# CODF-TSV\\tn=N\\td=D\\tboxes=0|1"
+                      "\\tareas=0|1' (N, D >= 1, no leading zeros)")
+
+
 def test_load_features_tsv_rejects_corruption(tmp_path):
     path = tmp_path / "features.tsv"
     path.write_text("not a header\n")
@@ -788,23 +802,24 @@ def test_load_features_tsv_rejects_corruption(tmp_path):
     with pytest.raises(FormatError, match="line 2"):
         load_features_tsv(str(path))
     path.write_text("# CODF-TSV\tn=1\tboxes=0\tareas=0\nimg0\t0\t1.0 2.0\n")
-    with pytest.raises(FormatError, match="line 1.*no d= field"):
+    with pytest.raises(FormatError, match=f"^{re.escape(TSV_HEADER_MESSAGE)}$"):
         load_features_tsv(str(path))
     path.write_text("# CODF-TSV\tn=1\td=2\tboxes=0\tareas=0\nimg0\t0\t1.0 2.0\n"
                     "img0\t1\t1.0 2.0\n")
-    with pytest.raises(FormatError, match="line 3.*row index '1'"):
+    with pytest.raises(FormatError, match="^line 3: image 'img0' needs row labels 0..0 in order; "
+                                          "row 1 is labelled '1'$"):
         load_features_tsv(str(path))
     path.write_text("# CODF-TSV\tn=2\td=2\tboxes=0\tareas=0\nimg0\t0\t1.0 2.0\n"
                     "img0\t0\t3.0 4.0\n")
-    with pytest.raises(FormatError,
-                       match="^line 3: row 0 of image 'img0' is out of order, expected row 1$"):
+    with pytest.raises(FormatError, match="^line 3: image 'img0' needs row labels 0..1 in order; "
+                                          "row 1 is labelled '0'$"):
         load_features_tsv(str(path))
     path.write_text("# CODF-TSV\tn=2\td=2\tboxes=0\tareas=0\nimg0\t0\t1.0 2.0 3.0\n")
     with pytest.raises(FormatError, match="line 2.*expected 2 feature values"):
         load_features_tsv(str(path))
     path.write_text("# CODF-TSV\tn=2\td=2\tboxes=0\tareas=0\nimg0\t1\t1.0 2.0\n")
-    with pytest.raises(FormatError,
-                       match="^line 2: row 1 of image 'img0' is out of order, expected row 0$"):
+    with pytest.raises(FormatError, match="^line 2: image 'img0' needs row labels 0..1 in order; "
+                                          "row 0 is labelled '1'$"):
         load_features_tsv(str(path))
     # An image's rows must be contiguous: one that comes back is refused.
     path.write_text("# CODF-TSV\tn=1\td=2\tboxes=0\tareas=0\nimg0\t0\t1.0 2.0\n"
@@ -832,16 +847,51 @@ def test_load_features_tsv_rejects_corruption(tmp_path):
         with pytest.raises(FormatError, match=message):
             load_features_tsv(str(path))
     # Flags other than 0 and 1, and a key given twice, are refused on line 1.
-    for fields, message in (
-            ("n=1\td=2\tboxes=true\tareas=0", "the header's boxes= must be 0 or 1, not 'true'"),
-            ("n=1\td=2\tboxes=0\tareas=", "the header's areas= must be 0 or 1, not ''"),
-            ("n=1\td=2\tboxes=0\tn=2\tareas=0", "the header repeats its n= field")):
+    for fields in ("n=1\td=2\tboxes=true\tareas=0", "n=1\td=2\tboxes=0\tareas=",
+                   "n=1\td=2\tboxes=0\tn=2\tareas=0"):
         path.write_text(f"# CODF-TSV\t{fields}\nimg0\t0\t1.0 2.0\n")
-        with pytest.raises(FormatError, match=f"^line 1: {re.escape(message)}$"):
+        with pytest.raises(FormatError, match=f"^{re.escape(TSV_HEADER_MESSAGE)}$"):
             load_features_tsv(str(path))
     for line, data in ((1, b"# CODF-TSV\tn=1\xff\n"), (2, header.encode() + b"\xff\n")):
         path.write_bytes(data)
         with pytest.raises(FormatError, match=f"^line {line}: not valid UTF-8$"):
+            load_features_tsv(str(path))
+
+
+def test_load_features_tsv_accepts_only_the_writers_grammar(tmp_path):
+    path = tmp_path / "features.tsv"
+    # An image id may hold any character but a separator; values are ASCII.
+    path.write_text("# CODF-TSV\tn=2\td=2\tboxes=0\tareas=1\n"
+                    "img\u00e9_1\t0\t1.0 2.0\t0.5\nimg\u00e9_1\t1\t-3.0 4e-05\t2.0\n",
+                    encoding="utf-8")
+    (loaded,) = load_features_tsv(str(path))
+    assert loaded.image_id == "img\u00e9_1"
+    assert loaded.features.tolist() == [[1.0, 2.0], [-3.0, 4e-05]]
+    assert loaded.boxes is None and loaded.areas.tolist() == [0.5, 2.0]
+    # The header is the writer's: its four fields, in order, nothing else;
+    # dimensions in ASCII digits with no leading zero.
+    for fields in ("n=1\td=2\tboxes=0\tareas=0\txyz\tfoo=bar", "d=2\tn=1\tboxes=0\tareas=0",
+                   "n=01\td=2\tboxes=0\tareas=0", "n=\u0661\td=2\tboxes=0\tareas=0",
+                   "n=1\td=2\tboxes=0\tareas=0\t", "n=1\td=2\tboxes=0\tarea=1\tareas=0"):
+        path.write_text(f"# CODF-TSV\t{fields}\nimg0\t0\t1.0 2.0\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=f"^{re.escape(TSV_HEADER_MESSAGE)}$"):
+            load_features_tsv(str(path))
+    # A row's label is the count of its image's rows before it, below n.
+    header = "# CODF-TSV\tn=2\td=2\tboxes=0\tareas=0\n"
+    for rows, line, k, label in ((("0", "01"), 3, 1, "01"), (("\u0660",), 2, 0, "\u0660"),
+                                 (("0", "+1"), 3, 1, "+1"), (("0", "1", "2"), 4, 2, "2")):
+        path.write_text(header + "".join(f"img0\t{r}\t1.0 2.0\n" for r in rows),
+                        encoding="utf-8")
+        message = (f"line {line}: image 'img0' needs row labels 0..1 in order; "
+                   f"row {k} is labelled {label!r}")
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_features_tsv(str(path))
+    # float() reads digit separators and non-ASCII digits; repr writes neither.
+    header = "# CODF-TSV\tn=1\td=2\tboxes=1\tareas=1\n"
+    for row in ("1_0.0 2.0\t0 0 1 1\t1.0", "1.0 2.0\t0 0 1 1\t\u0662.5",
+                "1.0 2.0\t0 0 1_0 1\t10.0"):
+        path.write_text(f"{header}img0\t0\t{row}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="^line 2: values must be ASCII and hold no '_'$"):
             load_features_tsv(str(path))
 
 
