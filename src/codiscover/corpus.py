@@ -233,7 +233,7 @@ def load_index(path: str) -> ConceptGroupIndex:
             fields = line.split("\t")
             if len(fields) != 4:
                 raise FormatError(f"line {lineno}: expected 4 tab-separated fields")
-            if not all(f.isascii() and f.isdecimal() for f in (fields[0], fields[2])):
+            if not all(f.isdecimal() and f == str(int(f)) for f in (fields[0], fields[2])):
                 raise FormatError(f"line {lineno}: concept id and frequency must be integers")
             cid = int(fields[0])
             if cid in groups:

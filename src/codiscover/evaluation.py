@@ -13,15 +13,13 @@ from ._binio import atomic_writer
 from .core import (
     baseline_max_size,
     baseline_region_word,
-    concept_guide,
     head_forward,
     heuristic_picks,
-    similarity_rows,
     sorted_blocks,
 )
 from .corpus import ConceptGroupIndex
 from .scenario import Scenario
-from .training import ModelState, TrainConfig, run_training
+from .training import ModelState, TrainConfig, query_rows, run_training
 
 STRATEGIES = ("region_region", "region_word", "max_size", "heuristic")
 
@@ -134,7 +132,7 @@ def compare_strategies(
             f"member images (e.g. {missing[0]!r}); was it trained on another world?"
         )
     hits = {name: np.zeros(len(concepts), dtype=np.int64) for name in strategies}
-    queries = _queries(state, index, concepts, group_size, np.random.default_rng(seed))
+    queries = _queries(state, index, concepts, group_size - 1, np.random.default_rng(seed))
     while batch := list(itertools.islice(queries, _BATCH)):
         _score_batch(batch, state, scenario, strategies, mode, text_guidance, hits)
 
@@ -159,8 +157,8 @@ def compare_strategies(
 
 
 def _queries(state: ModelState, index: ConceptGroupIndex, concepts: list[int],
-             group_size: int, rng: np.random.Generator):
-    """Yield (query id, support ids, classifier row, concept id, concept
+             m: int, rng: np.random.Generator):
+    """Yield ((query id, *m support ids), classifier row, concept id, concept
     position) for every member image of every concept, in index order, drawing
     each query's supports as it is yielded."""
     for k, cid in enumerate(concepts):
@@ -171,45 +169,31 @@ def _queries(state: ModelState, index: ConceptGroupIndex, concepts: list[int],
         if not members:
             raise ValueError(f"concept {cid} has no member images")
         for query_id in members:
-            yield query_id, _sample_supports(members, query_id, group_size - 1, rng), row, cid, k
+            yield (query_id, *_sample_supports(members, query_id, m, rng)), row, cid, k
 
 
 def _score_batch(batch, state: ModelState, scenario: Scenario, strategies, mode: str,
                  text_guidance: bool, hits: dict[str, np.ndarray]) -> None:
-    """Pick and score one region per strategy for a batch of (query id, support
-    ids, classifier row, concept id, concept position) entries, through one
-    call of each batched op, and add the hits to each concept's count."""
-    query_ids, support_ids, class_rows, cids, positions = zip(*batch)
-    images = list(dict.fromkeys(i for q, s in zip(query_ids, support_ids) for i in (q, *s)))
-    raw = state.block[[state.row_of[i] for i in images]]
-    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
-    slot = {image_id: j for j, image_id in enumerate(images)}
-    # Column 0 holds each query's slot, the rest its supports'; group_size=1
-    # leaves int-typed (Q, 0) supports, which similarity_rows refuses.
-    slots = np.array([[slot[i] for i in (q, *s)] for q, s in zip(query_ids, support_ids)])
-    zero = (norms == 0.0).any(axis=(1, 2))[slots].any(axis=1)
-    if zero.any():
-        # Name the concept of the first query whose images hold a zero row.
-        raise ValueError(f"concept {cids[zero.argmax()]}: zero feature row")
-    hat = raw / norms
-    query_hat, supports = hat[slots[:, 0]], slots[:, 1:]
-    w = state.classifier.weights[list(class_rows)]
+    """Pick and score one region per strategy for a batch of ((query id, *support
+    ids), classifier row, concept id, concept position) entries, through one call
+    of query_rows and each batched op, and add the hits to each concept's count."""
+    queries, class_rows, cids, positions = map(list, zip(*batch))
+    _, _, _, hat, slots, _, _, rows = query_rows(state, queries, class_rows, text_guidance)
     picks = {}
     if {"region_region", "heuristic"} & set(strategies):
-        _, rows = similarity_rows(query_hat, hat[supports],
-                                  concept_guide(w, text_guidance)[:, None, :])
         blocks = sorted_blocks(rows)  # for an unsorted head too: cheaper than a block max
         if "region_region" in strategies:
             picks["region_region"] = head_forward(rows, state.head, blocks).p.argmax(axis=1)
         if "heuristic" in strategies:
             picks["heuristic"] = heuristic_picks(rows, blocks)
     if "region_word" in strategies:
-        picks["region_word"] = baseline_region_word(query_hat, w)
-    world_rows = [scenario.row_of[i] for i in query_ids]
+        picks["region_word"] = baseline_region_word(hat[slots[:, 0]],
+                                                    state.classifier.weights[class_rows])
+    world_rows = [scenario.row_of[query[0]] for query in queries]
     if "max_size" in strategies:
         picks["max_size"] = baseline_max_size(scenario.areas[world_rows])
     if mode == "box" and scenario.boxes is None:
-        raise ValueError(f"image {query_ids[0]!r} carries no boxes")
+        raise ValueError(f"image {queries[0][0]!r} carries no boxes")
     boxes = scenario.boxes[world_rows] if mode == "box" else None
     covered = _covered(scenario.owner[world_rows], boxes, np.array(cids),
                        np.array(list(picks.values())), mode)

@@ -496,9 +496,9 @@ def save_features_tsv(feature_sets: list[RegionFeatureSet], path: str) -> None:
 
 
 def load_features_tsv(path: str) -> list[RegionFeatureSet]:
-    """Read, in one pass, the lines save_features_tsv writes: its one header,
-    then each image's n rows together, labelled 0..n-1 in order, with values
-    in ASCII. Blocks and checks as load_features."""
+    """Read, in one pass, the lines save_features_tsv writes: its one header, then
+    each image's n rows together, labelled 0..n-1 in order, with ASCII values
+    parted by single spaces; no blank line. Blocks and checks as load_features."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         lines = utf8_lines(fh)
         header = _TSV_HEADER.fullmatch(next(lines, (1, ""))[1])
@@ -508,8 +508,7 @@ def load_features_tsv(path: str) -> list[RegionFeatureSet]:
         n, d, has_boxes, has_areas = map(int, header.groups())
         shapes = [(n, d), (n, 4) if has_boxes else None, (n,) if has_areas else None]
         expected_fields = 3 + has_boxes + has_areas
-        records = ((lineno, line.rstrip("\n").split("\t"))
-                   for lineno, line in lines if line.rstrip("\n"))
+        records = ((lineno, line.rstrip("\n").split("\t")) for lineno, line in lines)
         image_ids, columns = {}, ([], [], [])
         for image_id, group in itertools.groupby(records, key=lambda rec: rec[1][0]):
             features, boxes, areas = rows = ([], [], [])
@@ -523,9 +522,12 @@ def load_features_tsv(path: str) -> list[RegionFeatureSet]:
                 numbers = "\t".join(fields[2:])
                 if "_" in numbers or not numbers.isascii():
                     raise FormatError(f"line {lineno}: values must be ASCII and hold no '_'")
+                if has_areas and fields[-1] != fields[-1].strip():
+                    raise FormatError(f"line {lineno}: whitespace around the area value")
                 try:
-                    features.append(list(map(float, fields[2].split())))
-                    boxes.append(list(map(float, fields[3].split())) if has_boxes else [0.0] * 4)
+                    features.append(list(map(float, fields[2].split(" "))))
+                    boxes.append(list(map(float, fields[3].split(" "))) if has_boxes
+                                 else [0.0] * 4)
                     areas.append(float(fields[-1]) if has_areas else 0.0)
                 except ValueError as exc:
                     raise FormatError(f"line {lineno}: {exc}") from None

@@ -4,9 +4,10 @@ The caption-branch loss is differentiated analytically through the chain
 classifier logits -> prototype -> softmax -> MLP -> similarity entries ->
 unit normalization -> raw region features, covering both paths by which a
 region feature reaches the prototype (the direct weighted-sum term and the
-term through the similarity matrix). The similarity and head stages, forward
-and backward, are the batched ops of `core`, which evaluation shares;
-`finite_diff_check` verifies the chain against central differences.
+term through the similarity matrix). `query_rows` is the one query forward,
+from feature rows to similarity rows, that training and evaluation share; it
+and the head stages run the batched ops of `core`. `finite_diff_check`
+verifies the chain against central differences.
 """
 
 from __future__ import annotations
@@ -159,10 +160,26 @@ def caption_proxies(scenario) -> dict[str, np.ndarray]:
     return {record.image_id: vector for record, vector in zip(records, vectors)}
 
 
-def _support_positions(k: int) -> np.ndarray:
-    """(k, k-1): the other positions of a k-image mini-group, for each query."""
-    cols = np.arange(k - 1)
-    return cols + (cols >= np.arange(k)[:, None])
+def query_rows(state: ModelState, queries, class_rows, text_guidance: bool):
+    """Similarity forward of Q queries, each an image id and then its support ids,
+    under the guides of their classifier rows (an int array or list of Q). The
+    distinct images are gathered and unit-normalized once. Returns the distinct
+    ids, their raw rows, norms and unit rows, each query's slots in ids (query
+    first), the (Q, 1, d) guides, and similarity_rows' guided queries and rows."""
+    ids = list(dict.fromkeys(i for query in queries for i in query))
+    slot = {image_id: u for u, image_id in enumerate(ids)}
+    raw = state.block[[state.row_of[image_id] for image_id in ids]]
+    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
+    slots = np.array([[slot[i] for i in query] for query in queries])
+    zero = (norms == 0.0).any(axis=(1, 2))[slots].any(axis=1)
+    if zero.any():
+        # Name the concept of the first query whose images hold a zero row.
+        cid = state.classifier.concept_ids[class_rows[zero.argmax()]]
+        raise ValueError(f"concept {cid}: zero feature row")
+    hat = raw / norms
+    guide = concept_guide(state.classifier.weights[class_rows], text_guidance)[:, None, :]
+    qw, rows = similarity_rows(hat[slots[:, 0]], hat[slots[:, 1:]], guide)
+    return ids, raw, norms, hat, slots, guide, qw, rows
 
 
 def _sum_by_owner(terms: np.ndarray, owner: np.ndarray, count: int) -> np.ndarray:
@@ -222,23 +239,13 @@ def caption_batch_loss(
         if len(group.image_ids) != k:
             raise ValueError(f"mini-groups of {k} and {len(group.image_ids)} images in one batch")
 
-    batch_ids = list(dict.fromkeys(i for group in mini_groups for i in group.image_ids))
-    slot = {image_id: u for u, image_id in enumerate(batch_ids)}
-    raw = state.block[[state.row_of[image_id] for image_id in batch_ids]]
-    norms = np.linalg.norm(raw, axis=2, keepdims=True)
-    zero = np.flatnonzero(np.any(norms == 0.0, axis=(1, 2)))
-    if zero.size:
-        raise ValueError(f"image {batch_ids[zero[0]]!r}: zero feature row")
-    hat = raw / norms
-
     # Query q is position q % k of group q // k, under that group's guide.
     concept_rows = np.repeat([state.classifier.row_of[g.concept_id] for g in mini_groups], k)
-    pos = np.array([slot[image_id] for group in mini_groups for image_id in group.image_ids])
-    q = pos.size
-    supports = pos.reshape(-1, k)[:, _support_positions(k)].reshape(q, k - 1)
-    guide = concept_guide(weights[concept_rows], config.text_guidance)[:, None, :]
-    support_hat = hat[supports]
-    qw, rows = similarity_rows(hat[pos], support_hat, guide)
+    queries = [(ids[i], *ids[:i], *ids[i + 1:])
+               for ids in (group.image_ids for group in mini_groups) for i in range(k)]
+    batch_ids, raw, norms, hat, slots, guide, qw, rows = query_rows(
+        state, queries, concept_rows, config.text_guidance)
+    pos, supports, q = slots[:, 0], slots[:, 1:], len(queries)
     fwd = head_forward(rows, state.head)
     del rows
     f_q = raw[pos]
@@ -254,7 +261,7 @@ def caption_batch_loss(
     batch = len(batch_ids)
     graw = _sum_by_owner(fwd.p[:, :, None] * dfp[:, None, :], pos, batch)
     del fwd
-    dquery, dsupport = similarity_backward(drows, qw, support_hat, guide)
+    dquery, dsupport = similarity_backward(drows, qw, hat[supports], guide)
     ghat = (_sum_by_owner(dquery, pos, batch)
             + _sum_by_owner(dsupport.reshape(-1, *raw.shape[1:]), supports.ravel(), batch))
 

@@ -308,6 +308,19 @@ def test_load_index_reads_only_ascii_digits(tmp_path):
             load_index(str(path))
 
 
+def test_load_index_refuses_leading_zeros(tmp_path):
+    # save_index writes str(id) and str(count); '01' is not a number it writes.
+    path = tmp_path / "index.tsv"
+    for line in ("01\tdog\t01\timg1\n", "01\tdog\t1\timg1\n", "1\tdog\t01\timg1\n",
+                 "00\tdog\t1\timg1\n"):
+        path.write_text(line, encoding="utf-8")
+        with pytest.raises(FormatError,
+                           match="^line 1: concept id and frequency must be integers$"):
+            load_index(str(path))
+    path.write_text("0\tdog\t1\timg1\n10\tcat\t2\timg2,img3\n", encoding="utf-8")
+    assert load_index(str(path)).groups == {0: ["img1"], 10: ["img2", "img3"]}
+
+
 def test_load_index_rejects_malformed_lines(tmp_path):
     path = tmp_path / "index.tsv"
     path.write_text("0\tdog\t1\n")

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from codiscover import (
+    CaptionRecord,
     EvalReport,
+    ModelState,
     ScenarioConfig,
+    TextEmbeddingTable,
     TrainConfig,
     ablate,
     build_concept_index,
@@ -364,15 +367,16 @@ def test_compare_strategies_calls_the_forward_and_iou_once_per_batch(monkeypatch
     # Box mode scores each batch with iou's arithmetic, `_iou`, and never
     # re-checks boxes that are rows of the world's block, which the Scenario
     # checked when it was built.
-    calls = {"head_forward": 0, "_iou": 0, "iou": 0}
+    calls = {"query_rows": 0, "head_forward": 0, "_iou": 0, "iou": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(evaluation, name)):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(evaluation, name, counted)
     compare_strategies(state, scenario, index, STRATEGIES, group_size=4, seed=1, mode="box")
-    # 100 queries make batches of 32, 32, 32 and 4.
-    assert calls == {"head_forward": 4, "_iou": 4, "iou": 0}
+    # 100 queries make batches of 32, 32, 32 and 4, each through the query
+    # forward training shares.
+    assert calls == {"query_rows": 4, "head_forward": 4, "_iou": 4, "iou": 0}
 
 
 def test_compare_strategies_sorted_head_builds_no_perm(monkeypatch):
@@ -463,6 +467,77 @@ def test_compare_strategies_names_the_concept_of_a_zero_feature_row():
     state.features[member][3] = 0.0
     with pytest.raises(ValueError, match=rf"^concept {cid}: zero feature row$"):
         compare_strategies(state, scenario, index, STRATEGIES, group_size=3, seed=1)
+
+
+# --------------------------------------------------------------- invariances
+
+
+@pytest.fixture(scope="module")
+def trained_partner_world():
+    # 60 sorted-head steps on a box world whose captions pair adjacent concepts.
+    scenario, index = small_world(num_concepts=6, d=16, n=8, images_per_concept=8,
+                                  multi_concept_rate=0.5, second_concept="partner",
+                                  with_boxes=True)
+    config = TrainConfig(group_size=4, mini_groups_per_batch=4, steps=60, seed=2, hidden=32,
+                         sorted_rows=True, eval_interval=0)
+    state, _ = run_training(index, scenario, config)
+    return scenario, index, config, state
+
+
+def _reports(state, scenario, index):
+    return [compare_strategies(state, scenario, index, STRATEGIES, group_size=4, seed=9,
+                               mode=mode) for mode in ("index", "box")]
+
+
+def test_reports_are_invariant_to_a_region_permutation(trained_partner_world):
+    # The sorted head sorts each support block and scores each query region
+    # on its own, so permuting every image's regions moves each pick with
+    # its region.
+    scenario, index, _, state = trained_partner_world
+    perm = np.argsort(np.random.default_rng(4).random(scenario.owner.shape), axis=1)
+    assert not np.all(perm == np.arange(perm.shape[1]))
+
+    def permuted(block):
+        return np.take_along_axis(block, perm.reshape(perm.shape + (1,) * (block.ndim - 2)),
+                                  axis=1)
+
+    world = dataclasses.replace(scenario, features=permuted(scenario.features),
+                                boxes=permuted(scenario.boxes), areas=permuted(scenario.areas),
+                                owner=permuted(scenario.owner))
+    model = ModelState(state.head, state.classifier, state.image_ids, permuted(state.block))
+    assert _reports(model, world, index) == _reports(state, scenario, index)
+
+
+def test_reports_are_invariant_to_scaling_a_text_embedding(trained_partner_world):
+    # Scaling by a power of two is exact, so the unit classifier rows, and
+    # with them every guide and region-word pick, are bit-equal.
+    scenario, index, config, state = trained_partner_world
+    cid = index.concept_ids()[1]
+    embeddings = dict(scenario.text_table.embeddings)
+    embeddings[cid] = embeddings[cid] * 8.0
+    world = dataclasses.replace(scenario, text_table=TextEmbeddingTable(embeddings))
+    classifier = init_model(world, index, config).classifier
+    assert classifier.weights.tobytes() == state.classifier.weights.tobytes()
+    model = ModelState(state.head, classifier, state.image_ids, state.block)
+    assert _reports(model, world, index) == _reports(state, scenario, index)
+
+
+def test_training_and_reports_are_invariant_to_renaming_the_images(trained_partner_world):
+    # Image ids are keys only: a renaming that reverses their sorted order
+    # trains the same model and scores the same reports.
+    scenario, index, config, state = trained_partner_world
+    new = {image_id: f"x{len(scenario.image_ids) - r:03d}"
+           for r, image_id in enumerate(scenario.image_ids)}
+    records = [CaptionRecord(new[r.image_id], r.caption, list(r.concepts))
+               for r in scenario.records]
+    world = dataclasses.replace(scenario, records=records,
+                                image_ids=[new[i] for i in scenario.image_ids])
+    renamed = build_concept_index(world.records, world.lexicon, 1)
+    assert renamed.groups == {c: [new[i] for i in g] for c, g in index.groups.items()}
+    model, _ = run_training(renamed, world, config)
+    assert model.block.tobytes() == state.block.tobytes()
+    assert model.head.w1.tobytes() == state.head.w1.tobytes()
+    assert _reports(model, world, renamed) == _reports(state, scenario, index)
 
 
 def test_compare_strategies_rejects_features_of_another_world():

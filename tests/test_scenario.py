@@ -895,6 +895,36 @@ def test_load_features_tsv_accepts_only_the_writers_grammar(tmp_path):
             load_features_tsv(str(path))
 
 
+def test_load_features_tsv_refuses_blank_lines_and_stray_spaces(tmp_path):
+    # The writer parts values by one space and writes no blank line; float()
+    # and str.split() would read both past it.
+    path = tmp_path / "features.tsv"
+    header = "# CODF-TSV\tn=2\td=2\tboxes=1\tareas=1\n"
+    good = ("img0\t0\t+1E0 .5\t0.0 0.0 1.0 1.0\t1.0\n", "img0\t1\t3.0 4.0\t0.0 0.0 1.0 1.0\t1.0\n")
+    path.write_text(header + "".join(good), encoding="utf-8")
+    (loaded,) = load_features_tsv(str(path))
+    assert loaded.features.tolist() == [[1.0, 0.5], [3.0, 4.0]]  # repr never writes these
+    # A blank line is a row of one empty field; between an image's rows it
+    # also cuts the image short.
+    path.write_text(header + "".join(good) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="^line 4: expected 5 fields$"):
+        load_features_tsv(str(path))
+    path.write_text(header + good[0] + "\n" + good[1], encoding="utf-8")
+    with pytest.raises(FormatError, match="^image 'img0' has 1 of its 2 rows$"):
+        load_features_tsv(str(path))
+    for values, boxes in (("3.0  4.0", "0.0 0.0 1.0 1.0"), (" 3.0 4.0", "0.0 0.0 1.0 1.0"),
+                          ("3.0 4.0 ", "0.0 0.0 1.0 1.0"), ("3.0 4.0", "0.0 0.0  1.0 1.0"),
+                          ("3.0 4.0", "0.0 0.0 1.0 1.0 ")):
+        path.write_text(f"{header}{good[0]}img0\t1\t{values}\t{boxes}\t1.0\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="^line 3: could not convert string to float: ''$"):
+            load_features_tsv(str(path))
+    for area in (" 1.0", "1.0 ", "1.0\x0c"):
+        path.write_text(f"{header}{good[0]}img0\t1\t3.0 4.0\t0.0 0.0 1.0 1.0\t{area}\n",
+                        encoding="utf-8")
+        with pytest.raises(FormatError, match="^line 3: whitespace around the area value$"):
+            load_features_tsv(str(path))
+
+
 def test_text_embedding_codec_round_trip(tmp_path, monkeypatch):
     rng = np.random.default_rng(4)
     table = TextEmbeddingTable({cid: rng.standard_normal(6) for cid in (4, 0, 2)})

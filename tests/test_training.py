@@ -34,7 +34,6 @@ from codiscover import (
 from codiscover.training import (
     GradientBundle,
     _sum_by_owner,
-    _support_positions,
     caption_proxies,
 )
 
@@ -213,6 +212,20 @@ def test_caption_batch_loss_input_validation():
         caption_batch_loss(state, groups, caption_vectors, config)
 
 
+def test_caption_batch_loss_names_the_concept_of_a_zero_feature_row():
+    # The zero row is in an image of the second group only, so the first query
+    # whose images hold it is one of that group's, whose concept is named.
+    scenario, index, config = small_setup()
+    state = init_model(scenario, index, config)
+    groups, caption_vectors = make_batch(scenario, index, config, seed=2)
+    image_id = next(i for i in groups[1].image_ids if i not in groups[0].image_ids)
+    assert groups[0].concept_id != groups[1].concept_id
+    state.features[image_id][2] = 0.0
+    cid = groups[1].concept_id
+    with pytest.raises(ValueError, match=rf"^concept {cid}: zero feature row$"):
+        caption_batch_loss(state, groups, caption_vectors, config)
+
+
 def test_caption_batch_loss_makes_one_call_of_each_core_op(monkeypatch):
     import codiscover.training as training_module
 
@@ -235,7 +248,8 @@ def test_sum_by_owner_matches_add_at_on_repeated_owners():
     # Two groups of four over five images; image 0 is held twice in the
     # second group, so it is one of its own supports there.
     pos = np.array([0, 1, 2, 1, 3, 0, 0, 4])
-    supports = pos.reshape(-1, 4)[:, _support_positions(4)].ravel()
+    others = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])  # of each position
+    supports = pos.reshape(-1, 4)[:, others].ravel()
     assert np.any(supports.reshape(8, 3) == pos[:, None])
     rng = np.random.default_rng(21)
     for owner in (pos, supports, np.concatenate([pos, supports])):
@@ -389,17 +403,16 @@ def test_sgd_step_rejects_non_finite_updates():
 # ------------------------------------------------------------- training loop
 
 
-def test_trained_state_is_pinned():
-    # 50 steps of a criterion-7-shaped run: sorted rows, K=8, B=4. The digest
-    # pins the trained head and features bit for bit, so a change to the
-    # step's arithmetic, such as the order of a sum or of the feature update,
-    # moves it.
+def _trained_state_digest(sorted_rows):
+    # 50 steps of a criterion-7-shaped run: K=8, B=4. The digest pins the
+    # trained head and features bit for bit, so a change to the step's
+    # arithmetic, such as the order of a sum or of the feature update, moves it.
     scenario = generate_scenario(ScenarioConfig(
         num_concepts=50, d=32, n=16, images_per_concept=25, distractor_count=4,
         noise_sigma=0.05, multi_concept_rate=0.3, misaligned_text_degrees=50.0, seed=3))
     index = build_concept_index(scenario.records, scenario.lexicon, 1)
     config = TrainConfig(group_size=8, mini_groups_per_batch=4, steps=50, seed=7,
-                         sorted_rows=True, hidden=128, eval_interval=0)
+                         sorted_rows=sorted_rows, hidden=128, eval_interval=0)
     state, _ = run_training(index, scenario, config)
     h = hashlib.sha256()
     for arr in (state.head.w1, state.head.b1, state.head.w2, state.head.b2):
@@ -407,7 +420,17 @@ def test_trained_state_is_pinned():
     for fs in scenario.feature_sets:
         h.update(fs.image_id.encode())
         h.update(state.features[fs.image_id].tobytes())
-    assert h.hexdigest() == "cf94c8168a99fa238138c8f13e84f6ef466354588be6b94518a43f9ef179362b"
+    return h.hexdigest()
+
+
+def test_trained_state_is_pinned():
+    digest = "cf94c8168a99fa238138c8f13e84f6ef466354588be6b94518a43f9ef179362b"
+    assert _trained_state_digest(sorted_rows=True) == digest
+
+
+def test_unsorted_trained_state_is_pinned():
+    digest = "fc9a54dddcdcf1171253be486765117aef31934ba2eac00e86502fb238531dcd"
+    assert _trained_state_digest(sorted_rows=False) == digest
 
 
 def test_run_training_metric_schedule_and_determinism():
