@@ -81,17 +81,43 @@ def _covered(owner: np.ndarray, boxes: np.ndarray | None, concepts: np.ndarray,
     return covered
 
 
-def _sample_supports(pool: list[str], query_id: str, m: int,
-                     rng: np.random.Generator) -> list[str]:
+def _words(rng: np.random.Generator, chunk: int = 256):
+    """rng's next 32-bit words: integers(0, 2**32, chunk, uint64) reads them chunk at a
+    time as choice reads them one at a time, through PCG64's next_uint32; all in C."""
+    chunks = itertools.starmap(rng.integers, itertools.repeat((0, 1 << 32, chunk, np.uint64)))
+    return itertools.chain.from_iterable(map(np.ndarray.tolist, chunks))
+
+
+def _sample_supports(pool: list[str], query_id: str, m: int, words) -> list[str]:
     """m supports for the query from the other images of its group, drawn with
-    replacement when there are fewer than m. The only support of a singleton
-    group's query is the query itself, and it draws nothing from rng."""
+    replacement when there are fewer than m: the picks of rng.choice(len(others),
+    size=m, replace=len(others) < m) over rng's words. The only support of a
+    singleton group's query is the query itself, and it reads no word."""
     others = [i for i in pool if i != query_id]
-    if not others:
+    if not (n := len(others)):
         return [query_id] * m
-    replace = len(others) < m
-    picks = rng.choice(len(others), size=m, replace=replace)
-    return [others[int(i)] for i in picks]
+    # choice's Lemire draws: m below n, or Floyd's below n-m+1..n then its shuffle's
+    # below m..2, or past 10,000 others with m > n // 50 a shuffle of range(n) to n-m.
+    tail = n > 10000 and m > n // 50
+    bounds = ([n] * m if n < m else range(n, max(n - m, 1), -1) if tail
+              else [*range(n - m + 1, n + 1), *range(m, 1, -1)])
+    draws = []
+    for bound in bounds:
+        product = 0  # a bound of 1 reads no word
+        while bound > 1:  # retry while the word's low half is below 2**32 % bound
+            product = next(words) * bound
+            if (low := product & 0xFFFFFFFF) >= bound or low >= (1 << 32) % bound:
+                break
+        draws.append(product >> 32)
+    if n < m:
+        return list(map(others.__getitem__, draws))
+    floyd = {}  # an ordered set: a value drawn again gives way to j, which none is
+    for j, value in zip(range(n - m, n) if not tail else (), draws):
+        floyd[j if value in floyd else value] = None
+    picks = list(range(n)) if tail else list(floyd)
+    for i, j in zip(range(len(picks) - 1, 0, -1), draws[len(floyd):]):
+        picks[i], picks[j] = picks[j], picks[i]
+    return list(map(others.__getitem__, picks[len(picks) - m:]))
 
 
 # Queries per batched forward. Every concept's rows are (group_size-1)*n wide,
@@ -115,6 +141,8 @@ def compare_strategies(
     resampled from its group under a fixed evaluation seed; the queries go
     through the similarity, the head and the baselines in batches of up to
     _BATCH queries, which may span concepts."""
+    if group_size < 2:
+        raise ValueError("group_size must be >= 2")
     strategies = tuple(strategies)
     if not strategies:
         raise ValueError("strategies must be nonempty")
@@ -132,7 +160,7 @@ def compare_strategies(
             f"member images (e.g. {missing[0]!r}); was it trained on another world?"
         )
     hits = {name: np.zeros(len(concepts), dtype=np.int64) for name in strategies}
-    queries = _queries(state, index, concepts, group_size - 1, np.random.default_rng(seed))
+    queries = _queries(state, index, concepts, group_size - 1, _words(np.random.default_rng(seed)))
     while batch := list(itertools.islice(queries, _BATCH)):
         _score_batch(batch, state, scenario, strategies, mode, text_guidance, hits)
 
@@ -157,7 +185,7 @@ def compare_strategies(
 
 
 def _queries(state: ModelState, index: ConceptGroupIndex, concepts: list[int],
-             m: int, rng: np.random.Generator):
+             m: int, words):
     """Yield ((query id, *m support ids), classifier row, concept id, concept
     position) for every member image of every concept, in index order, drawing
     each query's supports as it is yielded."""
@@ -169,7 +197,7 @@ def _queries(state: ModelState, index: ConceptGroupIndex, concepts: list[int],
         if not members:
             raise ValueError(f"concept {cid} has no member images")
         for query_id in members:
-            yield (query_id, *_sample_supports(members, query_id, m, rng)), row, cid, k
+            yield (query_id, *_sample_supports(members, query_id, m, words)), row, cid, k
 
 
 def _score_batch(batch, state: ModelState, scenario: Scenario, strategies, mode: str,

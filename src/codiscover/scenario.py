@@ -497,8 +497,8 @@ def save_features_tsv(feature_sets: list[RegionFeatureSet], path: str) -> None:
 
 def load_features_tsv(path: str) -> list[RegionFeatureSet]:
     """Read, in one pass, the lines save_features_tsv writes: its one header, then
-    each image's n rows together, labelled 0..n-1 in order, with ASCII values
-    parted by single spaces; no blank line. Blocks and checks as load_features."""
+    each image's n rows together, labelled 0..n-1 in order, with printable ASCII
+    values parted by single spaces; no blank line. Blocks and checks as load_features."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         lines = utf8_lines(fh)
         header = _TSV_HEADER.fullmatch(next(lines, (1, ""))[1])
@@ -519,11 +519,13 @@ def load_features_tsv(path: str) -> list[RegionFeatureSet]:
                 if k >= n or fields[1] != str(k):
                     raise FormatError(f"line {lineno}: image {image_id!r} needs row labels "
                                       f"0..{n - 1} in order; row {k} is labelled {fields[1]!r}")
-                numbers = "\t".join(fields[2:])
+                numbers = " ".join(fields[2:])
                 if "_" in numbers or not numbers.isascii():
                     raise FormatError(f"line {lineno}: values must be ASCII and hold no '_'")
                 if has_areas and fields[-1] != fields[-1].strip():
                     raise FormatError(f"line {lineno}: whitespace around the area value")
+                if not numbers.isprintable():  # float() strips a form feed or vertical tab
+                    raise FormatError(f"line {lineno}: values hold a control character")
                 try:
                     features.append(list(map(float, fields[2].split(" "))))
                     boxes.append(list(map(float, fields[3].split(" "))) if has_boxes

@@ -26,6 +26,7 @@ from codiscover.evaluation import (
     AblationRow,
     _covered,
     _sample_supports,
+    _words,
     write_ablation_csv,
     write_report_csv,
     write_report_json,
@@ -135,17 +136,17 @@ def test_no_library_path_builds_the_truth_view():
 
 
 def test_sample_supports_excludes_query_and_falls_back():
-    rng = np.random.default_rng(0)
+    words = _words(np.random.default_rng(0))
     pool = ["a", "b", "c", "d"]
     for _ in range(100):
-        picks = _sample_supports(pool, "b", 2, rng)
+        picks = _sample_supports(pool, "b", 2, words)
         assert len(picks) == 2
         assert "b" not in picks
     # Fewer others than m: sample with replacement from the others.
-    picks = _sample_supports(["a", "b"], "a", 4, rng)
+    picks = _sample_supports(["a", "b"], "a", 4, words)
     assert picks == ["b"] * 4
     # Degenerate singleton group: the query supports itself.
-    assert _sample_supports(["a"], "a", 3, rng) == ["a", "a", "a"]
+    assert _sample_supports(["a"], "a", 3, words) == ["a", "a", "a"]
 
 
 def test_singleton_group_query_is_its_only_support_in_evaluation():
@@ -154,8 +155,42 @@ def test_singleton_group_query_is_its_only_support_in_evaluation():
     # supports of every later query are the same as without the singleton.
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
-    assert _sample_supports(["solo"], "solo", 7, rng) == ["solo"] * 7
+    words = _words(rng)
+    assert _sample_supports(["solo"], "solo", 7, words) == ["solo"] * 7
     assert rng.bit_generator.state == before
+    first = np.random.default_rng(5).integers(0, 1 << 32, dtype=np.uint64)
+    assert next(words) == first  # the next word read is the generator's first
+
+
+def _choice_supports(pool, query_id, m, rng):
+    """A query's supports drawn with one Generator.choice call: the picks that
+    _sample_supports must make, call after call on the same seed."""
+    others = [i for i in pool if i != query_id]
+    if not others:
+        return [query_id] * m
+    picks = rng.choice(len(others), size=m, replace=len(others) < m)
+    return [others[int(i)] for i in picks]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 256])
+def test_sample_supports_picks_what_generator_choice_picks(chunk):
+    # Call after call on one seed, over pools of 1-40 others and 1-12 supports
+    # (both replace branches), then Floyd at its largest m past 10,000 others
+    # and the tail branch above it. Chunks of 1-3 words put a chunk boundary
+    # at every position of a draw; with 1-word chunks the generator has read
+    # exactly the words choice read after every call.
+    calls = [(n, m) for n in range(1, 41) for m in range(1, 13)]
+    np.random.default_rng(chunk).shuffle(calls)
+    calls += [(10001, 200), (10001, 201), (10050, 10050), (20000, 450)]
+    for seed in (0, 7):
+        reference, generator = np.random.default_rng(seed), np.random.default_rng(seed)
+        words = _words(generator, chunk)
+        for n, m in calls:
+            pool = ["query", *range(n)]
+            assert (_sample_supports(pool, "query", m, words)
+                    == _choice_supports(pool, "query", m, reference)), (seed, n, m)
+            if chunk == 1:
+                assert generator.bit_generator.state == reference.bit_generator.state
 
 
 # --------------------------------------------------------------- comparison
@@ -207,8 +242,24 @@ def test_compare_strategies_validates_strategies():
                            group_size=3)
     with pytest.raises(ValueError, match="nonempty"):
         compare_strategies(state, scenario, index, (), group_size=3)
-    with pytest.raises(ValueError, match="at least one support"):
+    with pytest.raises(ValueError, match="group_size must be >= 2"):
         compare_strategies(state, scenario, index, ("heuristic",), group_size=1)
+
+
+def test_compare_strategies_refuses_group_size_below_two_before_any_draw(monkeypatch):
+    # Below 2 a query has no support to compare with: the message is
+    # TrainConfig's, and it comes before any support is drawn.
+    scenario, index = small_world()
+    config = TrainConfig(group_size=3, hidden=16, steps=0, eval_interval=0)
+    state = init_model(scenario, index, config)
+
+    def no_draw(*_):
+        raise AssertionError("supports drawn")
+
+    monkeypatch.setattr("codiscover.evaluation._words", no_draw)
+    for group_size in (1, 0, -3):
+        with pytest.raises(ValueError, match="^group_size must be >= 2$"):
+            compare_strategies(state, scenario, index, STRATEGIES, group_size=group_size)
 
 
 def test_compare_strategies_box_mode():
@@ -276,7 +327,7 @@ def _replay_per_query(state, scenario, index, strategies, group_size, seed, mode
         guide = concept_guide(w_c, text_guidance)
         members = index.groups[cid]
         for query_id in members:
-            support_ids = _sample_supports(members, query_id, group_size - 1, rng)
+            support_ids = _choice_supports(members, query_id, group_size - 1, rng)
             query = unit_rows(state.features[query_id], "query")[None]
             supports = unit_rows(np.stack([state.features[i] for i in support_ids]), "support")
             _, rows = similarity_rows(query, supports[None], guide)

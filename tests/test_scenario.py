@@ -925,6 +925,18 @@ def test_load_features_tsv_refuses_blank_lines_and_stray_spaces(tmp_path):
             load_features_tsv(str(path))
 
 
+def test_load_features_tsv_refuses_control_characters_in_values(tmp_path):
+    # float() strips a form feed or vertical tab at the edge of a value, so
+    # "1.0\x0c" would read as 1.0; the writer writes only printable ASCII.
+    path = tmp_path / "features.tsv"
+    header = "# CODF-TSV\tn=1\td=2\tboxes=1\tareas=1\n"
+    for row in ("1.0\x0c 2.0\x0b\t0 0 1 1\t1.0", "1.0 2.0\t0 0\x0b 1 1\t1.0",
+                "1.0 \x7f2.0\t0 0 1 1\t1.0", "\x001.0 2.0\t0 0 1 1\t1.0"):
+        path.write_text(f"{header}img0\t0\t{row}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="^line 2: values hold a control character$"):
+            load_features_tsv(str(path))
+
+
 def test_text_embedding_codec_round_trip(tmp_path, monkeypatch):
     rng = np.random.default_rng(4)
     table = TextEmbeddingTable({cid: rng.standard_normal(6) for cid in (4, 0, 2)})
