@@ -13,12 +13,8 @@ from .core import (
     baseline_region_word,
     head_forward,
     heuristic_picks,
-    image_text_loss,
-    region_word_loss,
     similarity_rows,
     text_guide_weights,
-    text_guided_similarity,
-    unit_rows,
 )
 from .corpus import (
     CaptionRecord,
@@ -38,7 +34,6 @@ from .evaluation import (
     EvalReport,
     ablate,
     compare_strategies,
-    iou,
     write_ablation_csv,
     write_report_csv,
     write_report_json,

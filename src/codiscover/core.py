@@ -1,9 +1,8 @@
-"""Text-guided similarity, prototype discovery, alignment losses, baselines.
+"""Text-guided similarity, the prototype head and its backward, baselines.
 
-All operations are pure float64 functions of their inputs; the discovery ops
-take a leading query axis, and text_guided_similarity, region_word_loss and
-image_text_loss are scalar reference definitions. Argmax ties break toward the
-lowest index everywhere.
+All operations are pure float64 functions of their inputs, and every
+discovery op takes a leading query axis. Argmax ties break toward the lowest
+index everywhere.
 """
 
 from __future__ import annotations
@@ -30,14 +29,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def unit_rows(matrix: np.ndarray, what: str) -> np.ndarray:
-    """Feature rows (along the last axis) scaled to unit L2 norm."""
-    norms = np.linalg.norm(matrix, axis=-1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ValueError(f"{what}: zero feature row")
-    return matrix / norms
-
-
 @dataclass
 class DiscoveryHead:
     """Two-layer MLP scoring each similarity row: w1 (h x m*n), b1 (h),
@@ -57,6 +48,9 @@ class DiscoveryHead:
         h = self.w1.shape[0]
         if self.w1.ndim != 2 or self.b1.shape != (h,) or self.w2.shape != (h,):
             raise ValueError("inconsistent head parameter shapes")
+        if h < 1 or self.w1.shape[1] < 1:
+            raise ValueError(f"head dimensions hidden={h}, in_dim={self.w1.shape[1]} "
+                             "must be >= 1")
         for arr in (self.w1, self.b1, self.w2, self.b2):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("head parameters must be finite")
@@ -128,18 +122,6 @@ def text_guide_weights(w_c: np.ndarray) -> np.ndarray:
     (B, d) block of embeddings gives B profiles; each has L2 norm sqrt(d)."""
     w_c = np.asarray(w_c, dtype=np.float64)
     return np.sqrt(w_c.shape[-1]) * np.abs(w_c) / _embedding_norms(w_c)
-
-
-def text_guided_similarity(f_i: np.ndarray, f_j: np.ndarray, w_bar: np.ndarray) -> float:
-    """Weighted inner product of the Hadamard product of unit-normalized features."""
-    f_i = np.asarray(f_i, dtype=np.float64)
-    f_j = np.asarray(f_j, dtype=np.float64)
-    ni, nj = np.linalg.norm(f_i), np.linalg.norm(f_j)
-    if ni == 0.0 or nj == 0.0:
-        raise ValueError("region feature is the zero vector")
-    if f_i.shape != f_j.shape or f_i.shape != np.shape(w_bar):
-        raise ValueError("dimension mismatch")
-    return float(np.dot(w_bar, (f_i / ni) * (f_j / nj)))
 
 
 def concept_guide(w_c: np.ndarray, text_guidance: bool = True) -> np.ndarray:
@@ -232,34 +214,6 @@ def head_backward(fwd: HeadPass, dp: np.ndarray, head: DiscoveryHead):
         dnet[fwd.perm.ravel()] = dsorted.ravel()
     return (dnet.reshape(*fwd.p.shape, -1), dz1.T @ fwd.net, dz1.sum(axis=0),
             fwd.hidden.T @ dlogits, dlogits.sum().reshape(1))
-
-
-def region_word_loss(f_p: np.ndarray, classifier: OpenVocabClassifier, concept_id: int) -> float:
-    """BCE over vocabulary logits s = W f_p: -log sig(s_c) - sum_{k!=c} log(1 - sig(s_k)),
-    evaluated through softplus for stability."""
-    row = classifier.row_of.get(concept_id)
-    if row is None:
-        raise ValueError(f"concept {concept_id} not in classifier")
-    s = classifier.weights @ np.asarray(f_p, dtype=np.float64)
-    return float(softplus(-s[row]) + softplus(s).sum() - softplus(s[row]))
-
-
-def image_text_loss(
-    image_features: np.ndarray, caption_features: np.ndarray, temperature: float = 10.0
-) -> float:
-    """In-batch contrastive BCE over cosine logits scaled by a fixed temperature.
-
-    Row a treats caption a as the positive and every other caption in the
-    batch as a negative; the result is averaged over rows.
-    """
-    v = np.atleast_2d(np.asarray(image_features, dtype=np.float64))
-    t = np.atleast_2d(np.asarray(caption_features, dtype=np.float64))
-    if v.shape != t.shape:
-        raise ValueError("image and caption batches must have matching shapes")
-    logits = temperature * (unit_rows(v, "image batch") @ unit_rows(t, "caption batch").T)
-    diag = np.diag(logits)
-    b = v.shape[0]
-    return float((softplus(-diag).sum() + softplus(logits).sum() - softplus(diag).sum()) / b)
 
 
 def heuristic_picks(rows: np.ndarray, blocks: np.ndarray | None = None) -> np.ndarray:

@@ -199,6 +199,8 @@ def sample_mini_group(
     if group_size < 2:
         raise ValueError("group_size must be >= 2")
     pool = index.groups[concept_id]
+    if not pool:
+        raise ValueError(f"concept {concept_id} has no member images")
     replace = len(pool) < group_size
     picks = rng.choice(len(pool), size=group_size, replace=replace)
     return MiniGroup(concept_id, [pool[int(i)] for i in picks])

@@ -39,23 +39,9 @@ class AblationRow:
     cover_rates: dict[str, float]
 
 
-def iou(box_a, box_b) -> np.ndarray:
-    """Intersection over union of (x1, y1, x2, y2) boxes along the last axis,
-    broadcast over the leading axes."""
-    a = np.asarray(box_a, dtype=np.float64)
-    b = np.asarray(box_b, dtype=np.float64)
-    for box in (a, b):
-        if box.shape[-1:] != (4,):
-            raise ValueError(f"degenerate box array of shape {box.shape}, not (..., 4)")
-        bad = np.flatnonzero(np.any(box[..., 2:] <= box[..., :2], axis=-1))
-        if bad.size:
-            x1, y1, x2, y2 = box.reshape(-1, 4)[bad[0]].tolist()
-            raise ValueError(f"degenerate box {bad[0]}: ({x1}, {y1}, {x2}, {y2})")
-    return _iou(a, b)
-
-
 def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """iou's arithmetic, for float64 boxes already known to be well formed."""
+    """Intersection over union of float64 (x1, y1, x2, y2) boxes already known to be
+    well formed, along the last axis, broadcast over the leading axes."""
     wh = np.maximum(np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2]), 0.0)
     ext_a, ext_b, inter = a[..., 2:] - a[..., :2], b[..., 2:] - b[..., :2], wh[..., 0] * wh[..., 1]
     return inter / (ext_a[..., 0] * ext_a[..., 1] + ext_b[..., 0] * ext_b[..., 1] - inter)

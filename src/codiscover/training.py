@@ -472,6 +472,8 @@ def save_checkpoint(state: ModelState, path: str) -> None:
 def load_checkpoint(path: str) -> ModelState:
     with read_container(path, CHECKPOINT_MAGIC, _CHECKPOINT_VERSION) as fh:
         hidden, in_dim, d, k, n, flags = (read_u32(fh) for _ in range(6))
+        if n < 1 or d < 1:
+            raise FormatError(f"invalid header dimensions n={n}, d={d}")
         w1 = read_f64_array(fh, hidden * in_dim).reshape(hidden, in_dim)
         b1 = read_f64_array(fh, hidden)
         w2 = read_f64_array(fh, hidden)

@@ -25,16 +25,15 @@ from codiscover import (
     heuristic_picks,
     init_model,
     parse_corpus,
-    region_word_loss,
     run_training,
     sample_mini_group,
     similarity_rows,
     text_guide_weights,
-    text_guided_similarity,
-    unit_rows,
     write_ablation_csv,
 )
 from codiscover.cli import main
+
+from oracles import region_word_loss, text_guided_similarity, unit_rows
 
 
 class Stopwatch:

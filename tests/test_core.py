@@ -13,12 +13,8 @@ from codiscover import (
     baseline_region_word,
     head_forward,
     heuristic_picks,
-    image_text_loss,
-    region_word_loss,
     similarity_rows,
     text_guide_weights,
-    text_guided_similarity,
-    unit_rows,
 )
 from codiscover.core import (
     concept_guide,
@@ -28,6 +24,8 @@ from codiscover.core import (
     softplus,
     sorted_blocks,
 )
+
+from oracles import image_text_loss, region_word_loss, text_guided_similarity, unit_rows
 
 
 def single_query_rows(query, supports, w_bar):
@@ -320,6 +318,10 @@ def test_discovery_head_validation_and_init_statistics():
         DiscoveryHead(w1=np.zeros((3, 4)), b1=np.zeros(2), w2=np.zeros(3), b2=[0.0])
     with pytest.raises(ValueError, match="finite"):
         DiscoveryHead(w1=[[np.inf]], b1=[0.0], w2=[1.0], b2=[0.0])
+    with pytest.raises(ValueError, match=r"^head dimensions hidden=0, in_dim=4 must be >= 1$"):
+        DiscoveryHead(w1=np.zeros((0, 4)), b1=np.zeros(0), w2=np.zeros(0), b2=[0.0])
+    with pytest.raises(ValueError, match=r"^head dimensions hidden=3, in_dim=0 must be >= 1$"):
+        DiscoveryHead(w1=np.zeros((3, 0)), b1=np.zeros(3), w2=np.zeros(3), b2=[0.0])
     head = DiscoveryHead.initialize(m=4, n=8, hidden=256, rng=np.random.default_rng(6))
     assert (head.hidden, head.in_dim) == (256, 32)
     assert np.array_equal(head.b1, np.zeros(256))

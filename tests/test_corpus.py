@@ -256,12 +256,15 @@ def test_sample_mini_group_rare_concept_query_can_be_its_own_support():
 
 
 def test_sample_mini_group_errors():
-    index = ConceptGroupIndex(groups={0: ["a", "b"]}, terms={0: "dog"})
+    # load_index accepts a concept with no members, as a line `1<TAB>cat<TAB>0<TAB>`.
+    index = ConceptGroupIndex(groups={0: ["a", "b"], 1: []}, terms={0: "dog", 1: "cat"})
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="not in index"):
         sample_mini_group(index, 9, 2, rng)
     with pytest.raises(ValueError, match="group_size"):
         sample_mini_group(index, 0, 1, rng)
+    with pytest.raises(ValueError, match=r"^concept 1 has no member images$"):
+        sample_mini_group(index, 1, 2, rng)
 
 
 def test_index_round_trips_through_tsv(tmp_path):

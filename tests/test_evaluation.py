@@ -18,7 +18,6 @@ from codiscover import (
     compare_strategies,
     generate_scenario,
     init_model,
-    iou,
     run_training,
 )
 from codiscover.evaluation import (
@@ -31,6 +30,8 @@ from codiscover.evaluation import (
     write_report_csv,
     write_report_json,
 )
+
+from oracles import iou, unit_rows
 
 
 def small_world(**overrides):
@@ -115,7 +116,7 @@ def test_covered_box_mode():
     # A distractor region whose box overlaps a true box covers in box mode.
     assert covered([("a", 1), ("a", 1)], [[1, 0], [2, 1]]) == [[True, True], [False, True]]
     # _covered scores the boxes as given: they are rows of the world's block,
-    # which the Scenario checked when it was built. Public iou, given the same
+    # which the Scenario checked when it was built. The oracle iou, given the same
     # pick and true boxes, names the bad one on one line by its index.
     with pytest.raises(ValueError, match=r"^degenerate box 1: \(2\.0, 0\.0, 1\.0, 1\.0\)$"):
         iou([exact, images["c"][1][1]], [exact, exact])
@@ -279,7 +280,7 @@ def test_compare_strategies_box_mode():
 def test_compare_strategies_label_matches_manual_pipeline():
     # Shrink the index to one single-member group: the report then scores
     # exactly one label, which a by-hand replay of the pipeline must equal.
-    from codiscover import ConceptGroupIndex, head_forward, similarity_rows, unit_rows
+    from codiscover import ConceptGroupIndex, head_forward, similarity_rows
     from codiscover.core import text_guide_weights
 
     scenario, index = small_world()
@@ -315,7 +316,6 @@ def _replay_per_query(state, scenario, index, strategies, group_size, seed, mode
         head_forward,
         heuristic_picks,
         similarity_rows,
-        unit_rows,
     )
     from codiscover.core import concept_guide
 
@@ -415,10 +415,11 @@ def test_compare_strategies_calls_the_forward_and_iou_once_per_batch(monkeypatch
     assert sum(len(index.groups[c]) for c in index.concept_ids()) == 100
     config = TrainConfig(group_size=4, hidden=16, steps=0)
     state = init_model(scenario, index, config)
-    # Box mode scores each batch with iou's arithmetic, `_iou`, and never
+    # Box mode scores each batch with the IoU arithmetic, `_iou`, and never
     # re-checks boxes that are rows of the world's block, which the Scenario
-    # checked when it was built.
-    calls = {"query_rows": 0, "head_forward": 0, "_iou": 0, "iou": 0}
+    # checked when it was built: the checked iou is a test oracle only.
+    assert not hasattr(evaluation, "iou")
+    calls = {"query_rows": 0, "head_forward": 0, "_iou": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(evaluation, name)):
             calls[_name] += 1
@@ -427,7 +428,7 @@ def test_compare_strategies_calls_the_forward_and_iou_once_per_batch(monkeypatch
     compare_strategies(state, scenario, index, STRATEGIES, group_size=4, seed=1, mode="box")
     # 100 queries make batches of 32, 32, 32 and 4, each through the query
     # forward training shares.
-    assert calls == {"query_rows": 4, "head_forward": 4, "_iou": 4, "iou": 0}
+    assert calls == {"query_rows": 4, "head_forward": 4, "_iou": 4}
 
 
 def test_compare_strategies_sorted_head_builds_no_perm(monkeypatch):

@@ -25,8 +25,9 @@ from codiscover import (
     save_text_embeddings,
 )
 from codiscover import scenario as scenario_module
-from codiscover.evaluation import iou
 from codiscover.scenario import _check_rows, concept_term
+
+from oracles import iou
 
 
 def _random_feature_sets(rng, count=3, n=4, d=5, with_boxes=False):

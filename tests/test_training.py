@@ -1,5 +1,6 @@
 """Tests for the training loop, analytic gradients, and persistence."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -18,17 +19,14 @@ from codiscover import (
     finite_diff_check,
     generate_scenario,
     head_forward,
-    image_text_loss,
     init_model,
     load_checkpoint,
-    region_word_loss,
     run_training,
     sample_mini_group,
     save_checkpoint,
     sgd_step,
     similarity_rows,
     text_guide_weights,
-    unit_rows,
     write_metrics_csv,
 )
 from codiscover.training import (
@@ -36,6 +34,8 @@ from codiscover.training import (
     _sum_by_owner,
     caption_proxies,
 )
+
+from oracles import image_text_loss, region_word_loss, unit_rows
 
 
 def small_setup(sorted_rows=False, **train_overrides):
@@ -577,6 +577,19 @@ def test_checkpoint_rejects_corruption(tmp_path):
         bad.write_bytes(bytes(huge))
         with pytest.raises(FormatError, match="unexpected end"):
             load_checkpoint(str(bad))
+    # A head of no hidden units (its w1, b1 and w2 cut) picks region 0 for
+    # every query; a feature block of no proposals cannot be scored.
+    zero_hidden = tmp_path / "zero_hidden.codc"
+    zero_hidden.write_bytes(blob[:8] + bytes(4) + blob[12:32]
+                            + blob[32 + 8 * (state.head.w1.size + 2 * state.head.hidden):])
+    with pytest.raises(ValueError, match=r"^head dimensions hidden=0, in_dim=\d+ must be >= 1$"):
+        load_checkpoint(str(zero_hidden))
+    no_proposals = tmp_path / "no_proposals.codc"
+    d = state.block.shape[2]
+    save_checkpoint(dataclasses.replace(state, block=np.empty((len(state.image_ids), 0, d))),
+                    str(no_proposals))
+    with pytest.raises(FormatError, match=rf"^invalid header dimensions n=0, d={d}$"):
+        load_checkpoint(str(no_proposals))
     trailing = tmp_path / "trailing.codc"
     trailing.write_bytes(blob + b"\0")
     with pytest.raises(FormatError, match="trailing bytes"):
