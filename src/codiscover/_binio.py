@@ -98,6 +98,30 @@ def read_records(fh: BinaryIO, count: int, shapes: list[tuple | None], read_id=r
     return list(ids), blocks
 
 
+def write_records(fh: BinaryIO, ids: Iterable, blocks: list, write_id=write_str) -> None:
+    """Write what read_records reads: per id, the id (as write_id writes it), then
+    its row of each block that is not None. A repeated id is refused, as on reading."""
+    blocks = [block for block in blocks if block is not None]
+    seen = set()
+    for r, record_id in enumerate(ids):
+        if record_id in seen:
+            raise ValueError(f"duplicate image id {record_id!r}")
+        seen.add(record_id)
+        write_id(fh, record_id)
+        for block in blocks:
+            write_f64_array(fh, block[r])
+
+
+@contextlib.contextmanager
+def write_container(path: str, magic: bytes, version: int, header: tuple) -> Iterator[BinaryIO]:
+    """atomic_writer's file, after the magic, the version and the u32 header fields."""
+    with atomic_writer(path, "wb") as fh:
+        fh.write(magic)
+        for value in (version, *header):
+            write_u32(fh, value)
+        yield fh
+
+
 @contextlib.contextmanager
 def read_container(path: str, magic: bytes, version: int) -> Iterator[BinaryIO]:
     """Open a binary container after checking its magic and version. When the

@@ -220,6 +220,8 @@ def _prepare_run(args) -> tuple:
 
 
 def cmd_build_index(args) -> int:
+    if args.min_freq < 1:
+        raise ConfigError(f"--min-freq must be >= 1, got {args.min_freq}")
     with open(args.corpus, "rb") as fh:
         records = parse_corpus(fh)
     lexicon = Lexicon.load(args.lexicon)
@@ -240,7 +242,8 @@ def cmd_gen_synthetic(args) -> int:
         os.path.join(args.out, "lexicon.txt"),
         "".join(f"{term}\n" for term in scenario.lexicon.terms),
     )
-    save_features(scenario.feature_sets, os.path.join(args.out, "features.codf"))
+    blocks = scenario.image_ids, scenario.features, scenario.boxes, scenario.areas
+    save_features(*blocks, os.path.join(args.out, "features.codf"))
     save_text_embeddings(scenario.text_table, os.path.join(args.out, "text_embeddings.codt"))
     rows, regions = np.nonzero(scenario.owner >= 0)
     truth = sorted(zip([scenario.image_ids[r] for r in rows.tolist()],
@@ -248,9 +251,9 @@ def cmd_gen_synthetic(args) -> int:
     _write_text(os.path.join(args.out, "truth.tsv"),
                 "".join(f"{image_id}\t{c}\t{j}\n" for image_id, c, j in truth))
     if args.tsv:
-        save_features_tsv(scenario.feature_sets, os.path.join(args.out, "features.tsv"))
+        save_features_tsv(*blocks, os.path.join(args.out, "features.tsv"))
     save_index(index, os.path.join(args.out, "index.tsv"))
-    print(f"generated {len(scenario.feature_sets)} images over "
+    print(f"generated {len(scenario.image_ids)} images over "
           f"{config.scenario.num_concepts} concepts into {args.out}")
     return EXIT_OK
 
@@ -297,6 +300,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    if not 1e-7 <= args.eps <= 1e-3:
+        raise ConfigError(f"--eps must be in [1e-7, 1e-3], got {args.eps!r}")
     config, scenario, index = _prepare_run(args)
     rng = np.random.default_rng(config.train.seed)
     state = init_model(scenario, index, config.train, rng)

@@ -14,7 +14,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable
+from typing import ClassVar, Iterable, NamedTuple
 
 import numpy as np
 
@@ -25,7 +25,8 @@ from ._binio import (
     read_str,
     read_u32,
     utf8_lines,
-    write_f64_array,
+    write_container,
+    write_records,
     write_str,
     write_u32,
 )
@@ -39,30 +40,14 @@ _FLAG_BOXES = 1
 _FLAG_AREAS = 2
 
 
-@dataclass
-class RegionFeatureSet:
-    """Per-image region proposals: an n x d feature matrix plus optional
-    boxes (x1, y1, x2, y2) and areas."""
+class RegionFeatureSet(NamedTuple):
+    """Views of one image's rows of the feature, box (x1, y1, x2, y2) and area
+    blocks, as the loaders and Scenario.feature_sets give them; None for an absent block."""
 
     image_id: str
     features: np.ndarray
-    boxes: np.ndarray | None = None
-    areas: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.boxes, self.areas = (None if a is None else np.asarray(a, dtype=np.float64)
-                                  for a in (self.boxes, self.areas))
-        _check_rows([self.image_id], self.features[None],
-                    *(None if a is None else a[None] for a in (self.boxes, self.areas)))
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.features.shape[1]
+    boxes: np.ndarray | None
+    areas: np.ndarray | None
 
 
 # Images per chunk of _check_rows' value checks, so that no temporary grows
@@ -117,12 +102,20 @@ def _check_values(image_ids: list[str], features: np.ndarray, boxes: np.ndarray 
 
 def _row_views(image_ids: list[str], *blocks: np.ndarray | None) -> list[RegionFeatureSet]:
     """RegionFeatureSets of views of the rows of blocks _check_rows passed."""
-    views = []
-    for row in zip(image_ids, *(itertools.repeat(None) if b is None else b for b in blocks)):
-        view = object.__new__(RegionFeatureSet)
-        view.image_id, view.features, view.boxes, view.areas = row
-        views.append(view)
-    return views
+    return list(map(RegionFeatureSet, image_ids,
+                    *(itertools.repeat(None) if b is None else b for b in blocks)))
+
+
+def _check_saved(image_ids: list[str], features: np.ndarray, boxes: np.ndarray | None,
+                 areas: np.ndarray | None) -> None:
+    """The feature savers' checks before they write: at least one image, one
+    feature row per image id, and _check_rows. Each refuses a repeated id as it writes ids."""
+    if not image_ids:
+        raise ValueError("no images to save")
+    if len(features) != len(image_ids):
+        raise ValueError(f"one feature row per image id needed: {len(features)} rows, "
+                         f"{len(image_ids)} ids")
+    _check_rows(image_ids, features, boxes, areas)
 
 
 @dataclass
@@ -423,40 +416,14 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     return Scenario(records, image_ids, features, boxes, areas, owner, table, lexicon)
 
 
-def _feature_layout(feature_sets: list[RegionFeatureSet]) -> tuple[int, int, bool, bool]:
-    """(n, d, has_boxes, has_areas), which every saved feature set must share.
-    A repeated image id is refused here, before any file exists, as the loaders refuse it."""
-    if not feature_sets:
-        raise ValueError("no feature sets to save")
-    first = feature_sets[0]
-    layout = (first.n, first.d, first.boxes is not None, first.areas is not None)
-    seen = set()
-    for fs in feature_sets:
-        if fs.image_id in seen:
-            raise ValueError(f"duplicate image id {fs.image_id!r}")
-        seen.add(fs.image_id)
-        if (fs.n, fs.d) != layout[:2]:
-            raise ValueError(f"image {fs.image_id!r}: inconsistent shape")
-        if (fs.boxes is not None, fs.areas is not None) != layout[2:]:
-            raise ValueError(f"image {fs.image_id!r}: inconsistent optional fields")
-    return layout
-
-
-def save_features(feature_sets: list[RegionFeatureSet], path: str) -> None:
-    """Write the binary CODF container (little-endian float64)."""
-    n, d, has_boxes, has_areas = _feature_layout(feature_sets)
-    flags = (_FLAG_BOXES if has_boxes else 0) | (_FLAG_AREAS if has_areas else 0)
-    with atomic_writer(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        for value in (_FORMAT_VERSION, len(feature_sets), n, d, flags):
-            write_u32(fh, value)
-        for fs in feature_sets:
-            write_str(fh, fs.image_id)
-            write_f64_array(fh, fs.features)
-            if has_boxes:
-                write_f64_array(fh, fs.boxes)
-            if has_areas:
-                write_f64_array(fh, fs.areas)
+def save_features(image_ids: list[str], features: np.ndarray, boxes: np.ndarray | None,
+                  areas: np.ndarray | None, path: str) -> None:
+    """Write Scenario-like blocks of image_ids' rows (None for an absent one) as CODF."""
+    _check_saved(image_ids, features, boxes, areas)
+    flags = (_FLAG_BOXES if boxes is not None else 0) | (_FLAG_AREAS if areas is not None else 0)
+    with write_container(path, FEATURE_MAGIC, _FORMAT_VERSION,
+                         (len(image_ids), *features.shape[1:], flags)) as fh:
+        write_records(fh, image_ids, [features, boxes, areas])
 
 
 def load_features(path: str) -> list[RegionFeatureSet]:
@@ -480,18 +447,25 @@ _TSV_HEADER = re.compile(
     r"# CODF-TSV\tn=([1-9][0-9]*)\td=([1-9][0-9]*)\tboxes=([01])\tareas=([01])\n?")
 
 
-def save_features_tsv(feature_sets: list[RegionFeatureSet], path: str) -> None:
-    """Equivalent debug TSV format; floats use repr so round-trips are exact."""
-    n, d, has_boxes, has_areas = _feature_layout(feature_sets)
-    for fs in feature_sets:
-        if any(ch in fs.image_id for ch in "\t\n\r"):
-            raise ValueError(f"image id {fs.image_id!r} contains a separator character")
+def save_features_tsv(image_ids: list[str], features: np.ndarray, boxes: np.ndarray | None,
+                      areas: np.ndarray | None, path: str) -> None:
+    """save_features' blocks in the equivalent debug TSV; repr keeps round-trips exact."""
+    _check_saved(image_ids, features, boxes, areas)
+    seen = set()
+    for image_id in image_ids:
+        if any(ch in image_id for ch in "\t\n\r"):
+            raise ValueError(f"image id {image_id!r} contains a separator character")
+        if image_id in seen:
+            raise ValueError(f"duplicate image id {image_id!r}")
+        seen.add(image_id)
+    n, d = features.shape[1:]
+    blocks = [a.reshape(len(a), n, -1) for a in (features, boxes, areas) if a is not None]
     with atomic_writer(path, "w") as fh:
-        fh.write(f"# CODF-TSV\tn={n}\td={d}\tboxes={int(has_boxes)}\tareas={int(has_areas)}\n")
-        for fs in feature_sets:
-            columns = [[" ".join(map(repr, row)) for row in a.reshape(n, -1).tolist()]
-                       for a in (fs.features, fs.boxes, fs.areas) if a is not None]
-            fh.writelines("\t".join((fs.image_id, str(r), *fields)) + "\n"
+        fh.write(f"# CODF-TSV\tn={n}\td={d}\tboxes={int(boxes is not None)}"
+                 f"\tareas={int(areas is not None)}\n")
+        for image_id, *rows in zip(image_ids, *blocks):
+            columns = [[" ".join(map(repr, row)) for row in a.tolist()] for a in rows]
+            fh.writelines("\t".join((image_id, str(r), *fields)) + "\n"
                           for r, fields in enumerate(zip(*columns)))
 
 
@@ -560,14 +534,9 @@ def save_text_embeddings(table: TextEmbeddingTable, path: str) -> None:
     for cid in ids:
         if table.embeddings[cid].shape != (d,):
             raise ValueError(f"concept {cid}: inconsistent embedding dimension")
-    with atomic_writer(path, "wb") as fh:
-        fh.write(TEXT_MAGIC)
-        for value in (_FORMAT_VERSION, len(ids), d):
-            write_u32(fh, value)
+    with write_container(path, TEXT_MAGIC, _FORMAT_VERSION, (len(ids), d)) as fh:
         write_str(fh, table.rule_tag)
-        for cid in ids:
-            write_u32(fh, cid)
-            write_f64_array(fh, table.embeddings[cid])
+        write_records(fh, ids, [[table.embeddings[cid] for cid in ids]], write_u32)
 
 
 def load_text_embeddings(path: str) -> TextEmbeddingTable:

@@ -24,8 +24,9 @@ from ._binio import (
     read_f64_array,
     read_records,
     read_u32,
+    write_container,
     write_f64_array,
-    write_str,
+    write_records,
     write_u32,
 )
 from .core import (
@@ -446,27 +447,29 @@ def write_metrics_csv(metrics: list[MetricRow], path: str) -> None:
                      f"{row.image_text_loss!r},{cover}\n")
 
 
+def _check_finite_rows(image_ids: list[str], block: np.ndarray, error: type[Exception]) -> None:
+    if not (finite := np.isfinite(block).all(axis=(1, 2))).all():
+        raise error(f"image {image_ids[finite.argmin()]!r}: non-finite feature values")
+
+
 def save_checkpoint(state: ModelState, path: str) -> None:
-    """Binary CODC container holding head, classifier, and feature block."""
+    """Binary CODC container holding head, classifier, and feature block; a
+    non-finite feature row or a repeated image id is refused, as load_checkpoint does."""
+    _check_finite_rows(state.image_ids, state.block, ValueError)
     head = state.head
     k, d = state.classifier.weights.shape
-    n = state.block.shape[1]
     # Bits 0-1 are always set, so checkpoints keep their bytes, and ignored on
     # load, where files of older writers may have them clear.
     flags = 3 | (int(head.sorted_rows) << 2)
-    with atomic_writer(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        for value in (_CHECKPOINT_VERSION, head.hidden, head.in_dim, d, k, n, flags):
-            write_u32(fh, value)
+    with write_container(path, CHECKPOINT_MAGIC, _CHECKPOINT_VERSION,
+                         (head.hidden, head.in_dim, d, k, state.block.shape[1], flags)) as fh:
         for arr in (head.w1, head.b1, head.w2, head.b2):
             write_f64_array(fh, arr)
         for cid in state.classifier.concept_ids:
             write_u32(fh, cid)
         write_f64_array(fh, state.classifier.weights)
         write_u32(fh, len(state.image_ids))
-        for image_id, features in zip(state.image_ids, state.block):
-            write_str(fh, image_id)
-            write_f64_array(fh, features)
+        write_records(fh, state.image_ids, [state.block])
 
 
 def load_checkpoint(path: str) -> ModelState:
@@ -483,7 +486,5 @@ def load_checkpoint(path: str) -> ModelState:
         weights = read_f64_array(fh, k * d).reshape(k, d)
         classifier = OpenVocabClassifier(weights, concept_ids)
         image_ids, (block,) = read_records(fh, read_u32(fh), [(n, d)])
-        bad = ~np.isfinite(block).all(axis=(1, 2))
-        if bad.any():
-            raise FormatError(f"image {image_ids[bad.argmax()]!r}: non-finite feature values")
+        _check_finite_rows(image_ids, block, FormatError)
         return ModelState(head, classifier, image_ids, block)

@@ -395,7 +395,7 @@ def test_cli_grad_check_passes_sorted_k8(tmp_path, capsys):
 
 
 def test_cli_grad_check_rejects_bad_eps(tiny_config, capsys):
-    assert main(["grad-check", "--config", tiny_config, "--eps", "0.5"]) == EXIT_RUNTIME
+    assert main(["grad-check", "--config", tiny_config, "--eps", "0.5"]) == EXIT_USAGE
     assert "eps" in capsys.readouterr().err
 
 
@@ -438,6 +438,23 @@ def test_cli_refused_config_values_exit_2(tmp_path, capsys, line, argv, message)
     key = line.partition(" = ")[0]
     expected = message if key == "seed" else f"{key}: {message}"
     assert capsys.readouterr().err == f"config error: {expected}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build-index", "--min-freq", "0"], "--min-freq must be >= 1, got 0"),
+    (["grad-check", "--eps", "1"], "--eps must be in [1e-7, 1e-3], got 1.0"),
+    (["grad-check", "--eps", "nan"], "--eps must be in [1e-7, 1e-3], got nan"),
+])
+def test_cli_refused_flag_values_exit_2(tmp_path, capsys, argv, message):
+    # A flag value is a usage error, as the same value in a config file is.
+    corpus, lexicon, out = tmp_path / "corpus.tsv", tmp_path / "lexicon.txt", tmp_path / "o"
+    corpus.write_text("img1\ta dog\n")
+    lexicon.write_text("dog\n")
+    if argv[0] == "build-index":
+        argv = argv + ["--corpus", str(corpus), "--lexicon", str(lexicon), "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import re
 import tracemalloc
 
@@ -10,7 +11,6 @@ import pytest
 
 from codiscover import (
     FormatError,
-    RegionFeatureSet,
     Scenario,
     ScenarioConfig,
     ScenarioTruth,
@@ -25,68 +25,94 @@ from codiscover import (
     save_text_embeddings,
 )
 from codiscover import scenario as scenario_module
+from codiscover._binio import write_records
 from codiscover.scenario import _check_rows, concept_term
 
 from oracles import iou
 
 
-def _random_feature_sets(rng, count=3, n=4, d=5, with_boxes=False):
-    sets = []
-    for i in range(count):
-        features = rng.standard_normal((n, d)) + 0.1
+def _random_blocks(rng, count=3, n=4, d=5, with_boxes=False):
+    """(image_ids, features, boxes, areas) as the feature savers take them,
+    each image's values drawn in turn."""
+    features, boxes, areas = [], [], []
+    for _ in range(count):
+        features.append(rng.standard_normal((n, d)) + 0.1)
         if with_boxes:
             x1 = rng.uniform(0, 50, size=n)
             y1 = rng.uniform(0, 50, size=n)
             w = rng.uniform(1, 5, size=n)
             h = rng.uniform(1, 5, size=n)
-            boxes = np.stack([x1, y1, x1 + w, y1 + h], axis=1)
-            areas = w * h
+            boxes.append(np.stack([x1, y1, x1 + w, y1 + h], axis=1))
+            areas.append(w * h)
         else:
-            boxes = None
-            areas = rng.uniform(1, 2, size=n)
-        sets.append(RegionFeatureSet(f"img{i}", features, boxes, areas))
-    return sets
+            areas.append(rng.uniform(1, 2, size=n))
+    return ([f"img{i}" for i in range(count)], np.array(features),
+            np.array(boxes) if with_boxes else None, np.array(areas))
+
+
+FEATURE_SAVERS = ((save_features, load_features, "x.codf"),
+                  (save_features_tsv, load_features_tsv, "x.tsv"))
+
+
+def _one_image(features, boxes=None, areas=None):
+    """Blocks of the one image 'a' whose rows are these."""
+    return (["a"], *(None if a is None else np.array([a], dtype=float)
+                     for a in (features, boxes, areas)))
+
+
+def _saved_by_both(tmp_path, blocks):
+    """What each feature loader reads back of what its saver wrote of blocks."""
+    loaded = []
+    for save, load, name in FEATURE_SAVERS:
+        save(*blocks, str(tmp_path / name))
+        loaded.append(load(str(tmp_path / name)))
+        (tmp_path / name).unlink()
+    return loaded
+
+
+def _refused_by_both(tmp_path, blocks, message):
+    for save, _, name in FEATURE_SAVERS:
+        with pytest.raises(ValueError, match=message):
+            save(*blocks, str(tmp_path / name))
+        assert not (tmp_path / name).exists()
 
 
 # ---------------------------------------------------------------- containers
 
 
-def test_region_feature_set_validation():
-    good = RegionFeatureSet("a", [[1.0, 0.0], [0.0, 2.0]])
-    assert (good.n, good.d) == (2, 2)
-    with pytest.raises(ValueError, match="2-D"):
-        RegionFeatureSet("a", [1.0, 2.0])
-    with pytest.raises(ValueError, match="non-finite"):
-        RegionFeatureSet("a", [[1.0, np.nan]])
-    with pytest.raises(ValueError, match="zero feature row"):
-        RegionFeatureSet("a", [[1.0, 1.0], [0.0, 0.0]])
-    # A row whose squares underflow has zero norm too.
-    with pytest.raises(ValueError, match="zero feature row"):
-        RegionFeatureSet("a", [[1.0, 1.0], [1e-200, 1e-200]])
+def test_feature_savers_refuse_bad_features(tmp_path):
+    for (fs,) in _saved_by_both(tmp_path, _one_image([[1.0, 0.0], [0.0, 2.0]])):
+        assert fs.features.shape == (2, 2) and fs.boxes is None and fs.areas is None
+    for features, message in (
+            ([1.0, 2.0], "features must be a non-empty 2-D matrix"),
+            ([[1.0, np.nan]], "non-finite feature values"),
+            ([[1.0, 1.0], [0.0, 0.0]], "zero feature row"),
+            # A row whose squares underflow has zero norm too.
+            ([[1.0, 1.0], [1e-200, 1e-200]], "zero feature row")):
+        _refused_by_both(tmp_path, _one_image(features), f"^image 'a': {re.escape(message)}$")
 
 
-def test_region_feature_set_box_and_area_validation():
+def test_feature_savers_refuse_bad_boxes_and_areas(tmp_path):
     features = [[1.0, 0.0], [0.0, 1.0]]
     boxes = [[0.0, 0.0, 2.0, 3.0], [1.0, 1.0, 2.0, 2.0]]
-    fs = RegionFeatureSet("a", features, boxes, [6.0, 1.0])
-    assert fs.boxes.shape == (2, 4)
-    with pytest.raises(ValueError, match="shape"):
-        RegionFeatureSet("a", features, [[0.0, 0.0, 1.0, 1.0]])
-    with pytest.raises(ValueError, match="degenerate"):
-        RegionFeatureSet("a", features, [[0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 2.0, 2.0]])
-    with pytest.raises(ValueError, match="positive"):
-        RegionFeatureSet("a", features, None, [1.0, -1.0])
-    with pytest.raises(ValueError, match="disagree"):
-        RegionFeatureSet("a", features, boxes, [5.0, 1.0])
-    # Areas must match the extents to 1e-9 relative.
-    RegionFeatureSet("a", features, boxes, [6.0 * (1 + 5e-10), 1.0])
-    with pytest.raises(ValueError, match="disagree"):
-        RegionFeatureSet("a", features, boxes, [6.0 * (1 + 2e-9), 1.0])
-    # Finite corners whose extent, or whose extents' product, overflows give no
-    # finite area to agree with; the refusal comes without an overflow warning.
-    for box in ([-1e308, 0.0, 1e308, 1e308], [0.0, 0.0, 1e200, 1e200]):
-        with pytest.raises(ValueError, match="disagree"):
-            RegionFeatureSet("a", features, [box, [1.0, 1.0, 2.0, 2.0]], [1e308, 1.0])
+    for (fs,) in _saved_by_both(tmp_path, _one_image(features, boxes, [6.0, 1.0])):
+        assert fs.boxes.shape == (2, 4)
+    disagree = "^image 'a': areas disagree with box extents$"
+    for box_rows, areas, message in (
+            ([[0.0, 0.0, 1.0, 1.0]], None, r"^image 'a': boxes must have shape \(2, 4\)$"),
+            ([[0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 2.0, 2.0]], None,
+             "^" + re.escape("image 'a': degenerate box (x1<x2, y1<y2 required)") + "$"),
+            (None, [1.0, -1.0], "^image 'a': areas must be positive finite$"),
+            (boxes, [5.0, 1.0], disagree),
+            # Areas must match the extents to 1e-9 relative.
+            (boxes, [6.0 * (1 + 2e-9), 1.0], disagree),
+            # Finite corners whose extent, or whose extents' product, overflows
+            # give no finite area to agree with; the refusal comes without an
+            # overflow warning.
+            ([[-1e308, 0.0, 1e308, 1e308], [1.0, 1.0, 2.0, 2.0]], [1e308, 1.0], disagree),
+            ([[0.0, 0.0, 1e200, 1e200], [1.0, 1.0, 2.0, 2.0]], [1e308, 1.0], disagree)):
+        _refused_by_both(tmp_path, _one_image(features, box_rows, areas), message)
+    _saved_by_both(tmp_path, _one_image(features, boxes, [6.0 * (1 + 5e-10), 1.0]))
 
 
 def test_text_embedding_table_lookup_and_caption_proxy():
@@ -239,7 +265,7 @@ def test_generate_scenario_oracle_consistency():
             assert config.instances_min <= len(regions) <= config.instances_max
             total_instances += len(regions)
         # Remaining regions are distractors; the floor is a minimum.
-        assert fs.n - total_instances >= config.distractor_count
+        assert len(fs.features) - total_instances >= config.distractor_count
         assert fs.areas is not None and fs.areas.shape == (config.n,)
 
 
@@ -558,66 +584,65 @@ def test_generate_scenario_worlds_are_pinned(overrides, digest):
 def test_feature_codec_binary_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(0)
     for with_boxes in (False, True):
-        sets = _random_feature_sets(rng, with_boxes=with_boxes)
+        image_ids, features, boxes, areas = _random_blocks(rng, with_boxes=with_boxes)
         path = tmp_path / f"features_{with_boxes}.codf"
-        save_features(sets, str(path))
+        save_features(image_ids, features, boxes, areas, str(path))
         loaded = load_features(str(path))
-        assert [fs.image_id for fs in loaded] == [fs.image_id for fs in sets]
-        for orig, back in zip(sets, loaded):
-            assert np.array_equal(orig.features, back.features)
-            assert np.array_equal(orig.areas, back.areas)
+        assert [fs.image_id for fs in loaded] == image_ids
+        for r, back in enumerate(loaded):
+            assert np.array_equal(features[r], back.features)
+            assert np.array_equal(areas[r], back.areas)
             if with_boxes:
-                assert np.array_equal(orig.boxes, back.boxes)
+                assert np.array_equal(boxes[r], back.boxes)
             else:
                 assert back.boxes is None
 
 
 def test_feature_codec_tsv_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(1)
-    sets = _random_feature_sets(rng, with_boxes=True)
+    blocks = image_ids, features, boxes, areas = _random_blocks(rng, with_boxes=True)
     # Values where repr switches notation or keeps a sign: the exponent
     # boundaries, the smallest subnormal, negative zero and the largest float.
     edge = [1e16, 9.999e-05, 1e-05, 5e-324, -0.0, 1.7976931348623157e308]
-    sets[1].features.flat[:len(edge)] = edge
+    features[1].flat[:len(edge)] = edge
     path = tmp_path / "features.tsv"
-    save_features_tsv(sets, str(path))
+    save_features_tsv(*blocks, str(path))
     loaded = load_features_tsv(str(path))
-    for orig, back in zip(sets, loaded):
-        assert orig.image_id == back.image_id
-        for want, got in ((orig.features, back.features), (orig.boxes, back.boxes),
-                          (orig.areas, back.areas)):
-            assert want.tobytes() == got.tobytes()
+    assert [fs.image_id for fs in loaded] == image_ids
+    for r, back in enumerate(loaded):
+        for want, got in ((features, back.features), (boxes, back.boxes), (areas, back.areas)):
+            assert want[r].tobytes() == got.tobytes()
     # Every row, edge values included, is written value by value with repr.
     expected = ["# CODF-TSV\tn=4\td=5\tboxes=1\tareas=1\n"]
-    for fs in sets:
-        for r in range(fs.n):
-            expected.append("\t".join([fs.image_id, str(r),
-                                       " ".join(repr(float(v)) for v in fs.features[r]),
-                                       " ".join(repr(float(v)) for v in fs.boxes[r]),
-                                       repr(float(fs.areas[r]))]) + "\n")
+    for i, image_id in enumerate(image_ids):
+        for r in range(features.shape[1]):
+            expected.append("\t".join([image_id, str(r),
+                                       " ".join(repr(float(v)) for v in features[i, r]),
+                                       " ".join(repr(float(v)) for v in boxes[i, r]),
+                                       repr(float(areas[i, r]))]) + "\n")
     assert path.read_bytes() == "".join(expected).encode()
     assert "img1\t0\t1e+16 9.999e-05 1e-05 5e-324 -0.0\t" in expected[5]
     assert expected[6].startswith("img1\t1\t1.7976931348623157e+308 ")
 
 
-def _save_both(sets, tmp_path):
+def _save_both(blocks, tmp_path):
     codf, tsv = tmp_path / "features.codf", tmp_path / "features.tsv"
-    save_features(sets, str(codf))
-    save_features_tsv(sets, str(tsv))
+    save_features(*blocks, str(codf))
+    save_features_tsv(*blocks, str(tsv))
     return codf, tsv
 
 
 def test_feature_loaders_return_rows_of_one_block(tmp_path):
     rng = np.random.default_rng(6)
     for with_boxes in (False, True):
-        sets = _random_feature_sets(rng, with_boxes=with_boxes)
-        for path, load in zip(_save_both(sets, tmp_path), (load_features, load_features_tsv)):
+        blocks = _random_blocks(rng, with_boxes=with_boxes)
+        for path, load in zip(_save_both(blocks, tmp_path), (load_features, load_features_tsv)):
             first, *_, last = load(str(path))
             # Rows of one block do not overlap, so each is checked against
             # the block that the first set's row is a view of.
             for name in ("features", "boxes", "areas") if with_boxes else ("features", "areas"):
                 block = getattr(first, name).base
-                assert block.shape[0] == len(sets)
+                assert block.shape[0] == len(blocks[0])
                 assert np.shares_memory(block, getattr(last, name))
             if not with_boxes:
                 assert first.boxes is None and last.boxes is None
@@ -630,7 +655,8 @@ def test_feature_loaders_hold_little_beyond_the_blocks(tmp_path):
     scenario = generate_scenario(ScenarioConfig(num_concepts=60, images_per_concept=10,
                                                 d=32, n=16, distractor_count=4,
                                                 with_boxes=True, seed=8))
-    paths = _save_both(scenario.feature_sets, tmp_path)
+    paths = _save_both((scenario.image_ids, scenario.features, scenario.boxes, scenario.areas),
+                       tmp_path)
     blocks = sum(a.nbytes for a in (scenario.features, scenario.boxes, scenario.areas))
     for path, load in zip(paths, (load_features, load_features_tsv)):
         tracemalloc.start()
@@ -651,9 +677,9 @@ def test_feature_loaders_hold_little_beyond_the_blocks(tmp_path):
 
 def test_feature_loaders_name_the_first_bad_image(tmp_path):
     rng = np.random.default_rng(7)
-    sets = _random_feature_sets(rng, count=3, with_boxes=True)
-    codf, tsv = _save_both(sets, tmp_path)
-    value = sets[1].features[2, 3]
+    blocks = _random_blocks(rng, count=3, with_boxes=True)
+    codf, tsv = _save_both(blocks, tmp_path)
+    value = blocks[1][1, 2, 3]
     blob = codf.read_bytes()
     assert blob.count(value.tobytes()) == 1
     codf.write_bytes(blob.replace(value.tobytes(), np.float64(np.nan).tobytes()))
@@ -677,50 +703,47 @@ def test_feature_loaders_read_a_file_of_no_images(tmp_path):
 
 
 def test_save_features_validates_inputs(tmp_path):
-    with pytest.raises(ValueError, match="no feature sets"):
-        save_features([], str(tmp_path / "x.codf"))
     rng = np.random.default_rng(2)
-    sets = _random_feature_sets(rng, count=2, n=3)
-    sets[1] = RegionFeatureSet("img1", rng.standard_normal((4, 5)) + 3.0)
-    with pytest.raises(ValueError, match="inconsistent shape"):
-        save_features(sets, str(tmp_path / "x.codf"))
-    mixed = _random_feature_sets(rng, count=2)
-    mixed[1] = RegionFeatureSet("img1", mixed[1].features, None, None)
-    with pytest.raises(ValueError, match="inconsistent optional"):
-        save_features(mixed, str(tmp_path / "x.codf"))
-    assert not (tmp_path / "x.codf").exists()
-    # The debug TSV writer applies the same layout rule.
-    with pytest.raises(ValueError, match="inconsistent optional"):
-        save_features_tsv(mixed, str(tmp_path / "x.tsv"))
-    assert not (tmp_path / "x.tsv").exists()
+    image_ids, features, boxes, areas = _random_blocks(rng, count=2, n=3, with_boxes=True)
+    for blocks, message in (
+            (([], features[:0], boxes[:0], areas[:0]), "^no images to save$"),
+            ((image_ids[:1], features, boxes, areas),
+             "^one feature row per image id needed: 2 rows, 1 ids$"),
+            # A block of another image count than the features' is refused.
+            ((image_ids, features, boxes[:1], areas),
+             r"^image 'img0': boxes must have shape \(3, 4\)$"),
+            ((image_ids, features, None, areas[:1]),
+             r"^image 'img0': areas must have shape \(3,\)$")):
+        _refused_by_both(tmp_path, blocks, message)
 
 
 def test_feature_savers_refuse_a_repeated_image_id(tmp_path):
     # Both loaders refuse a repeated id, so neither saver writes one.
     rng = np.random.default_rng(9)
-    (fs,) = _random_feature_sets(rng, count=1)
-    for save, name in ((save_features, "x.codf"), (save_features_tsv, "x.tsv")):
-        with pytest.raises(ValueError, match="^duplicate image id 'img0'$"):
-            save([fs, fs], str(tmp_path / name))
-        assert not (tmp_path / name).exists()
+    _, features, _, areas = _random_blocks(rng, count=2)
+    _refused_by_both(tmp_path, (["img0", "img0"], features, None, areas),
+                     "^duplicate image id 'img0'$")
+    # The records writer all binary containers share refuses one too.
+    with pytest.raises(ValueError, match="^duplicate image id 'img0'$"):
+        write_records(io.BytesIO(), ["img0", "img0"], [features, None, areas])
 
 
 def test_save_features_tsv_rejects_separators_in_image_ids(tmp_path):
     rng = np.random.default_rng(5)
     path = tmp_path / "x.tsv"
     for bad in ("a\tb", "a\nb", "a\rb"):
-        sets = _random_feature_sets(rng, count=2)
-        sets[1].image_id = bad
+        image_ids, *blocks = _random_blocks(rng, count=2)
+        image_ids[1] = bad
         with pytest.raises(ValueError, match=re.escape(f"image id {bad!r} contains a separator")):
-            save_features_tsv(sets, str(path))
+            save_features_tsv(image_ids, *blocks, str(path))
         assert not path.exists()
 
 
 def test_load_features_rejects_corruption(tmp_path):
     rng = np.random.default_rng(3)
-    sets = _random_feature_sets(rng, count=2)
+    image_ids, *blocks = _random_blocks(rng, count=2)
     path = tmp_path / "features.codf"
-    save_features(sets, str(path))
+    save_features(image_ids, *blocks, str(path))
     blob = path.read_bytes()
 
     bad_magic = tmp_path / "bad_magic.codf"
@@ -748,7 +771,7 @@ def test_load_features_rejects_corruption(tmp_path):
             load_features(str(bad))
 
     # An image id that is not UTF-8 is a format error, not a decode error.
-    at = blob.index(sets[0].image_id.encode())
+    at = blob.index(image_ids[0].encode())
     bad.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
     with pytest.raises(FormatError, match="not valid UTF-8"):
         load_features(str(bad))

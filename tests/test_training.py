@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -93,7 +94,7 @@ def test_init_model_builds_consistent_state():
         expected = w / np.linalg.norm(w)
         assert np.allclose(state.classifier.weights[state.classifier.row_of[cid]],
                            expected, atol=1e-12)
-    assert state.head.in_dim == (config.group_size - 1) * scenario.feature_sets[0].n
+    assert state.head.in_dim == (config.group_size - 1) * scenario.features.shape[1]
     assert state.head.hidden == config.hidden
     # Features are an independent learnable copy.
     image_id = scenario.feature_sets[0].image_id
@@ -616,6 +617,23 @@ def test_checkpoint_rejects_corruption(tmp_path):
     trailing.write_bytes(blob[:at] + nan + blob[at + 8:])
     with pytest.raises(ValueError, match="unit-normalized"):
         load_checkpoint(str(trailing))
+
+
+def test_save_checkpoint_refuses_what_load_checkpoint_refuses(tmp_path):
+    # A repeated image id and a non-finite feature row are refused with the
+    # loader's messages, and no file is left at the path.
+    scenario, index, config = small_setup()
+    state = init_model(scenario, index, config)
+    path = tmp_path / "checkpoint.codc"
+    repeated = dataclasses.replace(state, image_ids=["a", "a"], block=state.block[:2])
+    nan = state.block.copy()
+    nan[3, 1, 2] = np.nan
+    for bad, message in ((repeated, "duplicate image id 'a'"),
+                         (dataclasses.replace(state, block=nan),
+                          f"image {state.image_ids[3]!r}: non-finite feature values")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            save_checkpoint(bad, str(path))
+        assert not path.exists() and not list(tmp_path.iterdir())
 
 
 def test_model_features_are_block_rows_that_cannot_be_rebound(tmp_path):
