@@ -159,7 +159,6 @@ class HeadPass(NamedTuple):
 
     net: np.ndarray  # (Q*n, m*n) rows fed to the MLP, blocks sorted when the head sorts
     hidden: np.ndarray  # (Q*n, hidden) ReLU outputs, > 0 exactly where a unit is active
-    logits: np.ndarray  # (Q, n)
     p: np.ndarray  # (Q, n) softmax over each query's proposals
     # (Q, n, m, n) flat index into the rows of each entry of net's sorted
     # blocks; None unsorted or when head_forward was given the sorted blocks
@@ -200,12 +199,14 @@ def head_forward(rows: np.ndarray, head: DiscoveryHead,
         raise ValueError("non-finite prototype logits")
     exp = np.exp(logits - logits.max(axis=1, keepdims=True))
     p = exp / exp.sum(axis=1, keepdims=True)
-    return HeadPass(net, hidden, logits, p, perm)
+    return HeadPass(net, hidden, p, perm)
 
 
 def head_backward(fwd: HeadPass, dp: np.ndarray, head: DiscoveryHead):
     """Reverse of head_forward (softmax, MLP, block sort) for the gradient dp
     (Q, n) of the weights p: returns (drows, dw1, db1, dw2, db2)."""
+    if head.sorted_rows and fwd.perm is None:
+        raise ValueError("a sorted head's pass given sorted blocks cannot be reversed")
     dlogits = (fwd.p * (dp - (fwd.p * dp).sum(axis=1, keepdims=True))).reshape(-1)
     dz1 = np.outer(dlogits, head.w2) * (fwd.hidden > 0.0)
     dnet = dz1 @ head.w1

@@ -57,9 +57,17 @@ _CHECK_CHUNK = 256
 
 def _check_rows(image_ids: list[str], features: np.ndarray, boxes: np.ndarray | None = None,
                 areas: np.ndarray | None = None) -> None:
-    """Check N >= 0 images: features (N, n, d), boxes (N, n, 4) and areas
-    (N, n), the last two optional; the values _CHECK_CHUNK images at a time.
-    Raises ValueError naming the first bad image and the first check it fails."""
+    """The one check of a feature block: N >= 0 distinct image ids, features
+    (N, n, d), boxes (N, n, 4) and areas (N, n), the last two optional; the
+    values _CHECK_CHUNK images at a time. Raises ValueError naming the first
+    repeated id, or the first bad image and the first check it fails."""
+    if len(features) != len(image_ids):
+        raise ValueError(f"one feature row per image id needed: {len(features)} rows, "
+                         f"{len(image_ids)} ids")
+    if len(set(image_ids)) < len(image_ids):
+        seen = set()
+        repeat = next(i for i in image_ids if i in seen or seen.add(i))
+        raise ValueError(f"duplicate image id {repeat!r}")
     n = features.shape[1] if features.ndim == 3 and features.shape[2] else 0
     if not n:
         raise ValueError(f"image {image_ids[0]!r}: features must be a non-empty 2-D matrix")
@@ -104,18 +112,6 @@ def _row_views(image_ids: list[str], *blocks: np.ndarray | None) -> list[RegionF
     """RegionFeatureSets of views of the rows of blocks _check_rows passed."""
     return list(map(RegionFeatureSet, image_ids,
                     *(itertools.repeat(None) if b is None else b for b in blocks)))
-
-
-def _check_saved(image_ids: list[str], features: np.ndarray, boxes: np.ndarray | None,
-                 areas: np.ndarray | None) -> None:
-    """The feature savers' checks before they write: at least one image, one
-    feature row per image id, and _check_rows. Each refuses a repeated id as it writes ids."""
-    if not image_ids:
-        raise ValueError("no images to save")
-    if len(features) != len(image_ids):
-        raise ValueError(f"one feature row per image id needed: {len(features)} rows, "
-                         f"{len(image_ids)} ids")
-    _check_rows(image_ids, features, boxes, areas)
 
 
 @dataclass
@@ -237,10 +233,8 @@ class Scenario:
     row_of: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.row_of = {image_id: r for r, image_id in enumerate(self.image_ids)}
-        if not len(self.row_of) == len(self.image_ids) == len(self.features):
-            raise ValueError("a scenario needs one feature row per distinct image id")
         _check_rows(self.image_ids, self.features, self.boxes, self.areas)
+        self.row_of = {image_id: r for r, image_id in enumerate(self.image_ids)}
         shape = self.features.shape[:2]
         if not (np.issubdtype(self.owner.dtype, np.integer) and self.owner.shape == shape
                 and (self.owner >= -1).all()):
@@ -419,7 +413,9 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
 def save_features(image_ids: list[str], features: np.ndarray, boxes: np.ndarray | None,
                   areas: np.ndarray | None, path: str) -> None:
     """Write Scenario-like blocks of image_ids' rows (None for an absent one) as CODF."""
-    _check_saved(image_ids, features, boxes, areas)
+    if not image_ids:
+        raise ValueError("no images to save")
+    _check_rows(image_ids, features, boxes, areas)
     flags = (_FLAG_BOXES if boxes is not None else 0) | (_FLAG_AREAS if areas is not None else 0)
     with write_container(path, FEATURE_MAGIC, _FORMAT_VERSION,
                          (len(image_ids), *features.shape[1:], flags)) as fh:
@@ -450,14 +446,12 @@ _TSV_HEADER = re.compile(
 def save_features_tsv(image_ids: list[str], features: np.ndarray, boxes: np.ndarray | None,
                       areas: np.ndarray | None, path: str) -> None:
     """save_features' blocks in the equivalent debug TSV; repr keeps round-trips exact."""
-    _check_saved(image_ids, features, boxes, areas)
-    seen = set()
+    if not image_ids:
+        raise ValueError("no images to save")
+    _check_rows(image_ids, features, boxes, areas)
     for image_id in image_ids:
         if any(ch in image_id for ch in "\t\n\r"):
             raise ValueError(f"image id {image_id!r} contains a separator character")
-        if image_id in seen:
-            raise ValueError(f"duplicate image id {image_id!r}")
-        seen.add(image_id)
     n, d = features.shape[1:]
     blocks = [a.reshape(len(a), n, -1) for a in (features, boxes, areas) if a is not None]
     with atomic_writer(path, "w") as fh:

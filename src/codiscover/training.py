@@ -42,6 +42,7 @@ from .core import (
 )
 from .corpus import ConceptGroupIndex, MiniGroup, sample_mini_group
 from .errors import FormatError
+from .scenario import _check_rows
 
 CHECKPOINT_MAGIC = b"CODC"
 _CHECKPOINT_VERSION = 1
@@ -447,17 +448,16 @@ def write_metrics_csv(metrics: list[MetricRow], path: str) -> None:
                      f"{row.image_text_loss!r},{cover}\n")
 
 
-def _check_finite_rows(image_ids: list[str], block: np.ndarray, error: type[Exception]) -> None:
-    if not (finite := np.isfinite(block).all(axis=(1, 2))).all():
-        raise error(f"image {image_ids[finite.argmin()]!r}: non-finite feature values")
-
-
 def save_checkpoint(state: ModelState, path: str) -> None:
-    """Binary CODC container holding head, classifier, and feature block; a
-    non-finite feature row or a repeated image id is refused, as load_checkpoint does."""
-    _check_finite_rows(state.image_ids, state.block, ValueError)
+    """Binary CODC container holding head, classifier, and feature block. Before
+    `path` exists it refuses what load_checkpoint cannot read: a block that
+    _check_rows refuses, or one whose width is not the classifier's."""
     head = state.head
     k, d = state.classifier.weights.shape
+    _check_rows(state.image_ids, state.block)
+    if state.block.shape[2] != d:
+        raise ValueError(f"feature rows of width {state.block.shape[2]} do not match "
+                         f"the classifier width {d}")
     # Bits 0-1 are always set, so checkpoints keep their bytes, and ignored on
     # load, where files of older writers may have them clear.
     flags = 3 | (int(head.sorted_rows) << 2)
@@ -486,5 +486,5 @@ def load_checkpoint(path: str) -> ModelState:
         weights = read_f64_array(fh, k * d).reshape(k, d)
         classifier = OpenVocabClassifier(weights, concept_ids)
         image_ids, (block,) = read_records(fh, read_u32(fh), [(n, d)])
-        _check_finite_rows(image_ids, block, FormatError)
-        return ModelState(head, classifier, image_ids, block)
+    _check_rows(image_ids, block)
+    return ModelState(head, classifier, image_ids, block)

@@ -240,7 +240,6 @@ def test_head_forward_sorted_rows_orders_each_block():
     # unsorted head of identical weights gives identical outputs.
     plain = DiscoveryHead(head.w1, head.b1, head.w2, head.b2, sorted_rows=False)
     plain_pass = head_forward(net[None], plain)
-    assert np.array_equal(sorted_pass.logits, plain_pass.logits)
     assert np.array_equal(sorted_pass.p, plain_pass.p)
 
 
@@ -262,6 +261,19 @@ def test_sorted_head_matches_along_axis_reference():
     want = np.empty(blocks.shape)
     np.put_along_axis(want, order, dsorted.reshape(blocks.shape), axis=3)
     assert np.array_equal(drows, want.reshape(rows.shape))
+
+
+def test_head_backward_refuses_a_sorted_pass_given_its_blocks():
+    # Given sorted_blocks(rows), a sorted head's forward keeps no permutation,
+    # so its gradients could only come back in sorted-block order.
+    rng = np.random.default_rng(8)
+    head = DiscoveryHead.initialize(m=3, n=4, hidden=6, rng=rng, sorted_rows=True)
+    rows = rng.standard_normal((5, 4, 12))
+    fwd = head_forward(rows, head, sorted_blocks(rows))
+    assert np.array_equal(fwd.p, head_forward(rows, head).p)
+    with pytest.raises(ValueError, match="^a sorted head's pass given sorted blocks cannot be "
+                                         "reversed$"):
+        head_backward(fwd, rng.standard_normal((5, 4)), head)
 
 
 def test_head_forward_shape_and_finiteness_errors():
@@ -475,7 +487,7 @@ def test_head_forward_reads_given_sorted_blocks():
         full, given = head_forward(rows, head), head_forward(rows, head, sorted_blocks(rows))
         assert given.perm is None
         assert (full.perm is not None) == sorted_rows
-        for a, b in zip(full[:4], given[:4]):
+        for a, b in zip(full[:-1], given[:-1]):  # every field but perm
             assert a.tobytes() == b.tobytes()
 
 

@@ -459,8 +459,15 @@ def test_scenario_names_the_first_bad_image_and_its_first_failed_check():
     assert refused(areas=areas) == f"image {ids[2]!r}: areas disagree with box extents"
     areas[0, 0] = -1.0
     assert refused(areas=areas) == f"image {ids[0]!r}: areas must be positive finite"
-    with pytest.raises(ValueError, match="one feature row per distinct image id"):
+    with pytest.raises(ValueError, match=f"^duplicate image id {re.escape(repr(ids[0]))}$"):
         dataclasses.replace(scenario, image_ids=[ids[0]] * len(ids))
+    # The first id seen twice is named, as the savers name it.
+    repeated = list(ids)
+    repeated[2], repeated[4] = ids[1], ids[0]
+    with pytest.raises(ValueError, match=f"^duplicate image id {re.escape(repr(ids[1]))}$"):
+        dataclasses.replace(scenario, image_ids=repeated)
+    with pytest.raises(ValueError, match="^one feature row per image id needed: 5 rows, 6 ids$"):
+        dataclasses.replace(scenario, features=scenario.features[:5])
 
 
 def test_check_rows_names_the_first_bad_image_past_the_first_chunk(monkeypatch):

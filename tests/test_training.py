@@ -22,9 +22,11 @@ from codiscover import (
     head_forward,
     init_model,
     load_checkpoint,
+    load_features,
     run_training,
     sample_mini_group,
     save_checkpoint,
+    save_features,
     sgd_step,
     similarity_rows,
     text_guide_weights,
@@ -585,10 +587,13 @@ def test_checkpoint_rejects_corruption(tmp_path):
                             + blob[32 + 8 * (state.head.w1.size + 2 * state.head.hidden):])
     with pytest.raises(ValueError, match=r"^head dimensions hidden=0, in_dim=\d+ must be >= 1$"):
         load_checkpoint(str(zero_hidden))
+    # The bytes of an (R, 0, d) block, which save_checkpoint refuses: header
+    # n = 0 and records of ids only.
     no_proposals = tmp_path / "no_proposals.codc"
     d = state.block.shape[2]
-    save_checkpoint(dataclasses.replace(state, block=np.empty((len(state.image_ids), 0, d))),
-                    str(no_proposals))
+    records = blob.index(state.image_ids[0].encode()) - 4
+    ids_only = b"".join(len(i).to_bytes(4, "little") + i for i in map(str.encode, state.image_ids))
+    no_proposals.write_bytes(blob[:24] + bytes(4) + blob[28:records] + ids_only)
     with pytest.raises(FormatError, match=rf"^invalid header dimensions n=0, d={d}$"):
         load_checkpoint(str(no_proposals))
     trailing = tmp_path / "trailing.codc"
@@ -608,7 +613,7 @@ def test_checkpoint_rejects_corruption(tmp_path):
     last = list(state.features)[-1]
     nan = np.array([np.nan], "<f8").tobytes()
     trailing.write_bytes(blob[:-8] + nan)
-    with pytest.raises(FormatError, match=f"^image {last!r}: non-finite feature values$"):
+    with pytest.raises(ValueError, match=f"^image {last!r}: non-finite feature values$"):
         load_checkpoint(str(trailing))
     head = state.head
     at = 32 + 8 * (head.w1.size + head.b1.size + head.w2.size + 1) \
@@ -620,20 +625,48 @@ def test_checkpoint_rejects_corruption(tmp_path):
 
 
 def test_save_checkpoint_refuses_what_load_checkpoint_refuses(tmp_path):
-    # A repeated image id and a non-finite feature row are refused with the
-    # loader's messages, and no file is left at the path.
+    # A repeated image id and a non-finite or zero feature row are refused with
+    # the loader's messages; a block of no proposals or of another width than
+    # the classifier's, which the loader cannot read, is refused too. No file
+    # is left at the path.
     scenario, index, config = small_setup()
     state = init_model(scenario, index, config)
     path = tmp_path / "checkpoint.codc"
+    rows, n, d = state.block.shape
     repeated = dataclasses.replace(state, image_ids=["a", "a"], block=state.block[:2])
-    nan = state.block.copy()
+    nan, zero = state.block.copy(), state.block.copy()
     nan[3, 1, 2] = np.nan
+    zero[4, 2] = 0.0
     for bad, message in ((repeated, "duplicate image id 'a'"),
                          (dataclasses.replace(state, block=nan),
-                          f"image {state.image_ids[3]!r}: non-finite feature values")):
+                          f"image {state.image_ids[3]!r}: non-finite feature values"),
+                         (dataclasses.replace(state, block=zero),
+                          f"image {state.image_ids[4]!r}: zero feature row"),
+                         (dataclasses.replace(state, block=np.empty((rows, 0, d))),
+                          f"image {state.image_ids[0]!r}: features must be a non-empty "
+                          "2-D matrix"),
+                         (dataclasses.replace(state, block=np.ones((rows, n, d + 1))),
+                          f"feature rows of width {d + 1} do not match the classifier "
+                          f"width {d}")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             save_checkpoint(bad, str(path))
         assert not path.exists() and not list(tmp_path.iterdir())
+
+
+def test_load_checkpoint_refuses_a_bad_row_as_load_features_does(tmp_path):
+    # The last image's last feature row zeroed in a checkpoint and in a CODF
+    # file of the same block: both loaders raise the same ValueError.
+    scenario, index, config = small_setup()
+    state = init_model(scenario, index, config)
+    d = state.block.shape[2]
+    checkpoint, codf = tmp_path / "checkpoint.codc", tmp_path / "features.codf"
+    save_checkpoint(state, str(checkpoint))
+    save_features(state.image_ids, state.block, None, None, str(codf))
+    message = f"^image {state.image_ids[-1]!r}: zero feature row$"
+    for path, load in ((checkpoint, load_checkpoint), (codf, load_features)):
+        path.write_bytes(path.read_bytes()[:-8 * d] + bytes(8 * d))
+        with pytest.raises(ValueError, match=message):
+            load(str(path))
 
 
 def test_model_features_are_block_rows_that_cannot_be_rebound(tmp_path):
