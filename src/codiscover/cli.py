@@ -23,7 +23,6 @@ from ._binio import atomic_writer, utf8_lines
 from .corpus import Lexicon, build_concept_index, parse_corpus, sample_mini_group, save_index
 from .errors import ConfigError, FormatError
 from .evaluation import (
-    STRATEGIES,
     ablate,
     compare_strategies,
     write_ablation_csv,
@@ -97,23 +96,10 @@ def _field_parsers(cls) -> dict:
 _FIELD_PARSERS = {"scenario": _field_parsers(ScenarioConfig), "train": _field_parsers(TrainConfig)}
 
 
-def _parse_strategies(raw: str) -> tuple[str, ...]:
-    names = tuple(part.strip() for part in raw.split(",") if part.strip())
-    for name in names:
-        if name not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {name!r}")
-        if names.count(name) > 1:
-            raise ConfigError(f"strategy {name!r} is named more than once")
-    if not names:
-        raise ConfigError("must name at least one strategy")
-    return names
-
-
 # The keys outside the sections: key -> (RunConfig field, parser).
 _RUN_KEYS = {
     "corpus.min_freq": ("corpus_min_freq", _parse_int),
     "eval.mode": ("eval_mode", str),
-    "eval.strategies": ("eval_strategies", _parse_strategies),
     "seed": ("seed", _parse_int),
 }
 
@@ -125,7 +111,6 @@ class RunConfig:
     eval_seed: int
     corpus_min_freq: int = 1
     eval_mode: str = "index"
-    eval_strategies: tuple[str, ...] = STRATEGIES
     seed: int = 0
 
 
@@ -181,14 +166,14 @@ def resolve_run_config(pairs: dict[str, str], seed_override: int | None = None) 
         train_config = TrainConfig(**kwargs["train"], seed=train_seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if run["eval_mode"] == "box" and not scenario_config.with_boxes:
+        raise ConfigError("eval.mode = box needs scenario.with_boxes = true")
     return RunConfig(scenario_config, train_config, eval_seed, **run)
 
 
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(value)
     return str(value)
 
 
@@ -276,8 +261,7 @@ def cmd_eval(args) -> int:
     config, scenario, index = _prepare_run(args)
     state = load_checkpoint(args.checkpoint)
     report = compare_strategies(
-        state, scenario, index, config.eval_strategies,
-        group_size=config.train.group_size, seed=config.eval_seed,
+        state, scenario, index, group_size=config.train.group_size, seed=config.eval_seed,
         mode=config.eval_mode, text_guidance=config.train.text_guidance,
     )
     write_report_json(report, os.path.join(args.out, "report.json"))
@@ -373,7 +357,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        # A numeric fault ends at a finiteness check, whose error is the one line.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

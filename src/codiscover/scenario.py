@@ -68,13 +68,14 @@ def _check_rows(image_ids: list[str], features: np.ndarray, boxes: np.ndarray | 
         seen = set()
         repeat = next(i for i in image_ids if i in seen or seen.add(i))
         raise ValueError(f"duplicate image id {repeat!r}")
+    prefix = f"image {image_ids[0]!r}: " if image_ids else ""
     n = features.shape[1] if features.ndim == 3 and features.shape[2] else 0
     if not n:
-        raise ValueError(f"image {image_ids[0]!r}: features must be a non-empty 2-D matrix")
+        raise ValueError(f"{prefix}features must be a non-empty 2-D matrix")
     if boxes is not None and boxes.shape != (*features.shape[:2], 4):
-        raise ValueError(f"image {image_ids[0]!r}: boxes must have shape ({n}, 4)")
+        raise ValueError(f"{prefix}boxes must have shape ({n}, 4)")
     if areas is not None and areas.shape != features.shape[:2]:
-        raise ValueError(f"image {image_ids[0]!r}: areas must have shape ({n},)")
+        raise ValueError(f"{prefix}areas must have shape ({n},)")
     for start in range(0, len(features), _CHECK_CHUNK):
         chunk = slice(start, start + _CHECK_CHUNK)
         _check_values(image_ids[chunk], features[chunk],
@@ -182,8 +183,6 @@ class ScenarioConfig:
     distractor_count: int = 4
     noise_sigma: float = 0.1
     multi_concept_rate: float = 0.0
-    instances_min: int = 1
-    instances_max: int = 3
     seed: int = 0
     misaligned_text_degrees: float = 0.0
     max_size_bias: float = 0.5
@@ -191,16 +190,13 @@ class ScenarioConfig:
     second_concept: str = "random"
 
     def __post_init__(self) -> None:
-        for name in ("num_concepts", "d", "n", "images_per_concept", "distractor_count",
-                     "instances_min", "instances_max"):
+        for name in ("num_concepts", "d", "n", "images_per_concept", "distractor_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.multi_concept_rate <= 1.0:
             raise ValueError("multi_concept_rate must be in [0, 1]")
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be >= 0")
-        if self.instances_min > self.instances_max:
-            raise ValueError("instances_min must be <= instances_max")
         if not 0.0 <= self.max_size_bias <= 1.0:
             raise ValueError("max_size_bias must be in [0, 1]")
         if self.misaligned_text_degrees < 0.0:
@@ -296,6 +292,11 @@ def _partner(concept_id: int, num_concepts: int) -> int | None:
     return other if 0 <= other != concept_id else None
 
 
+# Instances of each caption concept: uniform in [_INSTANCES_MIN, _INSTANCES_MAX],
+# capped so that every concept after it keeps one region of the budget.
+_INSTANCES_MIN, _INSTANCES_MAX = 1, 3
+
+
 def _caption(concept_id: int, config: ScenarioConfig,
              rng: np.random.Generator) -> tuple[list[int], list[int]]:
     """A caption's concept ids and each one's instance count."""
@@ -312,8 +313,8 @@ def _caption(concept_id: int, config: ScenarioConfig,
             concepts.append(other)
     budget, counts = config.n - config.distractor_count, []
     for j in range(len(concepts)):
-        hi = min(config.instances_max, budget - (len(concepts) - j - 1))
-        counts.append(int(rng.integers(min(config.instances_min, hi), hi + 1)))
+        hi = min(_INSTANCES_MAX, budget - (len(concepts) - j - 1))
+        counts.append(int(rng.integers(_INSTANCES_MIN, hi + 1)))
         budget -= counts[-1]
     return concepts, counts
 

@@ -336,7 +336,7 @@ def run_training(
 
     Emits one MetricRow per step; every config.eval_interval steps (and on the
     final step) the row carries the region-region cover rate computed with a
-    fixed evaluation seed.
+    fixed evaluation seed. A non-finite batch loss raises ValueError naming its step.
     """
     rng = np.random.default_rng(config.seed)
     state = init_model(scenario, index, config, rng)
@@ -354,6 +354,8 @@ def run_training(
             for i in picks
         ]
         loss, grads = caption_batch_loss(state, groups, caption_vectors, config)
+        if not np.isfinite(loss.total):
+            raise ValueError(f"step {step}: non-finite batch loss {loss.total}")
         velocity = sgd_step(state, grads, config.learning_rate, config.momentum, velocity)
         cover = None
         if config.eval_interval > 0 and (step % config.eval_interval == 0

@@ -119,20 +119,17 @@ def test_resolve_run_config_validates_keys_and_values():
     with pytest.raises(ConfigError, match="unknown config key"):
         resolve_run_config({"threads": "2"})
     for key in ("train", "eval.group_size", "corpus.steps", "scenario.orthogonalize",
-                "train.train_head", "train.train_features"):
+                "train.train_head", "train.train_features", "eval.strategies",
+                "scenario.instances_min", "scenario.instances_max"):
         with pytest.raises(ConfigError, match="unknown config key"):
             resolve_run_config({key: "2"})
     with pytest.raises(ConfigError, match="min_freq"):
         resolve_run_config({"corpus.min_freq": "0"})
     with pytest.raises(ConfigError, match="eval.mode"):
         resolve_run_config({"eval.mode": "voxel"})
-    with pytest.raises(ConfigError, match="unknown strategy"):
-        resolve_run_config({"eval.strategies": "region_region,psychic"})
-    with pytest.raises(ConfigError, match="^eval.strategies: must name at least one strategy$"):
-        resolve_run_config({"eval.strategies": " , "})
     with pytest.raises(ConfigError,
-                       match="^eval.strategies: strategy 'heuristic' is named more than once$"):
-        resolve_run_config({"eval.strategies": "heuristic,max_size,heuristic"})
+                       match="^eval.mode = box needs scenario.with_boxes = true$"):
+        resolve_run_config({"eval.mode": "box"})
     float_keys = [f"{section}.{name}"
                   for section, cls in (("scenario", ScenarioConfig), ("train", TrainConfig))
                   for name, kind in get_type_hints(cls).items() if kind is float]
@@ -164,13 +161,11 @@ def test_resolve_run_config_parses_typed_values():
         "scenario.second_concept": "partner",
         "train.text_guidance": "off",
         "train.learning_rate": "0.25",
-        "eval.strategies": "max_size , region_word",
     })
     assert config.scenario.misaligned_text_degrees == 22.5
     assert config.scenario.second_concept == "partner"
     assert config.train.text_guidance is False
     assert config.train.learning_rate == 0.25
-    assert config.eval_strategies == ("max_size", "region_word")
 
 
 def test_resolve_run_config_overrides_win():
@@ -183,7 +178,6 @@ def test_format_run_config_round_trips(tmp_path):
         "seed": "42",
         "corpus.min_freq": "2",
         "eval.mode": "box",
-        "eval.strategies": "heuristic,region_region",
         "scenario.num_concepts": "6",
         "scenario.d": "12",
         "scenario.n": "9",
@@ -191,8 +185,6 @@ def test_format_run_config_round_trips(tmp_path):
         "scenario.distractor_count": "3",
         "scenario.noise_sigma": "0.15",
         "scenario.multi_concept_rate": "0.25",
-        "scenario.instances_min": "2",
-        "scenario.instances_max": "4",
         "scenario.misaligned_text_degrees": "12.5",
         "scenario.max_size_bias": "0.3",
         "scenario.with_boxes": "true",
@@ -459,7 +451,8 @@ def test_cli_refused_flag_values_exit_2(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize("key", ["scenario.orthogonalize", "train.train_head",
-                                 "train.train_features"])
+                                 "train.train_features", "eval.strategies",
+                                 "scenario.instances_min", "scenario.instances_max"])
 def test_cli_removed_config_keys_exit_2(tmp_path, capsys, key):
     bad = tmp_path / "bad.cfg"
     bad.write_text(f"{key} = true\n")
@@ -467,6 +460,31 @@ def test_cli_removed_config_keys_exit_2(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"unknown config key {key!r}" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_box_eval_of_a_world_without_boxes_exits_2(tmp_path, tiny_config, capsys):
+    # The contradiction is refused with the config, before training would run.
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CONFIG + "eval.mode = box\n")
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(bad), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "config error: eval.mode = box needs scenario.with_boxes = true\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, message", [
+    ("scenario.noise_sigma", "image 'img_000_000': non-finite feature values"),
+    ("train.learning_rate", "non-finite prototype logits"),
+    ("train.temperature", "step 1: non-finite batch loss inf"),
+], ids=["noise_sigma", "learning_rate", "temperature"])
+def test_cli_numeric_fault_is_one_stderr_line(tmp_path, capsys, key, message):
+    # numpy's floating-point warnings stay silent inside a command: the
+    # finiteness check that follows them gives the one error line.
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CONFIG.replace("scenario.noise_sigma = 0.1\n", "") + f"{key} = 1e308\n")
+    assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_missing_checkpoint_exits_2(tmp_path, tiny_config, capsys):
@@ -555,7 +573,7 @@ def test_cli_invalid_scenario_config_exits_2(tmp_path, capsys):
 # (acceptance criterion 10). The eval reports hold hit counts over sample
 # counts, which move only when a pick does. Every command writes the same
 # resolved config.
-CONFIG_TXT_SHA256 = "d8e3a2da99c12e99d5ea5ceb8909bf14add59a9a84d2e9978c4e1297cd959a9f"
+CONFIG_TXT_SHA256 = "bab06c962cddeb024927832b92d13c6211f613dfa158dc882ee3e3d8c56a9a9e"
 WORLD_SHA256 = {
     "config.txt": CONFIG_TXT_SHA256,
     "corpus.tsv": "f7edb09c87a685bc2e18fc4c06be6de5e8c862427611d5bae8ac16986a9d35fc",

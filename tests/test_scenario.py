@@ -222,8 +222,6 @@ def test_scenario_config_validation():
         ScenarioConfig(multi_concept_rate=1.5)
     with pytest.raises(ValueError, match="noise_sigma"):
         ScenarioConfig(noise_sigma=-0.1)
-    with pytest.raises(ValueError, match="instances_min"):
-        ScenarioConfig(instances_min=3, instances_max=2)
     with pytest.raises(ValueError, match="max_size_bias"):
         ScenarioConfig(max_size_bias=-0.2)
     with pytest.raises(ValueError, match="misaligned"):
@@ -262,7 +260,8 @@ def test_generate_scenario_oracle_consistency():
         total_instances = 0
         for cid in record.concepts:
             regions = [r for r, c in truth_pairs if c == cid]
-            assert config.instances_min <= len(regions) <= config.instances_max
+            assert scenario_module._INSTANCES_MIN <= len(regions) \
+                <= scenario_module._INSTANCES_MAX
             total_instances += len(regions)
         # Remaining regions are distractors; the floor is a minimum.
         assert len(fs.features) - total_instances >= config.distractor_count
@@ -501,6 +500,17 @@ def test_check_rows_names_the_first_bad_image_past_the_first_chunk(monkeypatch):
     _check_rows(ids, features, boxes, areas)
     # A block of no images passes, as it did unchunked.
     _check_rows([], features[:0], boxes[:0], areas[:0])
+
+
+def test_check_rows_refuses_a_bad_block_of_no_images():
+    # With no image to name, the shape messages stand alone.
+    features, flat = np.empty((0, 2, 3)), "features must be a non-empty 2-D matrix"
+    for blocks, message in (((np.empty((0, 0, 3)),), flat), ((np.empty((0, 2, 0)),), flat),
+                            ((np.empty((0, 4)),), flat),
+                            ((features, np.empty((0, 2, 3))), "boxes must have shape (2, 4)"),
+                            ((features, None, np.empty((0, 3))), "areas must have shape (2,)")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _check_rows([], *blocks)
 
 
 def test_check_rows_messages_do_not_depend_on_the_chunk(monkeypatch):

@@ -465,6 +465,15 @@ def test_run_training_eval_interval_zero_disables_eval():
     assert all(row.cover_rate is None for row in metrics)
 
 
+def test_run_training_stops_at_a_non_finite_batch_loss():
+    # A temperature of 1e308 overflows the first batch's BCE logits. The
+    # warnings are silenced here as the CLI silences them; the check names the step.
+    scenario, index, config = small_setup(steps=2, eval_interval=0, temperature=1e308)
+    with np.errstate(all="ignore"), \
+            pytest.raises(ValueError, match="^step 1: non-finite batch loss inf$"):
+        run_training(index, scenario, config)
+
+
 def test_run_training_default_eval_seed_is_derived_from_master():
     scenario, index, config = small_setup(steps=2, eval_interval=1)
     derived = int(np.random.SeedSequence(entropy=config.seed,
