@@ -35,7 +35,6 @@ from .evaluation import (
     ablate,
     compare_strategies,
     write_ablation_csv,
-    write_report_csv,
     write_report_json,
 )
 from .scenario import (

@@ -145,6 +145,11 @@ def compare_strategies(
             f"the model has no features for {len(missing)} of the index's {len(member_ids)} "
             f"member images (e.g. {missing[0]!r}); was it trained on another world?"
         )
+    for cid in concepts:
+        if cid not in state.classifier.row_of:
+            raise ValueError(f"concept {cid} not in classifier")
+        if not index.groups[cid]:
+            raise ValueError(f"concept {cid} has no member images")
     hits = {name: np.zeros(len(concepts), dtype=np.int64) for name in strategies}
     queries = _queries(state, index, concepts, group_size - 1, _words(np.random.default_rng(seed)))
     while batch := list(itertools.islice(queries, _BATCH)):
@@ -176,12 +181,7 @@ def _queries(state: ModelState, index: ConceptGroupIndex, concepts: list[int],
     position) for every member image of every concept, in index order, drawing
     each query's supports as it is yielded."""
     for k, cid in enumerate(concepts):
-        row = state.classifier.row_of.get(cid)
-        if row is None:
-            raise ValueError(f"concept {cid} not in classifier")
-        members = index.groups[cid]
-        if not members:
-            raise ValueError(f"concept {cid} has no member images")
+        row, members = state.classifier.row_of[cid], index.groups[cid]
         for query_id in members:
             yield (query_id, *_sample_supports(members, query_id, m, words)), row, cid, k
 
@@ -257,15 +257,6 @@ def write_report_json(report: EvalReport, path: str) -> None:
     with atomic_writer(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def write_report_csv(report: EvalReport, path: str) -> None:
-    """Flat per-concept rows: `strategy,concept_id,cover_rate,samples`."""
-    with atomic_writer(path, "w") as fh:
-        fh.write("strategy,concept_id,cover_rate,samples\n")
-        for name in sorted(report.per_concept):
-            for cid, (rate, count) in sorted(report.per_concept[name].items()):
-                fh.write(f"{name},{cid},{rate!r},{count}\n")
 
 
 def write_ablation_csv(rows: list[AblationRow], path: str) -> None:

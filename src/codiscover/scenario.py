@@ -319,10 +319,12 @@ def _caption(concept_id: int, config: ScenarioConfig,
     return concepts, counts
 
 
+@np.errstate(all="ignore")
 def generate_scenario(config: ScenarioConfig) -> Scenario:
     """Generate an oracle-labeled synthetic world from a generator seeded with
     config.seed. The per-image loop makes the draws; the draw-free arithmetic
     (largest region, box corners, areas) runs once over the blocks after it.
+    numpy's floating-point warnings stay silent: Scenario refuses what overflows.
 
     Returns:
         A Scenario bundling caption records (concepts filled), region feature

@@ -210,7 +210,7 @@ def test_criterion_04_analytic_gradients_match_finite_differences():
             for selector in ("w1", "b1", "w2", "b2", "features"):
                 err = finite_diff_check(
                     state, groups, caption_vectors, train_config, selector,
-                    eps=1e-5, rng=np.random.default_rng(trial),
+                    rng=np.random.default_rng(trial),
                 )
                 if err > worst:
                     worst, worst_case = err, (trial, selector)

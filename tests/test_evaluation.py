@@ -8,6 +8,7 @@ import pytest
 
 from codiscover import (
     CaptionRecord,
+    ConceptGroupIndex,
     EvalReport,
     ModelState,
     ScenarioConfig,
@@ -27,7 +28,6 @@ from codiscover.evaluation import (
     _sample_supports,
     _words,
     write_ablation_csv,
-    write_report_csv,
     write_report_json,
 )
 
@@ -261,6 +261,27 @@ def test_compare_strategies_refuses_group_size_below_two_before_any_draw(monkeyp
     for group_size in (1, 0, -3):
         with pytest.raises(ValueError, match="^group_size must be >= 2$"):
             compare_strategies(state, scenario, index, STRATEGIES, group_size=group_size)
+
+
+def test_compare_strategies_refuses_a_bad_index_before_any_draw(monkeypatch):
+    # Each bad concept sorts after good ones, whose queries would be scored
+    # first if its refusal waited for its turn.
+    scenario, index = small_world()
+    config = TrainConfig(group_size=3, hidden=16, steps=0, eval_interval=0)
+    state = init_model(scenario, index, config)
+    last = index.concept_ids()[-1]
+
+    def no_draw(*_):
+        raise AssertionError("supports drawn")
+
+    monkeypatch.setattr("codiscover.evaluation._words", no_draw)
+    for groups, message in (({**index.groups, 99: index.groups[last]},
+                             "^concept 99 not in classifier$"),
+                            ({**index.groups, last: []}, f"^concept {last} has no member images$"),
+                            ({}, "^the index holds no concepts to evaluate$")):
+        bad = ConceptGroupIndex(groups, {cid: f"term{cid}" for cid in groups})
+        with pytest.raises(ValueError, match=message):
+            compare_strategies(state, scenario, bad, STRATEGIES, group_size=3)
 
 
 def test_compare_strategies_box_mode():
@@ -640,7 +661,7 @@ def test_ablate_matches_direct_training_run():
 # ------------------------------------------------------------------ writers
 
 
-def test_write_report_json_and_csv(tmp_path):
+def test_write_report_json(tmp_path):
     scenario, index = small_world()
     config = TrainConfig(group_size=3, hidden=16, steps=0, eval_interval=0)
     state = init_model(scenario, index, config)
@@ -657,15 +678,6 @@ def test_write_report_json_and_csv(tmp_path):
         for cid, (rate, count) in per.items():
             entry = doc["per_concept"][name][str(cid)]
             assert entry == {"cover_rate": rate, "samples": count}
-
-    csv_path = tmp_path / "report.csv"
-    write_report_csv(report, str(csv_path))
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "strategy,concept_id,cover_rate,samples"
-    assert len(lines) == 1 + 2 * len(index.concept_ids())
-    name, cid, rate, count = lines[1].split(",")
-    assert name == "max_size"  # strategies sorted in the flat file
-    assert (float(rate), int(count)) == report.per_concept[name][int(cid)]
 
 
 def test_write_ablation_csv(tmp_path):

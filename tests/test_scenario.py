@@ -25,7 +25,7 @@ from codiscover import (
     save_text_embeddings,
 )
 from codiscover import scenario as scenario_module
-from codiscover._binio import write_records
+from codiscover._binio import atomic_writer, write_records
 from codiscover.scenario import _check_rows, concept_term
 
 from oracles import iou
@@ -78,6 +78,15 @@ def _refused_by_both(tmp_path, blocks, message):
 
 
 # ---------------------------------------------------------------- containers
+
+
+def test_atomic_writer_leaves_nothing_when_its_body_raises(tmp_path):
+    path = tmp_path / "out.bin"
+    with pytest.raises(RuntimeError, match="^mid-write$"):
+        with atomic_writer(str(path)) as fh:
+            fh.write(b"partial")
+            raise RuntimeError("mid-write")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_feature_savers_refuse_bad_features(tmp_path):
@@ -240,32 +249,36 @@ def test_scenario_config_validation():
 
 
 def test_generate_scenario_oracle_consistency():
-    config = ScenarioConfig(
-        num_concepts=6, d=8, n=6, images_per_concept=4, distractor_count=2,
-        noise_sigma=0.05, multi_concept_rate=0.5, seed=2,
-    )
-    scenario = generate_scenario(config)
-    assert len(scenario.feature_sets) == 6 * 4
-    assert len(scenario.records) == 6 * 4
-    feature_map = scenario.feature_map()
+    # With one concept, a caption drawn to name a second one has none to name.
+    for config in (ScenarioConfig(num_concepts=6, d=8, n=6, images_per_concept=4,
+                                  distractor_count=2, noise_sigma=0.05,
+                                  multi_concept_rate=0.5, seed=2),
+                   ScenarioConfig(num_concepts=1, d=8, n=6, images_per_concept=4,
+                                  distractor_count=2, multi_concept_rate=1.0, seed=2)):
+        scenario = generate_scenario(config)
+        count = config.num_concepts * config.images_per_concept
+        assert len(scenario.feature_sets) == len(scenario.records) == count
+        feature_map = scenario.feature_map()
 
-    for record in scenario.records:
-        # Captions parse back to exactly the concepts the oracle recorded.
-        assert extract_concepts(record.caption, scenario.lexicon) == record.concepts
-        assert record.concepts[0] == int(record.image_id.split("_")[1])
-        fs = feature_map[record.image_id]
-        truth_pairs = scenario.truth.true_pairs[record.image_id]
-        labelled = {c for _, c in truth_pairs}
-        assert labelled == set(record.concepts)
-        total_instances = 0
-        for cid in record.concepts:
-            regions = [r for r, c in truth_pairs if c == cid]
-            assert scenario_module._INSTANCES_MIN <= len(regions) \
-                <= scenario_module._INSTANCES_MAX
-            total_instances += len(regions)
-        # Remaining regions are distractors; the floor is a minimum.
-        assert len(fs.features) - total_instances >= config.distractor_count
-        assert fs.areas is not None and fs.areas.shape == (config.n,)
+        for record in scenario.records:
+            # Captions parse back to exactly the concepts the oracle recorded.
+            assert extract_concepts(record.caption, scenario.lexicon) == record.concepts
+            assert record.concepts[0] == int(record.image_id.split("_")[1])
+            assert len(set(record.concepts)) == len(record.concepts) \
+                <= min(2, config.num_concepts)
+            fs = feature_map[record.image_id]
+            truth_pairs = scenario.truth.true_pairs[record.image_id]
+            labelled = {c for _, c in truth_pairs}
+            assert labelled == set(record.concepts)
+            total_instances = 0
+            for cid in record.concepts:
+                regions = [r for r, c in truth_pairs if c == cid]
+                assert scenario_module._INSTANCES_MIN <= len(regions) \
+                    <= scenario_module._INSTANCES_MAX
+                total_instances += len(regions)
+            # Remaining regions are distractors; the floor is a minimum.
+            assert len(fs.features) - total_instances >= config.distractor_count
+            assert fs.areas is not None and fs.areas.shape == (config.n,)
 
 
 def test_generate_scenario_true_regions_cluster_around_prototypes():

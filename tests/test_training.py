@@ -5,6 +5,7 @@ import hashlib
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -210,7 +211,12 @@ def test_caption_batch_loss_input_validation():
     short = MiniGroup(groups[1].concept_id, groups[1].image_ids[:2])
     with pytest.raises(ValueError, match="mini-groups of 3 and 2 images in one batch"):
         caption_batch_loss(state, [groups[0], short], caption_vectors, config)
-    state.features[groups[0].image_ids[0]][0] = 0.0
+    # Nonzero region rows that sum to zero give a zero image-text vector.
+    rows = state.features[groups[0].image_ids[0]]
+    rows[-1] = -rows[:-1].sum(axis=0)
+    with pytest.raises(ValueError, match="^zero row in the image-text batch$"):
+        caption_batch_loss(state, groups, caption_vectors, config)
+    rows[0] = 0.0
     with pytest.raises(ValueError, match="zero feature row"):
         caption_batch_loss(state, groups, caption_vectors, config)
 
@@ -344,12 +350,12 @@ def test_finite_diff_check_validates_arguments():
     scenario, index, config = small_setup()
     state = init_model(scenario, index, config)
     groups, caption_vectors = make_batch(scenario, index, config)
-    with pytest.raises(ValueError, match="eps"):
-        finite_diff_check(state, groups, caption_vectors, config, "w1", eps=1e-8)
-    with pytest.raises(ValueError, match="eps"):
-        finite_diff_check(state, groups, caption_vectors, config, "w1", eps=1e-2)
     with pytest.raises(ValueError, match="selector"):
         finite_diff_check(state, groups, caption_vectors, config, "w3")
+    # A non-finite loss is refused, where every relative error read NaN and passed.
+    hot = dataclasses.replace(config, temperature=1e308)
+    with pytest.raises(ValueError, match="^non-finite batch loss inf$"):
+        finite_diff_check(state, groups, caption_vectors, hot, "w1")
 
 
 # -------------------------------------------------------------- optimization
@@ -466,12 +472,29 @@ def test_run_training_eval_interval_zero_disables_eval():
 
 
 def test_run_training_stops_at_a_non_finite_batch_loss():
-    # A temperature of 1e308 overflows the first batch's BCE logits. The
-    # warnings are silenced here as the CLI silences them; the check names the step.
+    # A temperature of 1e308 overflows the first batch's BCE logits; the
+    # refusal names the step.
     scenario, index, config = small_setup(steps=2, eval_interval=0, temperature=1e308)
-    with np.errstate(all="ignore"), \
-            pytest.raises(ValueError, match="^step 1: non-finite batch loss inf$"):
+    with pytest.raises(ValueError, match="^step 1: non-finite batch loss inf$"):
         run_training(index, scenario, config)
+
+
+def test_numeric_faults_are_refused_without_a_warning():
+    # Each overflow ends in one ValueError, with no RuntimeWarning before it.
+    # A learning rate of 1e308 leaves finite parameters after step 1 and
+    # overflows the prototype logits of step 2.
+    world = dict(num_concepts=4, d=8, n=5, images_per_concept=5, distractor_count=2, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for overrides, message in (({"temperature": 1e308},
+                                    "^step 1: non-finite batch loss inf$"),
+                                   ({"learning_rate": 1e308},
+                                    "^step 2: non-finite prototype logits$")):
+            scenario, index, config = small_setup(steps=2, eval_interval=0, **overrides)
+            with pytest.raises(ValueError, match=message):
+                run_training(index, scenario, config)
+        with pytest.raises(ValueError, match="^image 'img_000_000': non-finite feature values$"):
+            generate_scenario(ScenarioConfig(**world, noise_sigma=1e308))
 
 
 def test_run_training_default_eval_seed_is_derived_from_master():
