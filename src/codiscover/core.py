@@ -193,7 +193,9 @@ def head_forward(rows: np.ndarray, head: DiscoveryHead,
             perm = perm.reshape(q, n, width // n, n)
         rows = blocks
     net = rows.reshape(q * n, width)
-    hidden = np.maximum(net @ head.w1.T + head.b1, 0.0)
+    hidden = net @ head.w1.T
+    hidden += head.b1
+    np.maximum(hidden, 0.0, out=hidden)
     logits = (hidden @ head.w2 + head.b2[0]).reshape(q, n)
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite prototype logits")

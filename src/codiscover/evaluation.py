@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -67,43 +66,57 @@ def _covered(owner: np.ndarray, boxes: np.ndarray | None, concepts: np.ndarray,
     return covered
 
 
-def _words(rng: np.random.Generator, chunk: int = 256):
-    """rng's next 32-bit words: integers(0, 2**32, chunk, uint64) reads them chunk at a
-    time as choice reads them one at a time, through PCG64's next_uint32; all in C."""
-    chunks = itertools.starmap(rng.integers, itertools.repeat((0, 1 << 32, chunk, np.uint64)))
-    return itertools.chain.from_iterable(map(np.ndarray.tolist, chunks))
+def _draw_supports(rng: np.random.Generator, others: np.ndarray, m: int) -> np.ndarray:
+    """(Q, m) picks among each query's others[q] other group members, in query order:
+    the picks of one rng.choice(others[q], size=m, replace=others[q] < m) call per query,
+    from the same words. A singleton group's query, with no other member, supports
+    itself: its picks read -1, and it reads no word."""
+    # choice's bounded draws: m below n with replacement; Floyd's below n-m+1..n then
+    # its shuffle's below m..2; or past 10,000 others with m > n // 50, a shuffle of
+    # range(n) down to max(n-m, 1), below n..max(n-m, 1)+1.
+    replace = (others > 0) & (others < m)
+    tail = (others > 10000) & (m > others // 50)
+    floyd = (others >= m) & ~tail
+    counts = np.select([replace, floyd, tail], [m, 2 * m - 1, others - np.maximum(others - m, 1)])
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(len(others)), counts)
+    t, n = np.arange(counts.sum()) - starts[owner], others[owner]
+    bounds = np.select([replace[owner], tail[owner], t < m], [n, n - t, n - m + 1 + t], 2 * m - t)
+    # Lemire draws from 32-bit words: integers(0, 2**32, N, uint64) reads the words that
+    # choice reads one at a time through PCG64's next_uint32. A bound of 1 draws 0 and
+    # reads no word. A word whose low half of word * bound is below 2**32 % bound is
+    # rejected, and that draw and every later one move on by a word, read then.
+    draws, live = np.zeros(len(bounds), dtype=np.int64), bounds > 1
+    bound = bounds[live].astype(np.uint64)
+    threshold = (1 << 32) % bound
+    words = rng.integers(0, 1 << 32, len(bound), dtype=np.uint64)
+    word_of, start = np.arange(len(bound)), 0
+    while (rejected := np.flatnonzero(
+            (words[word_of[start:]] * bound[start:] & 0xFFFFFFFF) < threshold[start:])).size:
+        start += int(rejected[0])
+        word_of[start:] += 1
+        words = np.append(words, rng.integers(0, 1 << 32, 1, dtype=np.uint64))
+    draws[live] = words[word_of] * bound >> 32
 
-
-def _sample_supports(pool: list[str], query_id: str, m: int, words) -> list[str]:
-    """m supports for the query from the other images of its group, drawn with
-    replacement when there are fewer than m: the picks of rng.choice(len(others),
-    size=m, replace=len(others) < m) over rng's words. The only support of a
-    singleton group's query is the query itself, and it reads no word."""
-    others = [i for i in pool if i != query_id]
-    if not (n := len(others)):
-        return [query_id] * m
-    # choice's Lemire draws: m below n, or Floyd's below n-m+1..n then its shuffle's
-    # below m..2, or past 10,000 others with m > n // 50 a shuffle of range(n) to n-m.
-    tail = n > 10000 and m > n // 50
-    bounds = ([n] * m if n < m else range(n, max(n - m, 1), -1) if tail
-              else [*range(n - m + 1, n + 1), *range(m, 1, -1)])
-    draws = []
-    for bound in bounds:
-        product = 0  # a bound of 1 reads no word
-        while bound > 1:  # retry while the word's low half is below 2**32 % bound
-            product = next(words) * bound
-            if (low := product & 0xFFFFFFFF) >= bound or low >= (1 << 32) % bound:
-                break
-        draws.append(product >> 32)
-    if n < m:
-        return list(map(others.__getitem__, draws))
-    floyd = {}  # an ordered set: a value drawn again gives way to j, which none is
-    for j, value in zip(range(n - m, n) if not tail else (), draws):
-        floyd[j if value in floyd else value] = None
-    picks = list(range(n)) if tail else list(floyd)
-    for i, j in zip(range(len(picks) - 1, 0, -1), draws[len(floyd):]):
-        picks[i], picks[j] = picks[j], picks[i]
-    return list(map(others.__getitem__, picks[len(picks) - m:]))
+    picks = np.full((len(others), m), -1, dtype=np.int64)
+    picks[replace] = draws[starts[replace, None] + np.arange(m)]
+    # Floyd's algorithm, one pick column at a time over every query: a value drawn
+    # again gives way to j, which none is; then the Fisher-Yates swaps of the shuffle.
+    floyd_draws = draws[starts[floyd, None] + np.arange(2 * m - 1)]
+    chosen, last = np.empty((len(floyd_draws), m), dtype=np.int64), others[floyd] - m
+    for c in range(m):
+        value = floyd_draws[:, c]
+        chosen[:, c] = np.where((chosen[:, :c] == value[:, None]).any(axis=1), last + c, value)
+    row = np.arange(len(chosen))
+    for i, j in zip(range(m - 1, 0, -1), floyd_draws[:, m:].T):
+        chosen[:, i], chosen[row, j] = chosen[row, j], chosen[:, i].copy()
+    picks[floyd] = chosen
+    for q in np.flatnonzero(tail):  # rare: a shuffle as long as the group
+        n, order = int(others[q]), list(range(others[q]))
+        for i, j in zip(range(n - 1, 0, -1), draws[starts[q]:starts[q] + counts[q]].tolist()):
+            order[i], order[j] = order[j], order[i]
+        picks[q] = order[n - m:]
+    return picks
 
 
 # Queries per batched forward. Every concept's rows are (group_size-1)*n wide,
@@ -135,10 +148,13 @@ def compare_strategies(
     for name in strategies:
         if name not in STRATEGIES:
             raise ValueError(f"unknown strategy {name!r}")
+    if mode not in ("index", "box"):
+        raise ValueError(f"unknown cover mode {mode!r}")
     concepts = index.concept_ids()
     if not concepts:
         raise ValueError("the index holds no concepts to evaluate")
-    member_ids = dict.fromkeys(i for cid in concepts for i in index.groups[cid])
+    members = [i for cid in concepts for i in index.groups[cid]]
+    member_ids = dict.fromkeys(members)
     missing = [i for i in member_ids if i not in state.row_of]
     if missing:
         raise ValueError(
@@ -150,12 +166,46 @@ def compare_strategies(
             raise ValueError(f"concept {cid} not in classifier")
         if not index.groups[cid]:
             raise ValueError(f"concept {cid} has no member images")
-    hits = {name: np.zeros(len(concepts), dtype=np.int64) for name in strategies}
-    queries = _queries(state, index, concepts, group_size - 1, _words(np.random.default_rng(seed)))
-    while batch := list(itertools.islice(queries, _BATCH)):
-        _score_batch(batch, state, scenario, strategies, mode, text_guidance, hits)
+    if mode == "box" and scenario.boxes is None:
+        raise ValueError(f"image {index.groups[concepts[0]][0]!r} carries no boxes")
 
+    # Pick p among a query's others is member p of its group, counted from the
+    # group's first member, or p+1 past the query itself; -1 is the query itself.
     sizes = [len(index.groups[cid]) for cid in concepts]
+    query = np.arange(len(members))[:, None]
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)[:, None]
+    picks = _draw_supports(np.random.default_rng(seed), np.repeat(sizes, sizes) - 1,
+                           group_size - 1)
+    support = np.where(picks < 0, query, first + picks + (first + picks >= query))
+    queries = np.array([state.row_of[i] for i in members])[np.hstack([query, support])]
+    class_rows = np.repeat([state.classifier.row_of[cid] for cid in concepts], sizes)
+    world_rows = np.array([scenario.row_of[i] for i in members])
+    cids, positions = np.repeat(concepts, sizes), np.repeat(np.arange(len(concepts)), sizes)
+    hits = {name: np.zeros(len(concepts), dtype=np.int64) for name in strategies}
+    for start in range(0, len(members), _BATCH):
+        # One call of query_rows and of each batched op per slice of the pass's arrays.
+        batch = slice(start, start + _BATCH)
+        world = world_rows[batch]
+        _, _, _, hat, slots, _, _, rows = query_rows(state, queries[batch], class_rows[batch],
+                                                     text_guidance)
+        picks = {}
+        if {"region_region", "heuristic"} & set(strategies):
+            blocks = sorted_blocks(rows)  # for an unsorted head too: cheaper than a block max
+            if "region_region" in strategies:
+                picks["region_region"] = head_forward(rows, state.head, blocks).p.argmax(axis=1)
+            if "heuristic" in strategies:
+                picks["heuristic"] = heuristic_picks(rows, blocks)
+        if "region_word" in strategies:
+            picks["region_word"] = baseline_region_word(
+                hat[slots[:, 0]], state.classifier.weights[class_rows[batch]])
+        if "max_size" in strategies:
+            picks["max_size"] = baseline_max_size(scenario.areas[world])
+        boxes = scenario.boxes[world] if mode == "box" else None
+        covered = _covered(scenario.owner[world], boxes, cids[batch],
+                           np.array(list(picks.values())), mode)
+        for name, hit in zip(picks, covered):
+            hits[name] += np.bincount(positions[batch][hit], minlength=len(concepts))
+
     samples = sum(sizes)
     counts = {name: hits[name].tolist() for name in strategies}
     rates = {name: sum(counts[name]) / samples for name in strategies}
@@ -173,47 +223,6 @@ def compare_strategies(
         "text_guidance": text_guidance,
     }
     return EvalReport(rates, per_concept, samples, echo)
-
-
-def _queries(state: ModelState, index: ConceptGroupIndex, concepts: list[int],
-             m: int, words):
-    """Yield ((query id, *m support ids), classifier row, concept id, concept
-    position) for every member image of every concept, in index order, drawing
-    each query's supports as it is yielded."""
-    for k, cid in enumerate(concepts):
-        row, members = state.classifier.row_of[cid], index.groups[cid]
-        for query_id in members:
-            yield (query_id, *_sample_supports(members, query_id, m, words)), row, cid, k
-
-
-def _score_batch(batch, state: ModelState, scenario: Scenario, strategies, mode: str,
-                 text_guidance: bool, hits: dict[str, np.ndarray]) -> None:
-    """Pick and score one region per strategy for a batch of ((query id, *support
-    ids), classifier row, concept id, concept position) entries, through one call
-    of query_rows and each batched op, and add the hits to each concept's count."""
-    queries, class_rows, cids, positions = map(list, zip(*batch))
-    _, _, _, hat, slots, _, _, rows = query_rows(state, queries, class_rows, text_guidance)
-    picks = {}
-    if {"region_region", "heuristic"} & set(strategies):
-        blocks = sorted_blocks(rows)  # for an unsorted head too: cheaper than a block max
-        if "region_region" in strategies:
-            picks["region_region"] = head_forward(rows, state.head, blocks).p.argmax(axis=1)
-        if "heuristic" in strategies:
-            picks["heuristic"] = heuristic_picks(rows, blocks)
-    if "region_word" in strategies:
-        picks["region_word"] = baseline_region_word(hat[slots[:, 0]],
-                                                    state.classifier.weights[class_rows])
-    world_rows = [scenario.row_of[query[0]] for query in queries]
-    if "max_size" in strategies:
-        picks["max_size"] = baseline_max_size(scenario.areas[world_rows])
-    if mode == "box" and scenario.boxes is None:
-        raise ValueError(f"image {queries[0][0]!r} carries no boxes")
-    boxes = scenario.boxes[world_rows] if mode == "box" else None
-    covered = _covered(scenario.owner[world_rows], boxes, np.array(cids),
-                       np.array(list(picks.values())), mode)
-    owners = np.array(positions)
-    for name, hit in zip(picks, covered):
-        hits[name] += np.bincount(owners[hit], minlength=hits[name].size)
 
 
 def ablate(

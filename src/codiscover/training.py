@@ -165,17 +165,19 @@ def caption_proxies(scenario) -> dict[str, np.ndarray]:
     return {record.image_id: vector for record, vector in zip(records, vectors)}
 
 
-def query_rows(state: ModelState, queries, class_rows, text_guidance: bool):
-    """Similarity forward of Q queries, each an image id and then its support ids,
-    under the guides of their classifier rows (an int array or list of Q). The
-    distinct images are gathered and unit-normalized once. Returns the distinct
-    ids, their raw rows, norms and unit rows, each query's slots in ids (query
-    first), the (Q, 1, d) guides, and similarity_rows' guided queries and rows."""
-    ids = list(dict.fromkeys(i for query in queries for i in query))
-    slot = {image_id: u for u, image_id in enumerate(ids)}
-    raw = state.block[[state.row_of[image_id] for image_id in ids]]
+def query_rows(state: ModelState, queries: np.ndarray, class_rows, text_guidance: bool):
+    """Similarity forward of Q queries, a (Q, 1+m) int array of block rows that each
+    hold the query image's row and then its supports', under the guides of their
+    classifier rows (an int array or list of Q). The distinct images are gathered and
+    unit-normalized once, in order of first appearance. Returns the distinct block
+    rows (a list), their raw rows, norms and unit rows, each query's slots in them
+    (query first), the (Q, 1, d) guides, and similarity_rows' guided queries and rows."""
+    distinct = list(dict.fromkeys(queries.ravel().tolist()))
+    slot_of = np.empty(len(state.block), dtype=np.intp)
+    slot_of[distinct] = np.arange(len(distinct))
+    slots = slot_of[queries]
+    raw = state.block[distinct]
     norms = np.linalg.norm(raw, axis=-1, keepdims=True)
-    slots = np.array([[slot[i] for i in query] for query in queries])
     zero = (norms == 0.0).any(axis=(1, 2))[slots].any(axis=1)
     if zero.any():
         # Name the concept of the first query whose images hold a zero row.
@@ -184,7 +186,7 @@ def query_rows(state: ModelState, queries, class_rows, text_guidance: bool):
     hat = raw / norms
     guide = concept_guide(state.classifier.weights[class_rows], text_guidance)[:, None, :]
     qw, rows = similarity_rows(hat[slots[:, 0]], hat[slots[:, 1:]], guide)
-    return ids, raw, norms, hat, slots, guide, qw, rows
+    return distinct, raw, norms, hat, slots, guide, qw, rows
 
 
 def _sum_by_owner(terms: np.ndarray, owner: np.ndarray, count: int) -> np.ndarray:
@@ -245,13 +247,15 @@ def caption_batch_loss(
         if len(group.image_ids) != k:
             raise ValueError(f"mini-groups of {k} and {len(group.image_ids)} images in one batch")
 
-    # Query q is position q % k of group q // k, under that group's guide.
+    # Query q is position q % k of group q // k, with the group's other images, in
+    # order, as its supports, under that group's guide.
     concept_rows = np.repeat([state.classifier.row_of[g.concept_id] for g in mini_groups], k)
-    queries = [(ids[i], *ids[:i], *ids[i + 1:])
-               for ids in (group.image_ids for group in mini_groups) for i in range(k)]
-    batch_ids, raw, norms, hat, slots, guide, qw, rows = query_rows(
-        state, queries, concept_rows, config.text_guidance)
-    pos, supports, q = slots[:, 0], slots[:, 1:], len(queries)
+    group_rows = np.array([[state.row_of[i] for i in group.image_ids] for group in mini_groups])
+    order = [[i, *range(i), *range(i + 1, k)] for i in range(k)]
+    distinct, raw, norms, hat, slots, guide, qw, rows = query_rows(
+        state, group_rows[:, order].reshape(-1, k), concept_rows, config.text_guidance)
+    batch_ids = [state.image_ids[r] for r in distinct]
+    pos, supports, q = slots[:, 0], slots[:, 1:], len(slots)
     fwd = head_forward(rows, state.head)
     del rows
     f_q = raw[pos]
@@ -402,7 +406,8 @@ def finite_diff_check(
         at or above 1e-4 is retried with steps of _FD_STEP/8 and /64 (a step
         straddling a ReLU kink), then _FD_STEP*8 (rounding on a tiny gradient),
         keeping the best estimate; a wrong analytic gradient improves under neither.
-        A non-finite loss raises ValueError; numpy's floating-point warnings stay silent.
+        A non-finite error, as of a NaN or infinite gradient, counts as inf. A
+        non-finite loss raises ValueError; numpy's floating-point warnings stay silent.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -429,7 +434,8 @@ def finite_diff_check(
         return (plus - minus) / (2.0 * step)
 
     def rel_error(a: float, b: float) -> float:
-        return abs(a - b) / max(1e-12, abs(a) + abs(b))
+        err = abs(a - b) / max(1e-12, abs(a) + abs(b))
+        return err if np.isfinite(err) else np.inf  # NaN would pass every comparison below
 
     worst = 0.0
     for coord in coords:

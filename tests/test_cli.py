@@ -400,6 +400,23 @@ def test_cli_grad_check_fails_on_a_wrong_gradient(tiny_config, capsys, monkeypat
         "gradient check FAILED (max relative error >= 1e-4)"
 
 
+def test_cli_grad_check_fails_on_a_nan_gradient(tiny_config, capsys, monkeypatch):
+    import codiscover.training as training_module
+
+    real = training_module.caption_batch_loss
+
+    def tampered(*args, **kwargs):
+        loss, grads = real(*args, **kwargs)
+        grads.w2 = np.full_like(grads.w2, np.nan)
+        return loss, grads
+
+    monkeypatch.setattr(training_module, "caption_batch_loss", tampered)
+    assert main(["grad-check", "--config", tiny_config]) == EXIT_RUNTIME
+    lines = capsys.readouterr().out.splitlines()
+    assert "w2: max_rel_err=inf" in lines
+    assert lines[-1] == "gradient check FAILED (max relative error >= 1e-4)"
+
+
 def test_cli_grad_check_of_a_non_finite_loss_exits_1(tmp_path, capsys):
     # At 1e308 the image-text logits overflow and the batch loss is inf; every
     # relative error was NaN then, and NaN compares below no bound.

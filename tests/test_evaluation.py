@@ -25,8 +25,7 @@ from codiscover.evaluation import (
     STRATEGIES,
     AblationRow,
     _covered,
-    _sample_supports,
-    _words,
+    _draw_supports,
     write_ablation_csv,
     write_report_json,
 )
@@ -137,17 +136,15 @@ def test_no_library_path_builds_the_truth_view():
 
 
 def test_sample_supports_excludes_query_and_falls_back():
-    words = _words(np.random.default_rng(0))
-    pool = ["a", "b", "c", "d"]
-    for _ in range(100):
-        picks = _sample_supports(pool, "b", 2, words)
-        assert len(picks) == 2
-        assert "b" not in picks
-    # Fewer others than m: sample with replacement from the others.
-    picks = _sample_supports(["a", "b"], "a", 4, words)
-    assert picks == ["b"] * 4
-    # Degenerate singleton group: the query supports itself.
-    assert _sample_supports(["a"], "a", 3, words) == ["a", "a", "a"]
+    # Picks index a query's other members: three others and m=2 give two
+    # distinct picks among them, one other and m=4 that one four times (with
+    # replacement), and a singleton group's query its own row, -1.
+    picks = _draw_supports(np.random.default_rng(0), np.array([3] * 100 + [1, 0]), 2)
+    assert picks.shape == (102, 2)
+    assert np.all((picks[:100] >= 0) & (picks[:100] < 3))
+    assert np.all(picks[:100, 0] != picks[:100, 1])
+    assert picks[100:].tolist() == [[0, 0], [-1, -1]]
+    assert _draw_supports(np.random.default_rng(0), np.array([1]), 4).tolist() == [[0] * 4]
 
 
 def test_singleton_group_query_is_its_only_support_in_evaluation():
@@ -156,16 +153,17 @@ def test_singleton_group_query_is_its_only_support_in_evaluation():
     # supports of every later query are the same as without the singleton.
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
-    words = _words(rng)
-    assert _sample_supports(["solo"], "solo", 7, words) == ["solo"] * 7
+    assert _draw_supports(rng, np.array([0]), 7).tolist() == [[-1] * 7]
     assert rng.bit_generator.state == before
-    first = np.random.default_rng(5).integers(0, 1 << 32, dtype=np.uint64)
-    assert next(words) == first  # the next word read is the generator's first
+    with_solo = _draw_supports(np.random.default_rng(5), np.array([4, 0, 0, 6]), 3)
+    without = _draw_supports(np.random.default_rng(5), np.array([4, 6]), 3)
+    assert with_solo[[0, 3]].tolist() == without.tolist()
+    assert with_solo[1:3].tolist() == [[-1] * 3] * 2
 
 
 def _choice_supports(pool, query_id, m, rng):
     """A query's supports drawn with one Generator.choice call: the picks that
-    _sample_supports must make, call after call on the same seed."""
+    _draw_supports must make, query after query on the same seed."""
     others = [i for i in pool if i != query_id]
     if not others:
         return [query_id] * m
@@ -173,25 +171,52 @@ def _choice_supports(pool, query_id, m, rng):
     return [others[int(i)] for i in picks]
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 256])
-def test_sample_supports_picks_what_generator_choice_picks(chunk):
-    # Call after call on one seed, over pools of 1-40 others and 1-12 supports
-    # (both replace branches), then Floyd at its largest m past 10,000 others
-    # and the tail branch above it. Chunks of 1-3 words put a chunk boundary
-    # at every position of a draw; with 1-word chunks the generator has read
-    # exactly the words choice read after every call.
-    calls = [(n, m) for n in range(1, 41) for m in range(1, 13)]
-    np.random.default_rng(chunk).shuffle(calls)
-    calls += [(10001, 200), (10001, 201), (10050, 10050), (20000, 450)]
+def _assert_picks_are_choices(others, m, seed):
+    """One _draw_supports pass over queries with others[q] other members
+    equals one Generator.choice call per query, and reads the same words."""
+    reference, generator = np.random.default_rng(seed), np.random.default_rng(seed)
+    picks = _draw_supports(generator, np.array(others), m)
+    assert picks.shape == (len(others), m)
+    for n, row in zip(others, picks.tolist()):
+        # _choice_supports' draw over n others, without building a pool of n ids.
+        want = [-1] * m if not n else reference.choice(n, size=m, replace=n < m).tolist()
+        assert row == want, (seed, n, m)
+    assert generator.bit_generator.state == reference.bit_generator.state
+    return reference
+
+
+def test_sample_supports_picks_what_generator_choice_picks():
+    # Passes of one m each on one seed: pools of 0-40 others and 1-12 supports
+    # (both replace branches and the singleton), then Floyd at its largest m
+    # past 10,000 others and the tail branch above it, beside small pools.
     for seed in (0, 7):
-        reference, generator = np.random.default_rng(seed), np.random.default_rng(seed)
-        words = _words(generator, chunk)
-        for n, m in calls:
-            pool = ["query", *range(n)]
-            assert (_sample_supports(pool, "query", m, words)
-                    == _choice_supports(pool, "query", m, reference)), (seed, n, m)
-            if chunk == 1:
-                assert generator.bit_generator.state == reference.bit_generator.state
+        for m in range(1, 13):
+            others = list(range(41))
+            np.random.default_rng(seed * 13 + m).shuffle(others)
+            _assert_picks_are_choices(others, m, seed)
+        for others, m in (([10001, 3, 0, 10001], 200), ([5, 10001], 201), ([10050], 10050),
+                          ([20000, 40, 20000], 450)):
+            _assert_picks_are_choices(others, m, seed)
+
+
+def test_sample_supports_rejection_branch_picks_what_generator_choice_picks():
+    # Below 3 * 2**30 others a Lemire draw rejects a word whose low half is
+    # below 2**32 % (3 * 2**30) = 2**30, about one word in four: the draw and
+    # every later one move on by a word.
+    big = 3 * 2**30
+    for seed in range(5):
+        others = [big] * 40 + [0, 7, big, 1]
+        reference = _assert_picks_are_choices(others, 5, seed)
+        # Floyd's 5 draws and the shuffle's 4 per big pool, the small pools'
+        # 9 and 0: with no word rejected, the pass would read 378 words.
+        plain = np.random.default_rng(seed)
+        plain.integers(0, 1 << 32, 378, dtype=np.uint64)
+        extra = 0
+        while plain.bit_generator.state != reference.bit_generator.state:
+            plain.integers(0, 1 << 32, 1, dtype=np.uint64)
+            extra += 1
+            assert extra <= 378
+        assert extra >= 20, (seed, extra)
 
 
 # --------------------------------------------------------------- comparison
@@ -257,7 +282,7 @@ def test_compare_strategies_refuses_group_size_below_two_before_any_draw(monkeyp
     def no_draw(*_):
         raise AssertionError("supports drawn")
 
-    monkeypatch.setattr("codiscover.evaluation._words", no_draw)
+    monkeypatch.setattr("codiscover.evaluation._draw_supports", no_draw)
     for group_size in (1, 0, -3):
         with pytest.raises(ValueError, match="^group_size must be >= 2$"):
             compare_strategies(state, scenario, index, STRATEGIES, group_size=group_size)
@@ -274,7 +299,7 @@ def test_compare_strategies_refuses_a_bad_index_before_any_draw(monkeypatch):
     def no_draw(*_):
         raise AssertionError("supports drawn")
 
-    monkeypatch.setattr("codiscover.evaluation._words", no_draw)
+    monkeypatch.setattr("codiscover.evaluation._draw_supports", no_draw)
     for groups, message in (({**index.groups, 99: index.groups[last]},
                              "^concept 99 not in classifier$"),
                             ({**index.groups, last: []}, f"^concept {last} has no member images$"),
@@ -282,6 +307,23 @@ def test_compare_strategies_refuses_a_bad_index_before_any_draw(monkeypatch):
         bad = ConceptGroupIndex(groups, {cid: f"term{cid}" for cid in groups})
         with pytest.raises(ValueError, match=message):
             compare_strategies(state, scenario, bad, STRATEGIES, group_size=3)
+
+
+def test_compare_strategies_refuses_a_bad_mode_before_any_draw(monkeypatch):
+    scenario, index = small_world()
+    config = TrainConfig(group_size=3, hidden=16, steps=0, eval_interval=0)
+    state = init_model(scenario, index, config)
+
+    def no_draw(*_):
+        raise AssertionError("supports drawn")
+
+    monkeypatch.setattr("codiscover.evaluation._draw_supports", no_draw)
+    with pytest.raises(ValueError, match="^unknown cover mode 'pixel'$"):
+        compare_strategies(state, scenario, index, STRATEGIES, group_size=3, mode="pixel")
+    # The message names the pass's first query image, whose boxes are looked for first.
+    first = index.groups[index.concept_ids()[0]][0]
+    with pytest.raises(ValueError, match=f"^image '{first}' carries no boxes$"):
+        compare_strategies(state, scenario, index, STRATEGIES, group_size=3, mode="box")
 
 
 def test_compare_strategies_box_mode():

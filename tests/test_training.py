@@ -307,6 +307,28 @@ def test_finite_diff_check_flags_a_wrong_gradient(monkeypatch):
     assert err > 1e-2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_finite_diff_check_flags_a_non_finite_gradient(monkeypatch, bad):
+    # A NaN relative error compares below no bound and above none, so min and
+    # max would drop it and the check would read 0.0; it counts as inf.
+    import codiscover.training as training_module
+
+    scenario, index, config = small_setup()
+    state = init_model(scenario, index, config)
+    groups, caption_vectors = make_batch(scenario, index, config)
+    real = training_module.caption_batch_loss
+
+    def tampered(*args, **kwargs):
+        loss, grads = real(*args, **kwargs)
+        grads.w2 = np.full_like(grads.w2, bad)
+        return loss, grads
+
+    monkeypatch.setattr(training_module, "caption_batch_loss", tampered)
+    err = finite_diff_check(state, groups, caption_vectors, config, "w2",
+                            num_coords=8, rng=np.random.default_rng(0))
+    assert err == np.inf
+
+
 @pytest.mark.parametrize("sorted_rows", [False, True])
 def test_finite_diff_check_flags_one_w1_entry_off_by_a_thousandth(monkeypatch, sorted_rows):
     # The retries, smaller and larger steps alike, must not absorb a small
