@@ -171,32 +171,41 @@ def _choice_supports(pool, query_id, m, rng):
     return [others[int(i)] for i in picks]
 
 
-def _assert_picks_are_choices(others, m, seed):
+def _assert_picks_are_choices(others, m, reference, generator):
     """One _draw_supports pass over queries with others[q] other members
-    equals one Generator.choice call per query, and reads the same words."""
-    reference, generator = np.random.default_rng(seed), np.random.default_rng(seed)
+    equals one Generator.choice call per query on reference, and reads the
+    same words: generator and reference start and end in the same state."""
     picks = _draw_supports(generator, np.array(others), m)
     assert picks.shape == (len(others), m)
     for n, row in zip(others, picks.tolist()):
         # _choice_supports' draw over n others, without building a pool of n ids.
         want = [-1] * m if not n else reference.choice(n, size=m, replace=n < m).tolist()
-        assert row == want, (seed, n, m)
+        assert row == want, (n, m)
     assert generator.bit_generator.state == reference.bit_generator.state
     return reference
 
 
-def test_sample_supports_picks_what_generator_choice_picks():
-    # Passes of one m each on one seed: pools of 0-40 others and 1-12 supports
-    # (both replace branches and the singleton), then Floyd at its largest m
-    # past 10,000 others and the tail branch above it, beside small pools.
+@pytest.mark.parametrize("pass_size", [1, 2, 3, 256])
+def test_sample_supports_picks_what_generator_choice_picks(pass_size):
+    # Queries of one m each on one seed, cut into passes of pass_size queries
+    # drawn one after another from one generator: pools of 0-40 others and
+    # 1-12 supports (both replace branches and the singleton), then Floyd at
+    # its largest m past 10,000 others and the tail branch above it, beside
+    # small pools. However the queries are cut into passes, every pass makes
+    # the picks and reads the words of one Generator.choice call per query.
+    cases = []
+    for m in range(1, 13):
+        others = list(range(41))
+        np.random.default_rng(m).shuffle(others)
+        cases.append((others, m))
+    cases += [([10001, 3, 0, 10001], 200), ([5, 10001], 201), ([10050], 10050),
+              ([20000, 40, 20000], 450)]
     for seed in (0, 7):
-        for m in range(1, 13):
-            others = list(range(41))
-            np.random.default_rng(seed * 13 + m).shuffle(others)
-            _assert_picks_are_choices(others, m, seed)
-        for others, m in (([10001, 3, 0, 10001], 200), ([5, 10001], 201), ([10050], 10050),
-                          ([20000, 40, 20000], 450)):
-            _assert_picks_are_choices(others, m, seed)
+        reference, generator = np.random.default_rng(seed), np.random.default_rng(seed)
+        for others, m in cases:
+            for start in range(0, len(others), pass_size):
+                _assert_picks_are_choices(others[start:start + pass_size], m,
+                                          reference, generator)
 
 
 def test_sample_supports_rejection_branch_picks_what_generator_choice_picks():
@@ -206,7 +215,8 @@ def test_sample_supports_rejection_branch_picks_what_generator_choice_picks():
     big = 3 * 2**30
     for seed in range(5):
         others = [big] * 40 + [0, 7, big, 1]
-        reference = _assert_picks_are_choices(others, 5, seed)
+        reference = _assert_picks_are_choices(others, 5, np.random.default_rng(seed),
+                                              np.random.default_rng(seed))
         # Floyd's 5 draws and the shuffle's 4 per big pool, the small pools'
         # 9 and 0: with no word rejected, the pass would read 378 words.
         plain = np.random.default_rng(seed)
