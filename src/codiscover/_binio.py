@@ -100,13 +100,9 @@ def read_records(fh: BinaryIO, count: int, shapes: list[tuple | None], read_id=r
 
 def write_records(fh: BinaryIO, ids: Iterable, blocks: list, write_id=write_str) -> None:
     """Write what read_records reads: per id, the id (as write_id writes it), then
-    its row of each block that is not None. A repeated id is refused, as on reading."""
+    its row of each block that is not None. Callers pass distinct ids, as read_records needs."""
     blocks = [block for block in blocks if block is not None]
-    seen = set()
     for r, record_id in enumerate(ids):
-        if record_id in seen:
-            raise ValueError(f"duplicate image id {record_id!r}")
-        seen.add(record_id)
         write_id(fh, record_id)
         for block in blocks:
             write_f64_array(fh, block[r])

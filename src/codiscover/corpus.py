@@ -229,10 +229,7 @@ def load_index(path: str) -> ConceptGroupIndex:
     terms: dict[int, str] = {}
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in utf8_lines(fh):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
+            fields = line.rstrip("\n").split("\t")
             if len(fields) != 4:
                 raise FormatError(f"line {lineno}: expected 4 tab-separated fields")
             if not all(f.isdecimal() and f == str(int(f)) for f in (fields[0], fields[2])):

@@ -56,8 +56,6 @@ def _covered(owner: np.ndarray, boxes: np.ndarray | None, concepts: np.ndarray,
     gathered once and scored against the picks in one IoU."""
     if mode == "index":
         return owner[np.arange(len(concepts)), regions] == concepts
-    if mode != "box":
-        raise ValueError(f"unknown cover mode {mode!r}")
     q, j = np.nonzero(owner == concepts[:, None])
     # Rows of the world's box block, which Scenario checked when it was built.
     *picks, pair = np.nonzero(_iou(boxes[q, regions[..., q]], boxes[q, j]) > 0.5)
@@ -161,6 +159,9 @@ def compare_strategies(
             f"the model has no features for {len(missing)} of the index's {len(member_ids)} "
             f"member images (e.g. {missing[0]!r}); was it trained on another world?"
         )
+    if state.block.shape[1] != scenario.owner.shape[1]:
+        raise ValueError(f"the model's images hold {state.block.shape[1]} regions and the "
+                         f"world's {scenario.owner.shape[1]}; was it trained on another world?")
     for cid in concepts:
         if cid not in state.classifier.row_of:
             raise ValueError(f"concept {cid} not in classifier")

@@ -29,7 +29,12 @@ from codiscover.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
+    _FIELD_PARSERS,
+    _RUN_KEYS,
     _field_parsers,
+    _parse_bool,
+    _parse_float,
+    _parse_int,
     format_run_config,
     main,
     parse_config_file,
@@ -526,6 +531,58 @@ def test_cli_numeric_fault_is_one_stderr_line(tmp_path, capsys, key, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# The config sweep's base world, on which the whole sweep takes about a second.
+# No int above 2 is tried, so no value makes it large.
+SWEEP_BASE = {
+    "scenario.num_concepts": "3", "scenario.images_per_concept": "3", "scenario.n": "4",
+    "scenario.d": "4", "scenario.distractor_count": "2", "train.group_size": "2",
+    "train.hidden": "4", "train.steps": "1",
+}
+SWEEP_VALUES = {
+    _parse_int: ("0", "-1", "1", "2"),
+    _parse_float: ("0", "-1", "1e308", "-0.0", "1e-308"),
+    _parse_bool: ("true", "false"),
+}
+# The valid words of each string key; a new string key must be listed here.
+SWEEP_CHOICES = {"scenario.second_concept": ("random", "partner"), "eval.mode": ("index", "box")}
+
+
+def test_cli_config_sweep_ends_cleanly(tmp_path, capsys):
+    # Every key the CLI takes, each set to edge values on the base world, through
+    # train and then eval: each command exits 0, 1 or 2 with at most one stderr
+    # line, and what a successful run writes is finite and loads.
+    parsers = {f"{section}.{name}": parser for section, by_name in _FIELD_PARSERS.items()
+               for name, parser in by_name.items()}
+    parsers.update({key: parser for key, (_, parser) in _RUN_KEYS.items()})
+    cases = [(key, value) for key, parser in parsers.items() for value in
+             (SWEEP_CHOICES[key] + ("bogus",) if parser is str else SWEEP_VALUES[parser])]
+    faults = []
+    for i, (key, value) in enumerate(cases):
+        out = tmp_path / str(i)
+        out.mkdir()
+        config = out / "run.cfg"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in {**SWEEP_BASE, key: value}.items()))
+        checkpoint = out / "train" / "checkpoint.codc"
+        for argv in (["train", "--out", str(out / "train")],
+                     ["eval", "--out", str(out / "eval"), "--checkpoint", str(checkpoint)]):
+            where = f"{key} = {value}: {argv[0]}"
+            try:
+                code = main(argv + ["--config", str(config)])
+            except Exception as exc:  # any escape is a fault
+                faults.append(f"{where}: raised {exc!r}")
+                continue
+            err = capsys.readouterr().err
+            if code not in (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE) or err.count("\n") > 1:
+                faults.append(f"{where}: exit {code}, stderr {err!r}")
+            elif code == EXIT_OK and argv[0] == "train":
+                rows = (out / "train" / "metrics.csv").read_text().splitlines()[1:]
+                if not all(np.isfinite(float(v)) for row in rows
+                           for v in row.split(",") if v):
+                    faults.append(f"{where}: non-finite metrics {rows}")
+                load_checkpoint(str(checkpoint))
+    assert faults == []
+
+
 def test_cli_missing_checkpoint_exits_2(tmp_path, tiny_config, capsys):
     code = main(["eval", "--config", tiny_config, "--out", str(tmp_path / "e"),
                  "--checkpoint", str(tmp_path / "nope.codc")])
@@ -596,6 +653,22 @@ def test_cli_eval_checkpoint_of_another_world_exits_1(tmp_path, tiny_config, cap
     assert len(err) == 1
     assert "no features for" in err[0] and "member images" in err[0]
     # The resolved config is written before the work, and nothing after it.
+    assert [p.name for p in (tmp_path / "e").iterdir()] == ["config.txt"]
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_cli_eval_checkpoint_of_another_region_count_exits_1(tmp_path, tiny_config, capsys, n):
+    # Same image ids, another number of regions per image than the checkpoint's 5.
+    train_out = tmp_path / "train"
+    assert main(["train", "--config", tiny_config, "--out", str(train_out)]) == EXIT_OK
+    other = tmp_path / "other.cfg"
+    other.write_text(TINY_CONFIG.replace("scenario.n = 5", f"scenario.n = {n}"))
+    capsys.readouterr()
+    code = main(["eval", "--config", str(other), "--out", str(tmp_path / "e"),
+                 "--checkpoint", str(train_out / "checkpoint.codc")])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err == (f"error: the model's images hold 5 regions and the "
+                                       f"world's {n}; was it trained on another world?\n")
     assert [p.name for p in (tmp_path / "e").iterdir()] == ["config.txt"]
 
 

@@ -329,6 +329,10 @@ def test_load_index_rejects_malformed_lines(tmp_path):
     path.write_text("0\tdog\t1\n")
     with pytest.raises(FormatError, match="line 1.*4 tab-separated"):
         load_index(str(path))
+    # save_index writes no blank line.
+    path.write_text("0\tdog\t1\ta\n\n1\tcat\t1\tb\n")
+    with pytest.raises(FormatError, match="^line 2: expected 4 tab-separated fields$"):
+        load_index(str(path))
     path.write_text("0\tdog\t3\timg1,img2\n")
     with pytest.raises(FormatError, match="frequency does not match"):
         load_index(str(path))

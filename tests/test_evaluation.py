@@ -86,8 +86,6 @@ def test_covered_index_mode():
     regions = np.array([[0, 1, 1, 1], [2, 0, 0, 1]])
     assert _covered(owner, None, concepts, regions, "index").tolist() == \
         [[True, False, True, False], [True, True, False, False]]
-    with pytest.raises(ValueError, match="unknown cover mode"):
-        _covered(owner, None, concepts, np.array([0, 1, 1, 1]), "pixel")
 
 
 def test_covered_box_mode():
@@ -334,6 +332,25 @@ def test_compare_strategies_refuses_a_bad_mode_before_any_draw(monkeypatch):
     first = index.groups[index.concept_ids()[0]][0]
     with pytest.raises(ValueError, match=f"^image '{first}' carries no boxes$"):
         compare_strategies(state, scenario, index, STRATEGIES, group_size=3, mode="box")
+
+
+@pytest.mark.parametrize("model_n", [3, 8])
+def test_compare_strategies_refuses_another_region_count_before_any_draw(monkeypatch, model_n):
+    # A model of another world with the same image ids: more regions per image
+    # than the world's would index past its truth, fewer would score the
+    # model's picks against regions it never saw.
+    scenario, index = small_world()
+    other, other_index = small_world(n=model_n)
+    config = TrainConfig(group_size=3, hidden=16, steps=0, eval_interval=0)
+    state = init_model(other, other_index, config)
+
+    def no_draw(*_):
+        raise AssertionError("supports drawn")
+
+    monkeypatch.setattr("codiscover.evaluation._draw_supports", no_draw)
+    with pytest.raises(ValueError, match=f"^the model's images hold {model_n} regions and the "
+                                         "world's 5; was it trained on another world\\?$"):
+        compare_strategies(state, scenario, index, STRATEGIES, group_size=3)
 
 
 def test_compare_strategies_box_mode():

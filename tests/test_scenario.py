@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import io
 import re
 import tracemalloc
 
@@ -25,7 +24,7 @@ from codiscover import (
     save_text_embeddings,
 )
 from codiscover import scenario as scenario_module
-from codiscover._binio import atomic_writer, write_records
+from codiscover._binio import atomic_writer
 from codiscover.scenario import _check_rows, concept_term
 
 from oracles import iou
@@ -753,9 +752,6 @@ def test_feature_savers_refuse_a_repeated_image_id(tmp_path):
     _, features, _, areas = _random_blocks(rng, count=2)
     _refused_by_both(tmp_path, (["img0", "img0"], features, None, areas),
                      "^duplicate image id 'img0'$")
-    # The records writer all binary containers share refuses one too.
-    with pytest.raises(ValueError, match="^duplicate image id 'img0'$"):
-        write_records(io.BytesIO(), ["img0", "img0"], [features, None, areas])
 
 
 def test_save_features_tsv_rejects_separators_in_image_ids(tmp_path):
