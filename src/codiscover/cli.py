@@ -23,6 +23,7 @@ from ._binio import atomic_writer, utf8_lines
 from .corpus import Lexicon, build_concept_index, parse_corpus, sample_mini_group, save_index
 from .errors import ConfigError, FormatError
 from .evaluation import (
+    ABLATION_AXES,
     ablate,
     compare_strategies,
     write_ablation_csv,
@@ -259,10 +260,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     config, scenario, index = _prepare_run(args)
     state = load_checkpoint(args.checkpoint)
-    report = compare_strategies(
-        state, scenario, index, group_size=config.train.group_size, seed=config.eval_seed,
-        mode=config.eval_mode, text_guidance=config.train.text_guidance,
-    )
+    report = compare_strategies(state, scenario, index, group_size=config.train.group_size,
+                                seed=config.eval_seed, mode=config.eval_mode)
     write_report_json(report, os.path.join(args.out, "report.json"))
     for name in sorted(report.cover_rates):
         print(f"{name}: cover_rate={report.cover_rates[name]:.4f} ({report.samples} samples)")
@@ -271,8 +270,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     config, scenario, index = _prepare_run(args)
-    values = (True, False) if args.axis == "text_guidance" else (2, 4, 8)
-    rows = ablate(index, scenario, config.train, args.axis, values,
+    rows = ablate(index, scenario, config.train, args.axis, ABLATION_AXES[args.axis],
                   eval_seed=config.eval_seed, mode=config.eval_mode)
     write_ablation_csv(rows, os.path.join(args.out, "ablate.csv"))
     for row in rows:
@@ -335,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="CODC checkpoint to evaluate")
 
     p = add_run_command("ablate", cmd_ablate, "train and compare variants along one axis")
-    p.add_argument("--axis", required=True, choices=("text_guidance", "group_size"))
+    p.add_argument("--axis", required=True, choices=tuple(ABLATION_AXES))
 
     add_run_command("grad-check", cmd_grad_check,
                     "verify analytic gradients by finite differences", needs_out=False)

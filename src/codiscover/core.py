@@ -82,11 +82,15 @@ class DiscoveryHead:
 
 @dataclass
 class OpenVocabClassifier:
-    """Frozen open-vocabulary classifier: unit-normalized text embedding rows."""
+    """Frozen open-vocabulary classifier: unit-normalized text embedding rows and,
+    built from them once, the (K, d) guides of the similarity, one per concept:
+    text_guide_weights of each row when text_guidance, else ones (plain cosine)."""
 
     weights: np.ndarray
     concept_ids: list[int]
+    text_guidance: bool = True
     row_of: dict[int, int] = field(init=False)
+    guides: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -99,12 +103,15 @@ class OpenVocabClassifier:
         self.row_of = {cid: i for i, cid in enumerate(self.concept_ids)}
         if len(self.row_of) != len(self.concept_ids):
             raise ValueError("duplicate concept ids in classifier")
+        self.guides = (text_guide_weights(self.weights) if self.text_guidance
+                       else np.ones(self.weights.shape))
 
     @classmethod
-    def from_table(cls, table, concept_ids: list[int]) -> "OpenVocabClassifier":
+    def from_table(cls, table, concept_ids: list[int],
+                   text_guidance: bool = True) -> "OpenVocabClassifier":
         rows = np.stack([table.vector(cid) for cid in concept_ids])
         rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        return cls(rows, list(concept_ids))
+        return cls(rows, list(concept_ids), text_guidance)
 
 
 def _embedding_norms(w_c: np.ndarray) -> np.ndarray:
@@ -122,13 +129,6 @@ def text_guide_weights(w_c: np.ndarray) -> np.ndarray:
     (B, d) block of embeddings gives B profiles; each has L2 norm sqrt(d)."""
     w_c = np.asarray(w_c, dtype=np.float64)
     return np.sqrt(w_c.shape[-1]) * np.abs(w_c) / _embedding_norms(w_c)
-
-
-def concept_guide(w_c: np.ndarray, text_guidance: bool = True) -> np.ndarray:
-    """Guidance profile of w_c along the last axis, or uniform weights (plain
-    cosine) of the same shape when unguided."""
-    w_c = np.asarray(w_c, dtype=np.float64)
-    return text_guide_weights(w_c) if text_guidance else np.ones(w_c.shape)
 
 
 def similarity_rows(query_hat: np.ndarray, support_hat: np.ndarray, guide: np.ndarray):

@@ -21,6 +21,8 @@ from .scenario import Scenario
 from .training import ModelState, TrainConfig, query_rows, run_training
 
 STRATEGIES = ("region_region", "region_word", "max_size", "heuristic")
+# Ablation axis -> the values the CLI's `ablate` trains along it.
+ABLATION_AXES = {"text_guidance": (True, False), "group_size": (2, 4, 8)}
 
 
 @dataclass
@@ -131,13 +133,12 @@ def compare_strategies(
     group_size: int = 8,
     seed: int = 0,
     mode: str = "index",
-    text_guidance: bool = True,
 ) -> EvalReport:
     """Pick one pseudo-label region per (concept, member image, strategy) and score
     cover rates. Every member image serves as query once, with supports
     resampled from its group under a fixed evaluation seed; the queries go
-    through the similarity, the head and the baselines in batches of up to
-    _BATCH queries, which may span concepts."""
+    through the similarity, under the model's own guides, the head and the
+    baselines in batches of up to _BATCH queries, which may span concepts."""
     if group_size < 2:
         raise ValueError("group_size must be >= 2")
     strategies = tuple(strategies)
@@ -187,8 +188,7 @@ def compare_strategies(
         # One call of query_rows and of each batched op per slice of the pass's arrays.
         batch = slice(start, start + _BATCH)
         world = world_rows[batch]
-        _, _, _, hat, slots, _, _, rows = query_rows(state, queries[batch], class_rows[batch],
-                                                     text_guidance)
+        _, _, _, hat, slots, _, _, rows = query_rows(state, queries[batch], class_rows[batch])
         picks = {}
         if {"region_region", "heuristic"} & set(strategies):
             blocks = sorted_blocks(rows)  # for an unsorted head too: cheaper than a block max
@@ -221,7 +221,7 @@ def compare_strategies(
         "group_size": group_size,
         "seed": seed,
         "mode": mode,
-        "text_guidance": text_guidance,
+        "text_guidance": state.classifier.text_guidance,
     }
     return EvalReport(rates, per_concept, samples, echo)
 
@@ -237,16 +237,14 @@ def ablate(
 ) -> list[AblationRow]:
     """Train one variant per axis value with a shared seed and report final
     region_region cover rates side by side. Axes: text_guidance (bool) or group_size (int)."""
-    if axis not in ("text_guidance", "group_size"):
+    if axis not in ABLATION_AXES:
         raise ValueError(f"unknown ablation axis {axis!r}")
     rows = []
     for value in values:
         config = dataclasses.replace(base_config, **{axis: value})
         state, _ = run_training(index, scenario, config, eval_seed=eval_seed)
-        report = compare_strategies(
-            state, scenario, index, ("region_region",), group_size=config.group_size,
-            seed=eval_seed, mode=mode, text_guidance=config.text_guidance,
-        )
+        report = compare_strategies(state, scenario, index, ("region_region",),
+                                    group_size=config.group_size, seed=eval_seed, mode=mode)
         rows.append(AblationRow(axis, value, dict(report.cover_rates)))
     return rows
 

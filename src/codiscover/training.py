@@ -32,7 +32,6 @@ from ._binio import (
 from .core import (
     DiscoveryHead,
     OpenVocabClassifier,
-    concept_guide,
     head_backward,
     head_forward,
     sigmoid,
@@ -150,7 +149,8 @@ def init_model(scenario, index: ConceptGroupIndex, config: TrainConfig,
     concept_ids = index.concept_ids()
     if not concept_ids:
         raise ValueError("index retains no concepts")
-    classifier = OpenVocabClassifier.from_table(scenario.text_table, concept_ids)
+    classifier = OpenVocabClassifier.from_table(scenario.text_table, concept_ids,
+                                                config.text_guidance)
     head = DiscoveryHead.initialize(
         m=config.group_size - 1, n=scenario.features.shape[1], hidden=config.hidden, rng=rng,
         sorted_rows=config.sorted_rows,
@@ -165,10 +165,10 @@ def caption_proxies(scenario) -> dict[str, np.ndarray]:
     return {record.image_id: vector for record, vector in zip(records, vectors)}
 
 
-def query_rows(state: ModelState, queries: np.ndarray, class_rows, text_guidance: bool):
+def query_rows(state: ModelState, queries: np.ndarray, class_rows):
     """Similarity forward of Q queries, a (Q, 1+m) int array of block rows that each
-    hold the query image's row and then its supports', under the guides of their
-    classifier rows (an int array or list of Q). The distinct images are gathered and
+    hold the query image's row and then its supports', under the classifier's guides
+    of their rows (an int array or list of Q). The distinct images are gathered and
     unit-normalized once, in order of first appearance. Returns the distinct block
     rows (a list), their raw rows, norms and unit rows, each query's slots in them
     (query first), the (Q, 1, d) guides, and similarity_rows' guided queries and rows."""
@@ -184,7 +184,7 @@ def query_rows(state: ModelState, queries: np.ndarray, class_rows, text_guidance
         cid = state.classifier.concept_ids[class_rows[zero.argmax()]]
         raise ValueError(f"concept {cid}: zero feature row")
     hat = raw / norms
-    guide = concept_guide(state.classifier.weights[class_rows], text_guidance)[:, None, :]
+    guide = state.classifier.guides[class_rows][:, None, :]
     qw, rows = similarity_rows(hat[slots[:, 0]], hat[slots[:, 1:]], guide)
     return distinct, raw, norms, hat, slots, guide, qw, rows
 
@@ -223,15 +223,16 @@ def caption_batch_loss(
 
     Every image's features are materialized (and normalized) once per batch.
     All B*K query positions of the batch run through one call of each core
-    forward and backward op, each under its group's concept guide (a guide
-    per query), and the region-word term is averaged over them. The
-    image-text term runs over the batch's distinct images and their captions.
+    forward and backward op, each under the classifier's guide of its group's
+    concept (a guide per query), and the region-word term is averaged over
+    them. The image-text term runs over the batch's distinct images and their
+    captions.
 
     Args:
         state: current model parameters.
         mini_groups: sampled mini-groups of one size, of classifier concepts.
         caption_vectors: image id -> frozen caption embedding proxy.
-        config: supplies loss weights, temperature, and the guidance flag.
+        config: supplies loss weights and temperature.
 
     Returns:
         (BatchLoss with unweighted components, GradientBundle matching state).
@@ -253,7 +254,7 @@ def caption_batch_loss(
     group_rows = np.array([[state.row_of[i] for i in group.image_ids] for group in mini_groups])
     order = [[i, *range(i), *range(i + 1, k)] for i in range(k)]
     distinct, raw, norms, hat, slots, guide, qw, rows = query_rows(
-        state, group_rows[:, order].reshape(-1, k), concept_rows, config.text_guidance)
+        state, group_rows[:, order].reshape(-1, k), concept_rows)
     batch_ids = [state.image_ids[r] for r in distinct]
     pos, supports, q = slots[:, 0], slots[:, 1:], len(slots)
     fwd = head_forward(rows, state.head)
@@ -372,10 +373,8 @@ def run_training(
                                              or step == config.steps):
                 from .evaluation import compare_strategies
 
-                report = compare_strategies(
-                    state, scenario, index, ("region_region",), group_size=config.group_size,
-                    seed=eval_seed, text_guidance=config.text_guidance,
-                )
+                report = compare_strategies(state, scenario, index, ("region_region",),
+                                            group_size=config.group_size, seed=eval_seed)
                 cover = report.cover_rates["region_region"]
         except ValueError as exc:
             raise ValueError(f"step {step}: {exc}") from exc
@@ -472,8 +471,9 @@ def save_checkpoint(state: ModelState, path: str) -> None:
         raise ValueError(f"feature rows of width {state.block.shape[2]} do not match "
                          f"the classifier width {d}")
     # Bits 0-1 are always set, so checkpoints keep their bytes, and ignored on
-    # load, where files of older writers may have them clear.
-    flags = 3 | (int(head.sorted_rows) << 2)
+    # load, where files of older writers may have them clear. Bit 3 marks an
+    # unguided classifier, so older files, which leave it clear, load as guided.
+    flags = 3 | (int(head.sorted_rows) << 2) | (int(not state.classifier.text_guidance) << 3)
     with write_container(path, CHECKPOINT_MAGIC, _CHECKPOINT_VERSION,
                          (head.hidden, head.in_dim, d, k, state.block.shape[1], flags)) as fh:
         for arr in (head.w1, head.b1, head.w2, head.b2):
@@ -497,7 +497,7 @@ def load_checkpoint(path: str) -> ModelState:
         head = DiscoveryHead(w1, b1, w2, b2, sorted_rows=bool(flags & 4))
         concept_ids = [read_u32(fh) for _ in range(k)]
         weights = read_f64_array(fh, k * d).reshape(k, d)
-        classifier = OpenVocabClassifier(weights, concept_ids)
+        classifier = OpenVocabClassifier(weights, concept_ids, text_guidance=not (flags & 8))
         image_ids, (block,) = read_records(fh, read_u32(fh), [(n, d)])
     _check_rows(image_ids, block)
     return ModelState(head, classifier, image_ids, block)

@@ -386,7 +386,6 @@ def test_criterion_08_text_guidance_beats_uniform_weights():
                 report = compare_strategies(
                     state, scenario, index, ("region_region",),
                     group_size=train_config.group_size, seed=seed + 200,
-                    text_guidance=guided,
                 )
                 covers[guided] = report.cover_rates["region_region"]
             gaps.append(covers[True] - covers[False])

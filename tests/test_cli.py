@@ -322,6 +322,22 @@ def test_cli_build_index_writes_utf8_under_an_ascii_locale(tmp_path):
     assert load_index(str(out)).groups == {0: ["img\u00e9", "img2"]}
 
 
+@pytest.mark.parametrize("argv, code, stream", [
+    (["--help"], EXIT_OK, "stdout"),
+    ([], EXIT_USAGE, "stderr"),
+])
+def test_python_dash_m_runs_the_cli(argv, code, stream):
+    # `python -m codiscover` reaches main through __main__.py and cli.entry,
+    # which exits with main's code.
+    src = os.path.dirname(os.path.dirname(codiscover.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "codiscover", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert getattr(proc, stream).startswith("usage: codiscover")
+
+
 def test_cli_train_eval_and_reports(tmp_path, tiny_config, capsys):
     train_out = tmp_path / "train"
     assert main(["train", "--config", tiny_config, "--out", str(train_out)]) == EXIT_OK
@@ -343,6 +359,25 @@ def test_cli_train_eval_and_reports(tmp_path, tiny_config, capsys):
     assert set(report["cover_rates"]) == {"region_region", "region_word",
                                           "max_size", "heuristic"}
     assert sorted(p.name for p in eval_out.iterdir()) == ["config.txt", "report.json"]
+
+
+def test_cli_eval_runs_the_guidance_the_model_was_trained_with(tmp_path, capsys):
+    # Text guidance belongs to the model: a checkpoint trained unguided is scored
+    # unguided whether or not the eval config repeats train.text_guidance.
+    unguided, default = tmp_path / "unguided.cfg", tmp_path / "default.cfg"
+    unguided.write_text(TINY_CONFIG + "train.text_guidance = false\n")
+    default.write_text(TINY_CONFIG)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(unguided), "--out", str(run)]) == EXIT_OK
+    reports = []
+    for config in (unguided, default):
+        out = tmp_path / f"eval_{config.stem}"
+        assert main(["eval", "--config", str(config), "--out", str(out),
+                     "--checkpoint", str(run / "checkpoint.codc")]) == EXIT_OK
+        reports.append(json.loads((out / "report.json").read_text()))
+    capsys.readouterr()
+    assert [report["config"]["text_guidance"] for report in reports] == [False, False]
+    assert reports[0]["cover_rates"] == reports[1]["cover_rates"]
 
 
 def test_cli_train_zero_steps_notes_initialization(tmp_path, capsys):

@@ -17,7 +17,6 @@ from codiscover import (
     text_guide_weights,
 )
 from codiscover.core import (
-    concept_guide,
     head_backward,
     sigmoid,
     similarity_backward,
@@ -79,16 +78,19 @@ def test_text_guide_weights_norm_and_uniform_case():
 
 
 def test_guides_work_along_the_last_axis():
-    # A (3, d) block of embeddings gives the guides of its rows, bit for bit.
+    # A (3, d) block of embeddings gives the guides of its rows, bit for bit,
+    # and a classifier holds the guides of its rows, or ones when unguided.
     rng = np.random.default_rng(6)
     w = rng.standard_normal((3, 33))
-    for guided in (True, False):
-        block = concept_guide(w, guided)
-        assert block.shape == w.shape
-        for r in range(3):
-            assert np.array_equal(block[r], concept_guide(w[r], guided))
     for r in range(3):
         assert np.array_equal(text_guide_weights(w)[r], text_guide_weights(w[r]))
+    unit = w / np.linalg.norm(w, axis=1, keepdims=True)
+    for guided in (True, False):
+        guides = OpenVocabClassifier(unit, [4, 7, 9], text_guidance=guided).guides
+        assert guides.shape == w.shape
+        for r in range(3):
+            want = text_guide_weights(unit[r]) if guided else np.ones(33)
+            assert np.array_equal(guides[r], want)
     # The similarity and its backward under a (Q, 1, d) guide per query equal
     # each query's own call under its (d,) guide.
     query = unit_rows(rng.standard_normal((3, 4, 33)), "query")
@@ -105,9 +107,8 @@ def test_guides_work_along_the_last_axis():
         assert np.allclose(dquery[q], dq[0], rtol=0.0, atol=1e-14)
         assert np.allclose(dsupport[q], ds[0], rtol=0.0, atol=1e-14)
     w[1] = 0.0
-    for guide_of in (text_guide_weights, concept_guide):
-        with pytest.raises(ValueError, match="zero vector"):
-            guide_of(w)
+    with pytest.raises(ValueError, match="zero vector"):
+        text_guide_weights(w)
 
 
 def test_text_guided_similarity_hand_case():

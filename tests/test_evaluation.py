@@ -119,6 +119,18 @@ def test_covered_box_mode():
         iou([exact, images["c"][1][1]], [exact, exact])
 
 
+def test_covered_box_mode_needs_iou_above_one_half():
+    # [DERIVED] The pick (0, 0, 2, 1) against the true box (0, 0, 1, 1): intersection
+    # 1, union 2 + 1 - 1 = 2, so IoU exactly 0.5, which does not cover. The pick
+    # (0, 0, 1.9, 1) has IoU 1 / 1.9, just above, and covers.
+    owner = np.array([[7, -1, -1]])
+    boxes = np.array([[[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 2.0, 1.0], [0.0, 0.0, 1.9, 1.0]]])
+    assert iou(boxes[0, 1], boxes[0, 0]) == 0.5
+    picks = np.array([[1], [2], [0]])
+    assert _covered(owner, boxes, np.array([7]), picks, "box").tolist() == \
+        [[False], [True], [True]]
+
+
 def test_no_library_path_builds_the_truth_view():
     # Generation, scoring and training read the owner block; the per-image
     # truth tables are built only when something asks for them.
@@ -189,15 +201,17 @@ def test_sample_supports_picks_what_generator_choice_picks(pass_size):
     # drawn one after another from one generator: pools of 0-40 others and
     # 1-12 supports (both replace branches and the singleton), then Floyd at
     # its largest m past 10,000 others and the tail branch above it, beside
-    # small pools. However the queries are cut into passes, every pass makes
-    # the picks and reads the words of one Generator.choice call per query.
+    # small pools, and the tail's lower edge: at m = 201, 10,000 others take
+    # Floyd's branch and 10,001 the tail's. However the queries are cut into
+    # passes, every pass makes the picks and reads the words of one
+    # Generator.choice call per query.
     cases = []
     for m in range(1, 13):
         others = list(range(41))
         np.random.default_rng(m).shuffle(others)
         cases.append((others, m))
     cases += [([10001, 3, 0, 10001], 200), ([5, 10001], 201), ([10050], 10050),
-              ([20000, 40, 20000], 450)]
+              ([20000, 40, 20000], 450), ([10000, 10001], 201)]
     for seed in (0, 7):
         reference, generator = np.random.default_rng(seed), np.random.default_rng(seed)
         for others, m in cases:
@@ -394,11 +408,12 @@ def test_compare_strategies_label_matches_manual_pipeline():
     assert report.cover_rates["region_region"] == float(manual_hit)
 
 
-def _replay_per_query(state, scenario, index, strategies, group_size, seed, mode,
-                      text_guidance):
+def _replay_per_query(state, scenario, index, strategies, group_size, seed, mode):
     """compare_strategies replayed one query at a time (Q=1) through the
     public batched ops, and each label scored on its own: a truth lookup in
-    index mode, IoU > 0.5 with any ground-truth box of its key in box mode."""
+    index mode, IoU > 0.5 with any ground-truth box of its key in box mode.
+    Each concept's guide is rebuilt from its text embedding under the
+    classifier's guidance flag."""
     from codiscover import (
         EvalReport,
         baseline_max_size,
@@ -406,15 +421,16 @@ def _replay_per_query(state, scenario, index, strategies, group_size, seed, mode
         head_forward,
         heuristic_picks,
         similarity_rows,
+        text_guide_weights,
     )
-    from codiscover.core import concept_guide
 
     rng = np.random.default_rng(seed)
     feature_map = scenario.feature_map()
     hits = {name: [] for name in strategies}
+    text_guidance = state.classifier.text_guidance
     for cid in index.concept_ids():
         w_c = state.classifier.weights[state.classifier.row_of[cid]]
-        guide = concept_guide(w_c, text_guidance)
+        guide = text_guide_weights(w_c) if text_guidance else np.ones(w_c.size)
         members = index.groups[cid]
         for query_id in members:
             support_ids = _choice_supports(members, query_id, group_size - 1, rng)
@@ -462,13 +478,13 @@ def test_compare_strategies_equals_per_query_replay(sorted_rows, text_guidance):
     groups[cids[0]] = groups[cids[0]][:1]
     groups[cids[1]] = groups[cids[1]][:2]
     index = ConceptGroupIndex(groups, {c: full.terms[c] for c in cids})
-    config = TrainConfig(group_size=4, hidden=16, steps=0, sorted_rows=sorted_rows)
+    config = TrainConfig(group_size=4, hidden=16, steps=0, sorted_rows=sorted_rows,
+                         text_guidance=text_guidance)
     state = init_model(scenario, index, config)
     for seed, mode in ((3, "box"), (4, "index")):
         report = compare_strategies(state, scenario, index, STRATEGIES, group_size=4,
-                                    seed=seed, mode=mode, text_guidance=text_guidance)
-        assert report == _replay_per_query(state, scenario, index, STRATEGIES, 4, seed,
-                                           mode, text_guidance)
+                                    seed=seed, mode=mode)
+        assert report == _replay_per_query(state, scenario, index, STRATEGIES, 4, seed, mode)
 
 
 @pytest.mark.parametrize("sorted_rows", [False, True])
@@ -489,13 +505,13 @@ def test_compare_strategies_across_batch_boundaries_equals_replay(sorted_rows, t
     sizes = [len(g) for g in groups.values()]
     assert max(sizes) > 32 and sum(sizes) > 64
     assert sum(sizes) > len({i for g in groups.values() for i in g})
-    config = TrainConfig(group_size=4, hidden=16, steps=0, sorted_rows=sorted_rows)
+    config = TrainConfig(group_size=4, hidden=16, steps=0, sorted_rows=sorted_rows,
+                         text_guidance=text_guidance)
     state = init_model(scenario, index, config)
     for seed, mode in ((3, "box"), (4, "index")):
         report = compare_strategies(state, scenario, index, STRATEGIES, group_size=4,
-                                    seed=seed, mode=mode, text_guidance=text_guidance)
-        assert report == _replay_per_query(state, scenario, index, STRATEGIES, 4, seed,
-                                           mode, text_guidance)
+                                    seed=seed, mode=mode)
+        assert report == _replay_per_query(state, scenario, index, STRATEGIES, 4, seed, mode)
 
 
 def test_compare_strategies_calls_the_forward_and_iou_once_per_batch(monkeypatch):

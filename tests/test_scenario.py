@@ -1006,6 +1006,15 @@ def test_text_embedding_codec_round_trip(tmp_path, monkeypatch):
         load_text_embeddings(str(path))
 
 
+@pytest.mark.parametrize("cid", [2**32, -1])
+def test_text_embedding_saver_refuses_a_concept_id_outside_u32(tmp_path, cid):
+    # A concept id is written as a u32; one outside it is refused, and no file is left.
+    table = TextEmbeddingTable({0: np.ones(3), cid: np.ones(3)})
+    with pytest.raises(ValueError, match=f"^value {cid} does not fit in u32$"):
+        save_text_embeddings(table, str(tmp_path / "text.codt"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_text_embedding_codec_errors(tmp_path):
     with pytest.raises(ValueError, match="no embeddings"):
         save_text_embeddings(TextEmbeddingTable({}), str(tmp_path / "x.codt"))

@@ -583,19 +583,26 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
 
 
 @pytest.mark.parametrize("sorted_rows", [False, True])
-def test_checkpoint_flag_bits_0_1_are_written_set_and_ignored(tmp_path, sorted_rows):
-    scenario, index, config = small_setup(sorted_rows=sorted_rows)
+@pytest.mark.parametrize("text_guidance", [True, False])
+def test_checkpoint_flag_bits_0_1_are_written_set_and_ignored(tmp_path, sorted_rows,
+                                                              text_guidance):
+    scenario, index, config = small_setup(sorted_rows=sorted_rows, text_guidance=text_guidance)
     state = init_model(scenario, index, config)
     path = tmp_path / "checkpoint.codc"
     save_checkpoint(state, str(path))
     blob = path.read_bytes()
-    # Header u32s after the magic: version, hidden, in_dim, d, k, n, flags.
-    assert int.from_bytes(blob[28:32], "little") == 3 | (sorted_rows << 2)
+    # Header u32s after the magic: version, hidden, in_dim, d, k, n, flags. Bit 3
+    # marks an unguided classifier, so a file of an older writer loads as guided.
+    high = (sorted_rows << 2) | ((not text_guidance) << 3)
+    assert int.from_bytes(blob[28:32], "little") == 3 | high
     # Older writers cleared bits 0-1 for a frozen head or frozen features.
     cleared = tmp_path / "cleared.codc"
-    cleared.write_bytes(blob[:28] + (int(sorted_rows) << 2).to_bytes(4, "little") + blob[32:])
+    cleared.write_bytes(blob[:28] + high.to_bytes(4, "little") + blob[32:])
     a, b = load_checkpoint(str(path)), load_checkpoint(str(cleared))
     assert a.head.sorted_rows is b.head.sorted_rows is sorted_rows
+    assert a.classifier.text_guidance is b.classifier.text_guidance is text_guidance
+    assert np.array_equal(a.classifier.guides, state.classifier.guides)
+    assert np.array_equal(b.classifier.guides, state.classifier.guides)
     for name in ("w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(a.head, name), getattr(b.head, name))
     assert a.classifier.concept_ids == b.classifier.concept_ids
