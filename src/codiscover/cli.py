@@ -260,7 +260,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     config, scenario, index = _prepare_run(args)
     state = load_checkpoint(args.checkpoint)
-    report = compare_strategies(state, scenario, index, group_size=config.train.group_size,
+    group_size = state.head.in_dim // state.block.shape[1] + 1  # in_dim = (group_size - 1) * n
+    report = compare_strategies(state, scenario, index, group_size=group_size,
                                 seed=config.eval_seed, mode=config.eval_mode)
     write_report_json(report, os.path.join(args.out, "report.json"))
     for name in sorted(report.cover_rates):

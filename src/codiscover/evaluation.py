@@ -72,37 +72,26 @@ def _draw_supports(rng: np.random.Generator, others: np.ndarray, m: int) -> np.n
     from the same words. A singleton group's query, with no other member, supports
     itself: its picks read -1, and it reads no word."""
     # choice's bounded draws: m below n with replacement; Floyd's below n-m+1..n then
-    # its shuffle's below m..2; or past 10,000 others with m > n // 50, a shuffle of
+    # its shuffle's below m..2; or past 10,000 others with n >= m > n // 50, a shuffle of
     # range(n) down to max(n-m, 1), below n..max(n-m, 1)+1.
     replace = (others > 0) & (others < m)
-    tail = (others > 10000) & (m > others // 50)
+    tail = (others >= m) & (others > 10000) & (m > others // 50)
     floyd = (others >= m) & ~tail
-    counts = np.select([replace, floyd, tail], [m, 2 * m - 1, others - np.maximum(others - m, 1)])
-    starts = np.cumsum(counts) - counts
-    owner = np.repeat(np.arange(len(others)), counts)
-    t, n = np.arange(counts.sum()) - starts[owner], others[owner]
-    bounds = np.select([replace[owner], tail[owner], t < m], [n, n - t, n - m + 1 + t], 2 * m - t)
-    # Lemire draws from 32-bit words: integers(0, 2**32, N, uint64) reads the words that
-    # choice reads one at a time through PCG64's next_uint32. A bound of 1 draws 0 and
-    # reads no word. A word whose low half of word * bound is below 2**32 % bound is
-    # rejected, and that draw and every later one move on by a word, read then.
-    draws, live = np.zeros(len(bounds), dtype=np.int64), bounds > 1
-    bound = bounds[live].astype(np.uint64)
-    threshold = (1 << 32) % bound
-    words = rng.integers(0, 1 << 32, len(bound), dtype=np.uint64)
-    word_of, start = np.arange(len(bound)), 0
-    while (rejected := np.flatnonzero(
-            (words[word_of[start:]] * bound[start:] & 0xFFFFFFFF) < threshold[start:])).size:
-        start += int(rejected[0])
-        word_of[start:] += 1
-        words = np.append(words, rng.integers(0, 1 << 32, 1, dtype=np.uint64))
-    draws[live] = words[word_of] * bound >> 32
+    # One row of 2m-1 bounds per query, padded with 1: integers(0, bounds) makes each
+    # bounded draw as choice does, from the same words, and a bound of 1 draws 0 and
+    # reads no word, so the rows come out in query order.
+    t = np.arange(2 * m - 1)
+    bounds = np.ones((len(others), 2 * m - 1), dtype=np.int64)
+    bounds[replace, :m] = others[replace, None]
+    bounds[floyd] = np.where(t < m, others[floyd, None] - m + 1 + t, 2 * m - t)
+    bounds[tail, :m] = others[tail, None] - t[:m]
+    draws = rng.integers(0, bounds)
 
     picks = np.full((len(others), m), -1, dtype=np.int64)
-    picks[replace] = draws[starts[replace, None] + np.arange(m)]
+    picks[replace] = draws[replace, :m]
     # Floyd's algorithm, one pick column at a time over every query: a value drawn
     # again gives way to j, which none is; then the Fisher-Yates swaps of the shuffle.
-    floyd_draws = draws[starts[floyd, None] + np.arange(2 * m - 1)]
+    floyd_draws = draws[floyd]
     chosen, last = np.empty((len(floyd_draws), m), dtype=np.int64), others[floyd] - m
     for c in range(m):
         value = floyd_draws[:, c]
@@ -113,7 +102,7 @@ def _draw_supports(rng: np.random.Generator, others: np.ndarray, m: int) -> np.n
     picks[floyd] = chosen
     for q in np.flatnonzero(tail):  # rare: a shuffle as long as the group
         n, order = int(others[q]), list(range(others[q]))
-        for i, j in zip(range(n - 1, 0, -1), draws[starts[q]:starts[q] + counts[q]].tolist()):
+        for i, j in zip(range(n - 1, 0, -1), draws[q, :m].tolist()):
             order[i], order[j] = order[j], order[i]
         picks[q] = order[n - m:]
     return picks
@@ -235,13 +224,13 @@ def ablate(
     eval_seed: int = 0,
     mode: str = "index",
 ) -> list[AblationRow]:
-    """Train one variant per axis value with a shared seed and report final
-    region_region cover rates side by side. Axes: text_guidance (bool) or group_size (int)."""
+    """Train one variant per axis value with a shared seed, without in-loop evaluation, and
+    report final region_region cover rates side by side. Axes: text_guidance or group_size."""
     if axis not in ABLATION_AXES:
         raise ValueError(f"unknown ablation axis {axis!r}")
     rows = []
     for value in values:
-        config = dataclasses.replace(base_config, **{axis: value})
+        config = dataclasses.replace(base_config, eval_interval=0, **{axis: value})
         state, _ = run_training(index, scenario, config, eval_seed=eval_seed)
         report = compare_strategies(state, scenario, index, ("region_region",),
                                     group_size=config.group_size, seed=eval_seed, mode=mode)

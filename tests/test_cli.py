@@ -380,6 +380,25 @@ def test_cli_eval_runs_the_guidance_the_model_was_trained_with(tmp_path, capsys)
     assert reports[0]["cover_rates"] == reports[1]["cover_rates"]
 
 
+def test_cli_eval_scores_the_group_size_the_model_was_trained_with(tmp_path, capsys):
+    # The head's input width fixes the group size: a checkpoint trained at group
+    # size 3 is scored at 3 whatever the eval config's train.group_size says.
+    other = tmp_path / "other.cfg"
+    other.write_text(TINY_CONFIG.replace("train.group_size = 3", "train.group_size = 4"))
+    matched = tmp_path / "matched.cfg"
+    matched.write_text(TINY_CONFIG)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(matched), "--out", str(run)]) == EXIT_OK
+    reports = []
+    for config in (matched, other):
+        out = tmp_path / f"eval_{config.stem}"
+        assert main(["eval", "--config", str(config), "--out", str(out),
+                     "--checkpoint", str(run / "checkpoint.codc")]) == EXIT_OK
+        reports.append(json.loads((out / "report.json").read_text()))
+    capsys.readouterr()
+    assert reports[0]["cover_rates"] == reports[1]["cover_rates"]
+
+
 def test_cli_train_zero_steps_notes_initialization(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text(TINY_CONFIG.replace("train.steps = 4", "train.steps = 0"))

@@ -202,16 +202,18 @@ def test_sample_supports_picks_what_generator_choice_picks(pass_size):
     # 1-12 supports (both replace branches and the singleton), then Floyd at
     # its largest m past 10,000 others and the tail branch above it, beside
     # small pools, and the tail's lower edge: at m = 201, 10,000 others take
-    # Floyd's branch and 10,001 the tail's. However the queries are cut into
-    # passes, every pass makes the picks and reads the words of one
-    # Generator.choice call per query.
+    # Floyd's branch and 10,001 the tail's. Past 10,000 others but below m, the
+    # queries draw with replacement, beside pools of Floyd's and the tail's size.
+    # However the queries are cut into passes, every pass makes the picks and
+    # reads the words of one Generator.choice call per query.
     cases = []
     for m in range(1, 13):
         others = list(range(41))
         np.random.default_rng(m).shuffle(others)
         cases.append((others, m))
     cases += [([10001, 3, 0, 10001], 200), ([5, 10001], 201), ([10050], 10050),
-              ([20000, 40, 20000], 450), ([10000, 10001], 201)]
+              ([20000, 40, 20000], 450), ([10000, 10001], 201),
+              ([10050], 10051), ([10001, 10050, 7], 10051)]
     for seed in (0, 7):
         reference, generator = np.random.default_rng(seed), np.random.default_rng(seed)
         for others, m in cases:
@@ -239,6 +241,24 @@ def test_sample_supports_rejection_branch_picks_what_generator_choice_picks():
             extra += 1
             assert extra <= 378
         assert extra >= 20, (seed, extra)
+
+
+def test_draw_supports_pass_peak_memory_is_bounded():
+    # An eval-wide-sized pass, 4,800 queries of 5 others and m = 3, holds one
+    # row of bounds and one of draws per query, not a flat array per step of
+    # the draw: its traced peak was 2.45 MB with them and reads 1.00 MB.
+    import tracemalloc
+
+    # The generator is built first: its first construction imports modules.
+    others, rng = np.full(4800, 5), np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        picks = _draw_supports(rng, others, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert picks.shape == (4800, 3)
+    assert peak < 1.5e6
 
 
 # --------------------------------------------------------------- comparison
@@ -741,6 +761,34 @@ def test_ablate_matches_direct_training_run():
                                 group_size=3, seed=12)
     assert rows[0].cover_rates["region_region"] == \
         direct.cover_rates["region_region"]
+
+
+def test_ablate_evaluates_each_variant_once(monkeypatch):
+    # A variant's in-loop covers are never read, so ablate trains without them
+    # even when the base config asks for them; the final covers stay the ones
+    # a run with in-loop evaluation ends with.
+    import codiscover.evaluation as evaluation_module
+
+    scenario, index = small_world()
+    base = TrainConfig(group_size=3, mini_groups_per_batch=2, steps=4,
+                       hidden=16, eval_interval=2, seed=1)
+    real, calls = evaluation_module.compare_strategies, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["group_size"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation_module, "compare_strategies", counted)
+    rows = ablate(index, scenario, base, "group_size", (2, 3), eval_seed=8)
+    assert calls == [2, 3]
+    monkeypatch.undo()
+    for row in rows:
+        config = dataclasses.replace(base, group_size=row.value)
+        state, metrics = run_training(index, scenario, config, eval_seed=8)
+        assert metrics[-1].cover_rate is not None
+        direct = compare_strategies(state, scenario, index, ("region_region",),
+                                    group_size=row.value, seed=8)
+        assert row.cover_rates == direct.cover_rates
 
 
 # ------------------------------------------------------------------ writers
